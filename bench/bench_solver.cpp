@@ -122,12 +122,17 @@ BENCHMARK(BM_ReferenceDistance)
 //  * refactor            — the default KLU-semantics fast path;
 //  * refactor_bit_exact  — the strict mode whose probe traces must match the
 //    reference bit for bit (checked here and reported in the JSON).
+// Each mode also reports lu_nnz — nnz(L+U) of the final factorisation under
+// the fill-reducing elimination order — and ordering_seconds, the time spent
+// computing that order (once per stamp pattern).
 
 struct JsonRun {
   double seconds = 0.0;
   spice::TransientResult result;
   std::uint64_t factors = 0, refactors = 0, fallbacks = 0, pattern_builds = 0,
                 newton_iters = 0;
+  std::size_t lu_nnz = 0;
+  double ordering_seconds = 0.0;
 };
 
 std::uint64_t counter_of(const obs::MetricsSnapshot& snap,
@@ -180,6 +185,12 @@ JsonRun run_json_scenario(bool allow_refactor, bool bit_exact,
   run.fallbacks = delta("mda.spice.refactor_fallbacks");
   run.pattern_builds = delta("mda.spice.mna_pattern_builds");
   run.newton_iters = delta("mda.spice.newton_iterations");
+  run.lu_nnz = sim.mna().lu_nnz();
+  const obs::MetricValue* ord_after = after.find("mda.spice.ordering_time_s");
+  const obs::MetricValue* ord_before =
+      before.find("mda.spice.ordering_time_s");
+  run.ordering_seconds = (ord_after ? ord_after->sum : 0.0) -
+                         (ord_before ? ord_before->sum : 0.0);
   return run;
 }
 
@@ -193,7 +204,9 @@ void emit_json_mode(std::ofstream& out, const char* name, const JsonRun& r,
       << "      \"sparse_lu_factors\": " << r.factors << ",\n"
       << "      \"sparse_lu_refactors\": " << r.refactors << ",\n"
       << "      \"refactor_fallbacks\": " << r.fallbacks << ",\n"
-      << "      \"mna_pattern_builds\": " << r.pattern_builds << "\n"
+      << "      \"mna_pattern_builds\": " << r.pattern_builds << ",\n"
+      << "      \"lu_nnz\": " << r.lu_nnz << ",\n"
+      << "      \"ordering_seconds\": " << r.ordering_seconds << "\n"
       << "    }" << (last ? "\n" : ",\n");
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/metrics.hpp"
+#include "spice/ordering.hpp"
 
 namespace mda::spice {
 
@@ -15,6 +16,9 @@ MnaSystem::MnaSystem(Netlist& netlist, Tolerances tol)
     const int nb = dev->num_branches();
     if (nb > 0) {
       dev->assign_branch_row(branch);
+      if (dev->nonlinear()) {
+        for (int b = 0; b < nb; ++b) guarded_branches_.push_back(branch + b);
+      }
       branch += nb;
     }
     dev_nonlinear_.push_back(dev->nonlinear() ? 1 : 0);
@@ -39,6 +43,7 @@ void MnaSystem::reset_solver_state() {
 
 void MnaSystem::rebuild_structure_cache() {
   static const obs::Counter pattern_builds("mda.spice.mna_pattern_builds");
+  static const obs::Histogram ordering_time("mda.spice.ordering_time_s");
   pattern_builds.add();
   ++structure_epoch_;
   lu_valid_ = false;
@@ -53,11 +58,28 @@ void MnaSystem::rebuild_structure_cache() {
 
   const int n = num_unknowns_;
   const std::size_t nnz_in = pat_rows_.size();
-  // Bucket triplets per column, preserving triplet order within a column —
-  // exactly the intermediate layout CscMatrix::from_triplets builds.
+  // The elimination order is a pure function of the pattern (and of the
+  // netlist's guarded branches), so every instance over the same pattern —
+  // any thread, lane or cache generation — factors the same permuted
+  // matrix.
+  {
+    obs::ScopedTimer timer(ordering_time);
+    perm_ = pivot_stable_min_degree(n, pat_rows_, pat_cols_,
+                                    guarded_branches_);
+  }
+  std::vector<int> iperm(static_cast<std::size_t>(n));
+  for (int k = 0; k < n; ++k) {
+    iperm[static_cast<std::size_t>(perm_[static_cast<std::size_t>(k)])] = k;
+  }
+  lu_x_.resize(static_cast<std::size_t>(n));
+  // Bucket triplets per permuted column, preserving triplet order within a
+  // column — the intermediate layout CscMatrix::from_triplets builds for
+  // the permuted triplets.
   std::vector<int> col_ptr(static_cast<std::size_t>(n) + 1, 0);
   for (std::size_t k = 0; k < nnz_in; ++k) {
-    ++col_ptr[static_cast<std::size_t>(pat_cols_[k]) + 1];
+    ++col_ptr[static_cast<std::size_t>(
+                  iperm[static_cast<std::size_t>(pat_cols_[k])]) +
+              1];
   }
   for (int c = 0; c < n; ++c) {
     col_ptr[static_cast<std::size_t>(c) + 1] +=
@@ -67,9 +89,10 @@ void MnaSystem::rebuild_structure_cache() {
   std::vector<int> pos_trip(nnz_in);
   std::vector<int> next(col_ptr.begin(), col_ptr.end() - 1);
   for (std::size_t k = 0; k < nnz_in; ++k) {
-    const int c = pat_cols_[k];
+    const int c = iperm[static_cast<std::size_t>(pat_cols_[k])];
     const int dst = next[static_cast<std::size_t>(c)]++;
-    pos_row[static_cast<std::size_t>(dst)] = pat_rows_[k];
+    pos_row[static_cast<std::size_t>(dst)] =
+        iperm[static_cast<std::size_t>(pat_rows_[k])];
     pos_trip[static_cast<std::size_t>(dst)] = static_cast<int>(k);
   }
   // Sort each column by row with the same comparator from_triplets uses, so
@@ -108,6 +131,20 @@ void MnaSystem::rebuild_structure_cache() {
         static_cast<int>(csc_.row_idx.size());
   }
   csc_.values.assign(csc_.row_idx.size(), 0.0);
+}
+
+const std::vector<double>& MnaSystem::permuted_rhs() {
+  for (std::size_t k = 0; k < lu_x_.size(); ++k) {
+    lu_x_[k] = rhs_[static_cast<std::size_t>(perm_[k])];
+  }
+  return lu_x_;
+}
+
+void MnaSystem::unpermute_solution(std::vector<double>& x_out) const {
+  x_out.resize(lu_x_.size());
+  for (std::size_t k = 0; k < lu_x_.size(); ++k) {
+    x_out[static_cast<std::size_t>(perm_[k])] = lu_x_[k];
+  }
 }
 
 bool MnaSystem::solve_linearized(const StampContext& ctx, double gmin_extra,
@@ -252,9 +289,10 @@ bool MnaSystem::solve_assembled(std::vector<double>& x_out) {
   static const obs::Counter sparse_solves("mda.spice.sparse_lu_solves");
   static const obs::Counter stream_reuses("mda.spice.lu_stream_reuses");
   static const obs::Counter singular("mda.spice.singular_systems");
+  static const obs::Histogram lu_fill("mda.spice.lu_fill_nnz");
 
-  x_out = rhs_;
   if (num_unknowns_ <= kDenseThreshold) {
+    x_out = rhs_;
     dense_.assign(static_cast<std::size_t>(num_unknowns_) *
                       static_cast<std::size_t>(num_unknowns_),
                   0.0);
@@ -273,6 +311,7 @@ bool MnaSystem::solve_assembled(std::vector<double>& x_out) {
   }
 
   prepare_sparse_values();
+  permuted_rhs();
 
   // Cross-query reuse (DESIGN.md §11): a factorisation carried over a
   // reset_solver_state() boundary may only be re-entered through the
@@ -284,7 +323,8 @@ bool MnaSystem::solve_assembled(std::vector<double>& x_out) {
     if (sparse_lu_.refactor_cold_exact(csc_)) {
       stream_reuses.add();
       lu_valid_ = true;
-      sparse_lu_.solve(x_out);
+      sparse_lu_.solve(lu_x_);
+      unpermute_solution(x_out);
       sparse_solves.add();
       return true;
     }
@@ -294,7 +334,8 @@ bool MnaSystem::solve_assembled(std::vector<double>& x_out) {
   if (lu_valid_ && tol_.allow_lu_refactor) {
     if (sparse_lu_.refactor(csc_)) {
       sparse_refactors.add();
-      sparse_lu_.solve(x_out);
+      sparse_lu_.solve(lu_x_);
+      unpermute_solution(x_out);
       sparse_solves.add();
       return true;
     }
@@ -308,7 +349,9 @@ bool MnaSystem::solve_assembled(std::vector<double>& x_out) {
     return false;
   }
   lu_valid_ = true;
-  sparse_lu_.solve(x_out);
+  lu_fill.observe(static_cast<double>(sparse_lu_.nnz()));
+  sparse_lu_.solve(lu_x_);
+  unpermute_solution(x_out);
   sparse_solves.add();
   return true;
 }

@@ -10,6 +10,10 @@
 // the first time a pattern is seen, so every subsequent linearised solve is
 // a value scatter (no sort, no dedup, no allocation) followed by an LU
 // refactorisation that reuses the previous pivot order (DESIGN.md §10).
+// The cached CSC matrix is stored symmetrically permuted into a
+// fill-reducing, pivot-stable elimination order (spice/ordering.hpp), so
+// SparseLu factors P*J*P^T; the right-hand side is gathered into that order
+// before each solve and the solution scattered back after it.
 
 #include <cstdint>
 #include <utility>
@@ -67,12 +71,30 @@ class MnaSystem {
     return structure_epoch_;
   }
 
+  /// Elimination order of the cached sparse pattern: elimination_order()[k]
+  /// is the unknown factored k-th (empty before the first sparse solve).
+  [[nodiscard]] const std::vector<int>& elimination_order() const {
+    return perm_;
+  }
+
+  /// nnz(L+U) of the current sparse factorisation (0 when none).
+  [[nodiscard]] std::size_t lu_nnz() const {
+    return sparse_lu_.factored() ? sparse_lu_.nnz() : 0;
+  }
+
  private:
   friend class BatchNewtonSolver;
 
-  /// Rebuild the CSC pattern cache and accumulation tape from the triplets
-  /// currently in rows_/cols_.  Invalidates any cached LU factorisation.
+  /// Rebuild the elimination order, the CSC pattern cache and the
+  /// accumulation tape from the triplets currently in rows_/cols_.
+  /// Invalidates any cached LU factorisation.
   void rebuild_structure_cache();
+
+  /// rhs_ gathered into elimination order (in lu_x_), ready for a solve.
+  const std::vector<double>& permuted_rhs();
+
+  /// Scatter lu_x_ (a solution in elimination order) into unknown order.
+  void unpermute_solution(std::vector<double>& x_out) const;
 
   /// Full assembly of the linearised system at ctx.x into rows_/cols_/vals_
   /// and rhs_ (the stamping half of solve_linearized()).  When
@@ -103,6 +125,9 @@ class MnaSystem {
   int num_nodes_ = 0;
   int num_unknowns_ = 0;
   bool has_nonlinear_ = false;
+  /// Branch unknowns of nonlinear branch devices (op-amps, comparators):
+  /// the columns the ordering's stability constraint guards.
+  std::vector<int> guarded_branches_;
   // Assembly scratch (reused across iterations).
   std::vector<int> rows_;
   std::vector<int> cols_;
@@ -116,6 +141,10 @@ class MnaSystem {
   std::vector<int> pat_cols_;
   std::vector<int> accum_trip_;
   std::vector<int> accum_slot_;
+  // Elimination order of the cached pattern: perm_[k] = unknown eliminated
+  // k-th.  csc_ holds P*J*P^T in that order.
+  std::vector<int> perm_;
+  std::vector<double> lu_x_;  ///< RHS / solution in elimination order.
   CscMatrix csc_;
   // Solver state reused across linearised solves.
   SparseLu sparse_lu_;

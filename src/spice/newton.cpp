@@ -402,7 +402,7 @@ void BatchNewtonSolver::solve_round(std::span<NewtonLane> lanes) {
     for (std::size_t s = 0; s < cls.size(); ++s) {
       MnaSystem& mna = *lanes[cls[s]].mna;
       bs.load_lane_values(s, mna.csc_);
-      bs.load_lane_rhs(s, mna.rhs_);
+      bs.load_lane_rhs(s, mna.permuted_rhs());
     }
     batch_ok_.assign(cls.size(), 1);
     bs.refactor(batch_ok_.data());
@@ -419,7 +419,9 @@ void BatchNewtonSolver::solve_round(std::span<NewtonLane> lanes) {
         continue;
       }
       sparse_refactors.add();
-      bs.store_lane_solution(s, x_new_[i]);
+      MnaSystem& mna = *lanes[i].mna;
+      bs.store_lane_solution(s, mna.lu_x_);
+      mna.unpermute_solution(x_new_[i]);
       sparse_solves.add();
       batch_sparse_lanes.add();
       solve_ok_[i] = 1;

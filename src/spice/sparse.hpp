@@ -86,6 +86,11 @@ class SparseLu {
 
   [[nodiscard]] int dimension() const { return n_; }
 
+  /// nnz(L+U) of the last factor(): strictly-lower L plus U with diagonal.
+  [[nodiscard]] std::size_t nnz() const {
+    return l_rowidx_.size() + u_rowidx_.size();
+  }
+
   /// Strict mode: refactor() additionally bails whenever a fresh pivot scan
   /// would pick a different row (see Tolerances::lu_refactor_bit_exact).
   void set_bit_exact(bool on) { bit_exact_ = on; }

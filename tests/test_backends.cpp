@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "core/backend.hpp"
 #include "util/rng.hpp"
@@ -10,10 +11,16 @@ namespace {
 using namespace mda;
 using namespace mda::core;
 
+// The gap after `kind` is an explicit zeroed member rather than padding:
+// gtest names each case after the parameter's raw bytes, and uninitialised
+// padding would make the test names differ from build to build.
 struct BackendCase {
+  BackendCase(dist::DistanceKind k, std::size_t len) : kind(k), n(len) {}
   dist::DistanceKind kind;
+  std::uint32_t zero = 0;
   std::size_t n;
 };
+static_assert(sizeof(BackendCase) == 16, "BackendCase must have no padding");
 
 void fill_random(std::vector<double>& v, util::Rng& rng, double lo, double hi) {
   for (double& x : v) x = rng.uniform(lo, hi);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
+#include <vector>
 
 #include "blocks/absblock.hpp"
 #include "blocks/adder.hpp"
@@ -84,6 +86,18 @@ struct SumDiffCase {
   std::vector<double> plus;
   std::vector<double> minus;
 };
+
+// Names each case by its inputs; gtest's default byte dump of the vectors
+// would embed heap addresses and change the test names on every build.
+void PrintTo(const SumDiffCase& c, std::ostream* os) {
+  const auto list = [os](const char* label, const std::vector<double>& v) {
+    *os << label << " {";
+    for (double x : v) *os << ' ' << x;
+    *os << " }";
+  };
+  list("plus", c.plus);
+  list(" minus", c.minus);
+}
 
 class SumDiffAmp : public ::testing::TestWithParam<SumDiffCase> {};
 

@@ -6,18 +6,26 @@
 //  * Newton fallback iteration accounting (gmin / source stepping results
 //    must carry the summed homotopy cost, and flag used_fallback);
 //  * the transient step controller refusing to grow dt off the back of a
-//    fallback-recovered (near-failing) step.
+//    fallback-recovered (near-failing) step;
+//  * the pivot-stable fill-reducing elimination order: a valid permutation,
+//    a pure function of the stamp pattern, guarded op-amp / comparator
+//    branch columns after their two-hop input nodes, and refactors still
+//    absorbing the factorisation load under it.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include "core/array_builder.hpp"
 #include "core/backend.hpp"
 #include "obs/snapshot.hpp"
+#include "spice/mna.hpp"
 #include "spice/netlist.hpp"
 #include "spice/newton.hpp"
+#include "spice/ordering.hpp"
 #include "spice/transient.hpp"
 #include "util/rng.hpp"
 
@@ -161,6 +169,170 @@ TEST(SolverFastPath, RefactorAbsorbsAlmostAllFactorisations) {
   EXPECT_GT(refactors, 10 * factors);
   EXPECT_GE(static_cast<long>(refactors + factors),
             tr.total_newton_iterations);
+}
+
+// The elimination order must not cost refactor reuse on the kinds whose
+// fill it cuts most: over one full length-4 transient of DTW and EdD,
+// value-only refactors outnumber full factorisations at least tenfold.
+TEST(SolverOrdering, RefactorsDominateFactorsOnDtwAndEdd) {
+  for (const dist::DistanceKind kind :
+       {dist::DistanceKind::Dtw, dist::DistanceKind::Edit}) {
+    const std::uint64_t factors0 =
+        counter_value("mda.spice.sparse_lu_factors");
+    const std::uint64_t refactors0 =
+        counter_value("mda.spice.sparse_lu_refactors");
+    const spice::TransientResult tr =
+        run_array_transient(kind, 4, /*allow_refactor=*/true);
+    ASSERT_TRUE(tr.ok) << tr.error;
+    const std::uint64_t factors =
+        counter_value("mda.spice.sparse_lu_factors") - factors0;
+    const std::uint64_t refactors =
+        counter_value("mda.spice.sparse_lu_refactors") - refactors0;
+    EXPECT_GE(factors, 1u) << static_cast<int>(kind);
+    EXPECT_GE(refactors, 10 * factors) << static_cast<int>(kind);
+  }
+}
+
+// A built (not yet solved) array netlist plus what the ordering tests need
+// to see of it: its DC stamp pattern at x = 0 and its guarded branches.
+struct StampedArray {
+  ArrayCircuit array;
+  std::vector<int> rows, cols, guarded;
+  int unknowns = 0;
+};
+
+StampedArray stamp_array(dist::DistanceKind kind, std::size_t n) {
+  util::Rng rng(7 + static_cast<std::uint64_t>(kind));
+  std::vector<double> p(n), q(n);
+  for (double& v : p) v = rng.uniform(-1.5, 1.5);
+  for (double& v : q) v = rng.uniform(-1.5, 1.5);
+  AcceleratorConfig config;
+  DistanceSpec spec;
+  spec.kind = kind;
+  spec.threshold = 0.3;
+  const EncodedInputs enc = encode_inputs(config, spec, p, q);
+  AcceleratorConfig cfg = config;
+  cfg.vstep = enc.vstep_eff;
+  StampedArray out{build_array(cfg, spec, n, n), {}, {}, {}, 0};
+  out.array.set_step_inputs(enc.p_volts, enc.q_volts, 0.0);
+  // Branch rows are assigned by the MnaSystem constructor.
+  spice::MnaSystem mna(*out.array.net);
+  out.unknowns = mna.num_unknowns();
+  std::vector<double> vals;
+  std::vector<double> rhs(static_cast<std::size_t>(out.unknowns), 0.0);
+  std::vector<double> x(static_cast<std::size_t>(out.unknowns), 0.0);
+  spice::Stamper stamper(out.rows, out.cols, vals, rhs);
+  spice::StampContext ctx;
+  ctx.x = &x;
+  for (auto& dev : out.array.net->devices()) {
+    dev->stamp(stamper, ctx);
+    if (dev->nonlinear() && dev->num_branches() > 0) {
+      for (int b = 0; b < dev->num_branches(); ++b) {
+        out.guarded.push_back(dev->branch_row() + b);
+      }
+    }
+  }
+  return out;
+}
+
+// One DC linearised solve at x = 0 (the pattern stamp_array records).
+std::vector<int> dc_elimination_order(spice::MnaSystem& mna) {
+  std::vector<double> x(static_cast<std::size_t>(mna.num_unknowns()), 0.0);
+  std::vector<double> x_new;
+  spice::StampContext ctx;
+  ctx.x = &x;
+  EXPECT_TRUE(mna.solve_linearized(ctx, 0.0, x_new));
+  return mna.elimination_order();
+}
+
+// The elimination order is a permutation of the unknowns and depends only
+// on the stamp pattern: a fresh MnaSystem and one that has already factored
+// a different (transient companion) pattern agree on the DC pattern, and
+// both match the ordering function applied to that pattern directly.
+TEST(SolverOrdering, PermutationIsPureFunctionOfPattern) {
+  for (const dist::DistanceKind kind :
+       {dist::DistanceKind::Dtw, dist::DistanceKind::Edit}) {
+    StampedArray sa = stamp_array(kind, 4);
+    ASSERT_GT(sa.unknowns, spice::MnaSystem::kDenseThreshold);
+
+    spice::MnaSystem fresh(*sa.array.net);
+    const std::vector<int> order = dc_elimination_order(fresh);
+    ASSERT_EQ(order.size(), static_cast<std::size_t>(sa.unknowns));
+    std::vector<int> sorted = order;
+    std::sort(sorted.begin(), sorted.end());
+    for (int i = 0; i < sa.unknowns; ++i) {
+      ASSERT_EQ(sorted[static_cast<std::size_t>(i)], i);
+    }
+
+    spice::MnaSystem seasoned(*sa.array.net);
+    std::vector<double> x(static_cast<std::size_t>(sa.unknowns), 0.0);
+    std::vector<double> x_new;
+    spice::StampContext tran;
+    tran.x = &x;
+    tran.dc = false;
+    tran.dt = 1e-12;
+    ASSERT_TRUE(seasoned.solve_linearized(tran, 0.0, x_new));
+    EXPECT_EQ(dc_elimination_order(seasoned), order);
+
+    EXPECT_EQ(spice::pivot_stable_min_degree(sa.unknowns, sa.rows, sa.cols,
+                                             sa.guarded),
+              order);
+  }
+}
+
+// Stability constraint: every op-amp / comparator branch column is
+// eliminated after each op-amp input node within two hops of it.  Input
+// nodes are recomputed here from the raw pattern: the columns of a guarded
+// branch row minus the branch itself and minus the rows of its column.
+TEST(SolverOrdering, GuardedBranchesFollowTheirTwoHopInputs) {
+  for (const dist::DistanceKind kind :
+       {dist::DistanceKind::Dtw, dist::DistanceKind::Edit}) {
+    StampedArray sa = stamp_array(kind, 4);
+    ASSERT_FALSE(sa.guarded.empty());
+    const auto un = static_cast<std::size_t>(sa.unknowns);
+    std::vector<std::set<int>> nbr(un), row_cols(un), col_rows(un);
+    for (std::size_t k = 0; k < sa.rows.size(); ++k) {
+      const int r = sa.rows[k];
+      const int c = sa.cols[k];
+      if (r == c) continue;
+      nbr[static_cast<std::size_t>(r)].insert(c);
+      nbr[static_cast<std::size_t>(c)].insert(r);
+      row_cols[static_cast<std::size_t>(r)].insert(c);
+      col_rows[static_cast<std::size_t>(c)].insert(r);
+    }
+    std::set<int> inputs;
+    for (int b : sa.guarded) {
+      for (int c : row_cols[static_cast<std::size_t>(b)]) {
+        if (col_rows[static_cast<std::size_t>(b)].count(c) == 0) {
+          inputs.insert(c);
+        }
+      }
+    }
+
+    spice::MnaSystem mna(*sa.array.net);
+    const std::vector<int> order = dc_elimination_order(mna);
+    std::vector<int> position(un);
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      position[static_cast<std::size_t>(order[k])] = static_cast<int>(k);
+    }
+    std::size_t checked = 0;
+    for (int b : sa.guarded) {
+      std::set<int> near = nbr[static_cast<std::size_t>(b)];
+      for (int w : nbr[static_cast<std::size_t>(b)]) {
+        near.insert(nbr[static_cast<std::size_t>(w)].begin(),
+                    nbr[static_cast<std::size_t>(w)].end());
+      }
+      near.erase(b);
+      for (int v : near) {
+        if (inputs.count(v) == 0) continue;
+        ++checked;
+        EXPECT_GT(position[static_cast<std::size_t>(b)],
+                  position[static_cast<std::size_t>(v)])
+            << "branch " << b << " precedes input node " << v;
+      }
+    }
+    EXPECT_GE(checked, sa.guarded.size());  // every branch has an input
+  }
 }
 
 // A nonlinear one-node device whose RHS target flips sign every stamp until
