@@ -1,24 +1,26 @@
 // Batched lockstep-solver benchmark (DESIGN.md §12).  The batch engine
 // chunks a FullSpice stream into fixed width-W groups whose transients run
 // in lockstep through the SoA Newton/LU solver: one shared MNA pattern and
-// elimination tape per configuration (PR-4/PR-5), B value lanes advanced by
-// vectorized refactor/solve sweeps with partial restamping between Newton
-// iterations.
+// LU structure per configuration, B value lanes advanced by vectorized
+// refactor/solve sweeps.  Width 1, the default, runs one task per query on
+// the scalar Newton path.
 //
 // This bench pins the contract numbers on the paper's deployment scenario
 // (a kNN stream: one probe vs many candidates, §3.3):
-//  * throughput — per-core (num_threads = 1) wall-clock speedup of the
-//    width-W stream over the serial scalar stream, per kind and aggregate;
+//  * throughput — wall-clock time of the width-W stream at each engine
+//    thread count of --threads (1 by default: per core), per kind and
+//    aggregate, and its speedup over the serial scalar stream (one thread,
+//    query by query) — widths compare directly at one thread count;
 //  * kernel throughput — batched SoA refactor+solve vs per-lane scalar
 //    SparseLu on identical value streams, isolating the solver from Newton
 //    stamping (which is intrinsic and identical in both paths);
 //  * bit identity — every width's results compared bitwise against the
-//    serial Accelerator::compute stream (the pre-batching solver path,
-//    which width 1 executes verbatim), and kernel solutions compared
+//    serial try_compute stream (the scalar solver path, which width 1
+//    executes verbatim), and kernel solutions compared
 //    bitwise against the per-lane scalar solver.
 //
-// --json=<path> [--queries=N] [--length=L] runs the fixed scenario and
-// writes a machine-readable comparison (committed baseline:
+// --json=<path> [--queries=N] [--length=L] [--threads=T[,T...]] runs the
+// fixed scenario and writes a machine-readable comparison (committed baseline:
 // BENCH_batchsolve.json).  Exit code 2 if any width's results differ
 // bitwise from the serial reference, else 0.  Without --json it runs the
 // google-benchmark microbenchmarks below.
@@ -34,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "host_fingerprint.hpp"
 #include "core/accelerator.hpp"
 #include "core/backend.hpp"
 #include "core/batch_engine.hpp"
@@ -86,19 +89,19 @@ struct WidthRun {
 
 struct KindRun {
   double scalar_s = 0.0;  ///< Serial Accelerator::compute stream.
-  WidthRun widths[std::size(kWidths)];
+  /// widths[t][w]: the width kWidths[w] stream at engine thread count t.
+  std::vector<std::vector<WidthRun>> widths;
 };
 
 KindRun run_kind(dist::DistanceKind kind, std::size_t queries,
-                 std::size_t length) {
+                 std::size_t length, const std::vector<std::size_t>& threads) {
   const Stream s = make_stream(kind, queries, length);
   const core::DistanceSpec spec = spec_for(kind);
   core::AcceleratorConfig cfg;
   cfg.backend = core::Backend::FullSpice;
 
   KindRun run;
-  // Serial scalar reference: the pre-batching solver path, one warm
-  // accelerator streaming query by query.
+  // Serial scalar reference: one warm accelerator streaming query by query.
   std::vector<core::ComputeResult> want;
   want.reserve(queries);
   {
@@ -111,23 +114,26 @@ KindRun run_kind(dist::DistanceKind kind, std::size_t queries,
             .count();
   }
 
-  for (std::size_t w = 0; w < std::size(kWidths); ++w) {
-    // Fresh accelerator (own cache) per width: every run pays the same
-    // one-time build, and lane assignment starts from a cold pool.
-    core::Accelerator acc(cfg);
-    acc.configure(spec);
-    core::BatchOptions opts;
-    opts.num_threads = 1;  // per-core: batching speedup only, no threading
-    opts.solver_batch_width = kWidths[w];
-    const core::BatchEngine engine(opts);
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<core::ComputeResult> got =
-        engine.compute_batch(acc, s.queries);
-    run.widths[w].seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      if (!core::bitwise_equal(want[i], got[i])) run.widths[w].bit_identical = false;
+  for (const std::size_t t : threads) {
+    std::vector<WidthRun>& at_t = run.widths.emplace_back(std::size(kWidths));
+    for (std::size_t w = 0; w < std::size(kWidths); ++w) {
+      // Fresh accelerator (own cache) per width: every run pays the same
+      // one-time build, and lane assignment starts from a cold pool.
+      core::Accelerator acc(cfg);
+      acc.configure(spec);
+      core::BatchOptions opts;
+      opts.num_threads = t;
+      opts.solver_batch_width = kWidths[w];
+      const core::BatchEngine engine(opts);
+      const auto t0 = std::chrono::steady_clock::now();
+      const std::vector<core::ComputeResult> got =
+          engine.compute_batch(acc, s.queries);
+      at_t[w].seconds =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+              .count();
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        if (!core::bitwise_equal(want[i], got[i])) at_t[w].bit_identical = false;
+      }
     }
   }
   return run;
@@ -264,15 +270,34 @@ long flag_num(int argc, char** argv, const char* name, long fallback) {
   return fallback;
 }
 
+/// --threads=1,4 style list of engine thread counts (default: 1).
+std::vector<std::size_t> flag_threads(int argc, char** argv) {
+  std::vector<std::size_t> out;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--threads=", 0) != 0) continue;
+    std::size_t pos = std::string("--threads=").size();
+    while (pos < arg.size()) {
+      const std::size_t comma = std::min(arg.find(',', pos), arg.size());
+      out.push_back(std::stoul(arg.substr(pos, comma - pos)));
+      pos = comma + 1;
+    }
+  }
+  if (out.empty()) out.push_back(1);
+  return out;
+}
+
 int run_json_bench(const std::string& path, int argc, char** argv) {
   const auto queries =
       static_cast<std::size_t>(flag_num(argc, argv, "queries", 100));
   const auto length =
       static_cast<std::size_t>(flag_num(argc, argv, "length", 4));
+  const std::vector<std::size_t> threads = flag_threads(argc, argv);
 
   bool all_identical = true;
   double scalar_total = 0.0;
-  double width_totals[std::size(kWidths)] = {};
+  std::vector<std::vector<double>> width_totals(
+      threads.size(), std::vector<double>(std::size(kWidths), 0.0));
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "[bench_batchsolve] cannot open %s\n", path.c_str());
@@ -280,45 +305,69 @@ int run_json_bench(const std::string& path, int argc, char** argv) {
   }
   out << "{\n"
       << "  \"bench\": \"batch_solver\",\n"
+      << "  \"host\": " << bench::host_fingerprint_json() << ",\n"
       << "  \"scenario\": {\n"
       << "    \"shape\": \"knn\",\n"
       << "    \"backend\": \"fullspice\",\n"
-      << "    \"num_threads\": 1,\n"
+      << "    \"threads\": [";
+  for (std::size_t t = 0; t < threads.size(); ++t) {
+    out << (t > 0 ? ", " : "") << threads[t];
+  }
+  out << "],\n"
       << "    \"queries\": " << queries << ",\n"
       << "    \"length\": " << length << "\n"
       << "  },\n"
       << "  \"kinds\": {\n";
+  // Per kind: the serial scalar stream, then per engine thread count the
+  // seconds, speedup over that stream and bit identity of every width.
+  const auto emit_widths = [&](const std::vector<WidthRun>& runs,
+                               double scalar_s) {
+    out << "{";
+    for (std::size_t w = 0; w < std::size(kWidths); ++w) {
+      const double speedup =
+          runs[w].seconds > 0.0 ? scalar_s / runs[w].seconds : 0.0;
+      out << "\"" << kWidths[w] << "\": {\"seconds\": " << runs[w].seconds
+          << ", \"speedup\": " << speedup << ", \"bit_identical\": "
+          << (runs[w].bit_identical ? "true" : "false") << "}"
+          << (w + 1 < std::size(kWidths) ? ", " : "");
+    }
+    out << "}";
+  };
   std::size_t k = 0;
   for (const dist::DistanceKind kind : dist::kAllKinds) {
     std::fprintf(stderr, "[bench_batchsolve] %s (%zu queries, length %zu)\n",
                  dist::kind_name(kind).c_str(), queries, length);
-    const KindRun run = run_kind(kind, queries, length);
+    const KindRun run = run_kind(kind, queries, length, threads);
     scalar_total += run.scalar_s;
     out << "    \"" << dist::kind_name(kind) << "\": {"
-        << "\"scalar_seconds\": " << run.scalar_s << ", \"widths\": {";
-    for (std::size_t w = 0; w < std::size(kWidths); ++w) {
-      const WidthRun& wr = run.widths[w];
-      width_totals[w] += wr.seconds;
-      all_identical = all_identical && wr.bit_identical;
-      const double speedup = wr.seconds > 0.0 ? run.scalar_s / wr.seconds : 0.0;
-      out << "\"" << kWidths[w] << "\": {\"seconds\": " << wr.seconds
-          << ", \"speedup\": " << speedup << ", \"bit_identical\": "
-          << (wr.bit_identical ? "true" : "false") << "}"
-          << (w + 1 < std::size(kWidths) ? ", " : "");
+        << "\"scalar_seconds\": " << run.scalar_s << ", \"threads\": {";
+    for (std::size_t t = 0; t < threads.size(); ++t) {
+      out << "\"" << threads[t] << "\": ";
+      emit_widths(run.widths[t], run.scalar_s);
+      out << (t + 1 < threads.size() ? ", " : "");
+      for (std::size_t w = 0; w < std::size(kWidths); ++w) {
+        width_totals[t][w] += run.widths[t][w].seconds;
+        all_identical = all_identical && run.widths[t][w].bit_identical;
+      }
     }
     out << "}}" << (++k < std::size(dist::kAllKinds) ? ",\n" : "\n");
   }
   out << "  },\n"
       << "  \"scalar_seconds\": " << scalar_total << ",\n"
-      << "  \"widths\": {";
-  for (std::size_t w = 0; w < std::size(kWidths); ++w) {
-    const double speedup =
-        width_totals[w] > 0.0 ? scalar_total / width_totals[w] : 0.0;
-    out << "\"" << kWidths[w] << "\": {\"seconds\": " << width_totals[w]
-        << ", \"speedup\": " << speedup << "}"
-        << (w + 1 < std::size(kWidths) ? ", " : "");
-    std::fprintf(stderr, "[bench_batchsolve] width %zu: %.2fs (%.2fx)\n",
-                 kWidths[w], width_totals[w], speedup);
+      << "  \"threads\": {";
+  for (std::size_t t = 0; t < threads.size(); ++t) {
+    out << "\"" << threads[t] << "\": {";
+    for (std::size_t w = 0; w < std::size(kWidths); ++w) {
+      const double secs = width_totals[t][w];
+      const double speedup = secs > 0.0 ? scalar_total / secs : 0.0;
+      out << "\"" << kWidths[w] << "\": {\"seconds\": " << secs
+          << ", \"speedup\": " << speedup << "}"
+          << (w + 1 < std::size(kWidths) ? ", " : "");
+      std::fprintf(stderr,
+                   "[bench_batchsolve] threads %zu width %zu: %.2fs (%.2fx)\n",
+                   threads[t], kWidths[w], secs, speedup);
+    }
+    out << "}" << (t + 1 < threads.size() ? ", " : "");
   }
   const int kn = static_cast<int>(flag_num(argc, argv, "kernel-n", 504));
   const int krounds =

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <string>
 
+#include "host_fingerprint.hpp"
 #include "core/accelerator.hpp"
 #include "core/array_builder.hpp"
 #include "core/backend.hpp"
@@ -250,6 +251,7 @@ int run_json_bench(const std::string& path) {
   }
   out << "{\n"
       << "  \"bench\": \"solver_refactor\",\n"
+      << "  \"host\": " << bench::host_fingerprint_json() << ",\n"
       << "  \"scenario\": {\n"
       << "    \"kind\": \"dtw\",\n"
       << "    \"rows\": 20,\n"

@@ -109,6 +109,9 @@ void BatchEngine::parallel_for(
   static const obs::Gauge threads_gauge("mda.batch.threads");
   static const obs::Histogram job_time("mda.batch.job_time_s");
   if (count == 0) return;
+  // Every job is timed, inline or pooled, so job_time_s means what it says
+  // on a 1-thread engine too.
+  const obs::ScopedTimer wall_timer(job_time);
   // Inline paths: nested call from a worker, a 1-thread engine, or a batch
   // too small to be worth a rendezvous.  Task-order execution gives the
   // same first-exception semantics as the pool path.
@@ -131,7 +134,6 @@ void BatchEngine::parallel_for(
   }
   jobs.add();
   threads_gauge.set(static_cast<double>(num_threads_));
-  const obs::ScopedTimer wall_timer(job_time);
 
   std::lock_guard<std::mutex> submit(submit_mutex_);
   Job job;

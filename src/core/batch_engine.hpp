@@ -71,11 +71,11 @@ struct BatchOptions {
   /// [g*W, (g+1)*W) and evaluates each group through
   /// Accelerator::try_compute_lockstep, so structure-matched lanes share
   /// batched SoA LU work.  Groups are fixed by index — results stay
-  /// bit-identical for any num_threads AND any width (1 disables batching
-  /// and is the pre-batching scalar path).  8 measured best on the kNN
-  /// stream: one AVX-512 op per 8 lanes, and the SoA working set still
-  /// fits in L2 (wider is memory-bandwidth-flat, BENCH_batchsolve.json).
-  std::size_t solver_batch_width = 8;
+  /// bit-identical for any num_threads AND any width.  1 (the default)
+  /// disables batching: one task per query on the scalar Newton path, which
+  /// measured faster than lockstep on the six-kind kNN stream at 1 and 4
+  /// threads (BENCH_batchsolve.json, DESIGN.md §12).
+  std::size_t solver_batch_width = 1;
 };
 
 /// One distance query — the unified request type (core/query.hpp).  Spans

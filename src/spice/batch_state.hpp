@@ -7,7 +7,7 @@
 // differ per lane.  Lane-major SoA buffers put the B values of one logical
 // element contiguously, so the inner LU loops process all lanes of an
 // element with one vector op while the index streams (row indices, column
-// pointers, elimination tape) are read once per element instead of once per
+// pointers, the L/U pattern) are read once per element instead of once per
 // lane.
 //
 // Kernel selection is a runtime decision: AVX2 when the CPU supports it,

@@ -99,9 +99,9 @@ class Stamper {
   }
 
   /// Record every applied injection (row, value) in call order, so the
-  /// batched solver's partial restamp (DESIGN.md §12) can replay a linear
+  /// Newton solvers' partial restamp (DESIGN.md §12) can replay a linear
   /// device's RHS contributions with the exact same accumulation order.
-  /// Null (the default) disables logging; the scalar path never sets it.
+  /// Null (the default) disables logging.
   void set_inject_log(std::vector<std::pair<int, double>>* log) {
     inject_log_ = log;
   }

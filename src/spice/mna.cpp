@@ -1,6 +1,7 @@
 #include "spice/mna.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "obs/metrics.hpp"
 #include "spice/ordering.hpp"
@@ -160,71 +161,64 @@ void MnaSystem::assemble_linearized(const StampContext& ctx,
   vals_.clear();
   rhs_.assign(static_cast<std::size_t>(num_unknowns_), 0.0);
   Stamper stamper(rows_, cols_, vals_, rhs_);
-  replay_valid_ = false;
-  if (record_stamps_) {
-    inject_log_.clear();
-    dev_trip_end_.clear();
-    dev_inj_end_.clear();
-    stamper.set_inject_log(&inject_log_);
-    for (auto& dev : netlist_->devices()) {
-      dev->stamp(stamper, ctx);
-      dev_trip_end_.push_back(static_cast<int>(rows_.size()));
-      dev_inj_end_.push_back(static_cast<int>(inject_log_.size()));
-    }
-  } else {
-    for (auto& dev : netlist_->devices()) dev->stamp(stamper, ctx);
+  inject_log_.clear();
+  dev_trip_end_.clear();
+  dev_inj_end_.clear();
+  stamper.set_inject_log(&inject_log_);
+  for (auto& dev : netlist_->devices()) {
+    dev->stamp(stamper, ctx);
+    dev_trip_end_.push_back(static_cast<int>(rows_.size()));
+    dev_inj_end_.push_back(static_cast<int>(inject_log_.size()));
   }
   // gmin to ground on every node keeps floating subcircuits solvable and
   // implements gmin stepping when gmin_extra > 0.
   const double g = tol_.gmin + gmin_extra;
   for (int n = 0; n < num_nodes_; ++n) stamper.add(n, n, g);
-  if (record_stamps_) {
-    rec_t_ = ctx.t;
-    rec_dt_ = ctx.dt;
-    rec_dc_ = ctx.dc;
-    rec_method_ = ctx.method;
-    rec_source_scale_ = ctx.source_scale;
-    rec_gmin_extra_ = gmin_extra;
-    replay_valid_ = true;
-    // Split the recorded RHS accumulation into a per-slot prefix (linear
-    // injections before the slot's first nonlinear one — precomputable) and
-    // per-device linear tails (replayed in order by reassemble).  For most
-    // circuits the tails are empty and a reassembly's RHS work is one copy.
-    base_rhs_.assign(static_cast<std::size_t>(num_unknowns_), 0.0);
-    slot_first_nl_.assign(static_cast<std::size_t>(num_unknowns_), -1);
-    int inj = 0;
-    for (std::size_t d = 0; d < dev_inj_end_.size(); ++d) {
-      const int iend = dev_inj_end_[d];
-      if (dev_nonlinear_[d] != 0) {
-        for (; inj < iend; ++inj) {
-          const auto row = static_cast<std::size_t>(
-              inject_log_[static_cast<std::size_t>(inj)].first);
-          if (slot_first_nl_[row] < 0) slot_first_nl_[row] = inj;
-        }
-      } else {
-        inj = iend;
+  rec_t_ = ctx.t;
+  rec_dt_ = ctx.dt;
+  rec_dc_ = ctx.dc;
+  rec_method_ = ctx.method;
+  rec_source_scale_ = ctx.source_scale;
+  rec_gmin_extra_ = gmin_extra;
+  replay_valid_ = true;
+  // Split the recorded RHS accumulation into a per-slot prefix (linear
+  // injections before the slot's first nonlinear one — precomputable) and
+  // per-device linear tails (replayed in order by reassemble).  For most
+  // circuits the tails are empty and a reassembly's RHS work is one copy.
+  base_rhs_.assign(static_cast<std::size_t>(num_unknowns_), 0.0);
+  slot_first_nl_.assign(static_cast<std::size_t>(num_unknowns_), -1);
+  int inj = 0;
+  for (std::size_t d = 0; d < dev_inj_end_.size(); ++d) {
+    const int iend = dev_inj_end_[d];
+    if (dev_nonlinear_[d] != 0) {
+      for (; inj < iend; ++inj) {
+        const auto row = static_cast<std::size_t>(
+            inject_log_[static_cast<std::size_t>(inj)].first);
+        if (slot_first_nl_[row] < 0) slot_first_nl_[row] = inj;
       }
+    } else {
+      inj = iend;
     }
-    lin_tail_.clear();
-    dev_tail_end_.clear();
-    inj = 0;
-    for (std::size_t d = 0; d < dev_inj_end_.size(); ++d) {
-      const int iend = dev_inj_end_[d];
-      if (dev_nonlinear_[d] == 0) {
-        for (; inj < iend; ++inj) {
-          const auto& [row, val] = inject_log_[static_cast<std::size_t>(inj)];
-          const int first_nl = slot_first_nl_[static_cast<std::size_t>(row)];
-          if (first_nl < 0 || inj < first_nl) {
-            base_rhs_[static_cast<std::size_t>(row)] += val;
-          } else {
-            lin_tail_.emplace_back(row, val);
-          }
+  }
+  lin_tail_.clear();
+  dev_tail_end_.clear();
+  inj = 0;
+  for (std::size_t d = 0; d < dev_inj_end_.size(); ++d) {
+    const int iend = dev_inj_end_[d];
+    if (dev_nonlinear_[d] == 0) {
+      for (; inj < iend; ++inj) {
+        const auto& [row, val] = inject_log_[static_cast<std::size_t>(inj)];
+        const int first_nl = slot_first_nl_[static_cast<std::size_t>(row)];
+        if (first_nl < 0 || inj < first_nl) {
+          base_rhs_[static_cast<std::size_t>(row)] += val;
+        } else {
+          lin_tail_.emplace_back(row, val);
         }
-      } else {
-        inj = iend;
       }
-      dev_tail_end_.push_back(static_cast<int>(lin_tail_.size()));
+    } else {
+      inj = iend;
     }
+    dev_tail_end_.push_back(static_cast<int>(lin_tail_.size()));
   }
   pattern_dirty_ = true;
 }
@@ -275,6 +269,23 @@ bool MnaSystem::reassemble_linearized(const StampContext& ctx,
   // The gmin tail after the last device span is value-constant (gmin_extra
   // matched the recording), so rows_/cols_/vals_ are already correct.
   return true;
+}
+
+void MnaSystem::assemble_iterate(const StampContext& ctx, double gmin_extra,
+                                 bool first_iteration) {
+  if (first_iteration || !reassemble_linearized(ctx, gmin_extra)) {
+    assemble_linearized(ctx, gmin_extra);
+  }
+}
+
+bool MnaSystem::same_assembly(const MnaSystem& other) const {
+  const auto same_bytes = [](const auto& a, const auto& b) {
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0);
+  };
+  return same_bytes(rows_, other.rows_) && same_bytes(cols_, other.cols_) &&
+         same_bytes(vals_, other.vals_) && same_bytes(rhs_, other.rhs_);
 }
 
 bool MnaSystem::solve_assembled(std::vector<double>& x_out) {

@@ -82,7 +82,27 @@ class MnaSystem {
     return sparse_lu_.factored() ? sparse_lu_.nnz() : 0;
   }
 
+  /// Full assembly of the linearised system at ctx.x into the triplet and
+  /// RHS buffers (the stamping half of solve_linearized()), recording
+  /// per-device triplet spans and the RHS injection log so
+  /// reassemble_linearized() can replay them.
+  void assemble_linearized(const StampContext& ctx, double gmin_extra);
+
+  /// Partial restamp (DESIGN.md §12): within one solve point, linear
+  /// devices' stamps do not depend on the iterate, so later Newton
+  /// iterations replay their recorded triplet values and RHS injections and
+  /// live-restamp only the nonlinear devices (verified to land on the
+  /// recorded slots).  Byte-identical to assemble_linearized() when it
+  /// returns true; returns false — caller must assemble fully — on a
+  /// missing/mismatched recording or a nonlinear stamp-pattern change.
+  bool reassemble_linearized(const StampContext& ctx, double gmin_extra);
+
+  /// True when the assembled triplets (rows, cols, values, in stamp order)
+  /// and RHS are byte-identical to `other`'s.
+  [[nodiscard]] bool same_assembly(const MnaSystem& other) const;
+
  private:
+  friend class NewtonSolver;
   friend class BatchNewtonSolver;
 
   /// Rebuild the elimination order, the CSC pattern cache and the
@@ -96,20 +116,12 @@ class MnaSystem {
   /// Scatter lu_x_ (a solution in elimination order) into unknown order.
   void unpermute_solution(std::vector<double>& x_out) const;
 
-  /// Full assembly of the linearised system at ctx.x into rows_/cols_/vals_
-  /// and rhs_ (the stamping half of solve_linearized()).  When
-  /// record_stamps_ is set, per-device triplet spans and the RHS injection
-  /// log are recorded so reassemble_linearized() can replay them.
-  void assemble_linearized(const StampContext& ctx, double gmin_extra);
-
-  /// Partial restamp (DESIGN.md §12): within one solve point, linear
-  /// devices' stamps do not depend on the iterate, so later Newton
-  /// iterations replay their recorded triplet values and RHS injections and
-  /// live-restamp only the nonlinear devices (verified to land on the
-  /// recorded slots).  Byte-identical to assemble_linearized() when it
-  /// returns true; returns false — caller must assemble fully — on a
-  /// missing/mismatched recording or a nonlinear stamp-pattern change.
-  bool reassemble_linearized(const StampContext& ctx, double gmin_extra);
+  /// The Newton assembly ladder shared by the scalar and lockstep solvers:
+  /// a full (recording) assembly on a solve point's first iteration, a
+  /// partial restamp after, and a full assembly whenever the restamp
+  /// refuses.
+  void assemble_iterate(const StampContext& ctx, double gmin_extra,
+                        bool first_iteration);
 
   /// The solving half of solve_linearized(): dense or sparse LU over the
   /// assembled system, with the pattern/refactor/factor ladder and solver
@@ -155,9 +167,7 @@ class MnaSystem {
   DenseLu dense_lu_;
   std::vector<double> dense_;  ///< Reused n^2 assembly buffer (dense path).
   std::uint64_t structure_epoch_ = 0;
-  // Partial-restamp recording (batched solver only; the scalar path keeps
-  // record_stamps_ false and pays nothing).
-  bool record_stamps_ = false;
+  // Partial-restamp recording, refreshed by every full assembly.
   bool replay_valid_ = false;
   std::vector<std::uint8_t> dev_nonlinear_;  ///< Cached Device::nonlinear().
   std::vector<int> dev_trip_end_;  ///< Per device: end index into rows_.

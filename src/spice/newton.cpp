@@ -42,7 +42,10 @@ NewtonResult NewtonSolver::iterate(std::vector<double>& x, double t, double dt,
   // (high-gain op-amp stages flipping rail to rail between iterations).
   double step_limit = tol.v_step_limit;
   for (int it = 0; it < tol.max_newton_iters; ++it) {
-    if (!mna_->solve_linearized(ctx, gmin_extra, x_new)) {
+    // Partial restamp (DESIGN.md §12): only the first iteration of the solve
+    // point stamps every device.
+    mna_->assemble_iterate(ctx, gmin_extra, it == 0);
+    if (!mna_->solve_assembled(x_new)) {
       res.converged = false;
       res.iterations = it + 1;
       iterations_counter().add(static_cast<std::uint64_t>(res.iterations));
@@ -285,9 +288,7 @@ void BatchNewtonSolver::solve_round(std::span<NewtonLane> lanes) {
     ctx.method = lane.method;
     ctx.x = lane.x;
     ctx.source_scale = 1.0;
-    if (state_[i].it == 0 || !lane.mna->reassemble_linearized(ctx, 0.0)) {
-      lane.mna->assemble_linearized(ctx, 0.0);
-    }
+    lane.mna->assemble_iterate(ctx, 0.0, state_[i].it == 0);
     solve_ok_[i] = 0;
   }
 
@@ -482,7 +483,6 @@ void BatchNewtonSolver::solve(std::span<NewtonLane> lanes) {
     st.step_limit = lanes[i].mna->tolerances().v_step_limit;
     st.pending = true;
     st.fallback = false;
-    lanes[i].mna->record_stamps_ = true;
   }
 
   // Plain lockstep Newton loop: the per-lane update below is a line-for-line
@@ -550,9 +550,6 @@ void BatchNewtonSolver::solve(std::span<NewtonLane> lanes) {
     }
   }
 
-  for (std::size_t i = 0; i < nlanes; ++i) {
-    if (lanes[i].active) lanes[i].mna->record_stamps_ = false;
-  }
   // Homotopy fallbacks run the unmodified scalar tail, in lane order.
   for (std::size_t i = 0; i < nlanes; ++i) {
     if (!state_[i].fallback) continue;

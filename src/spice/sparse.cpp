@@ -109,9 +109,7 @@ bool SparseLu::factor(const CscMatrix& a) {
   u_values_.clear();
   perm_.assign(static_cast<std::size_t>(n), -1);
   pinv_.assign(static_cast<std::size_t>(n), -1);
-  eptr_.assign(static_cast<std::size_t>(n) + 1, 0);
-  eorder_.clear();
-  eorder_.reserve(static_cast<std::size_t>(a_nnz_));
+  l_pivot_pos_.assign(static_cast<std::size_t>(n), 0);
 
   // Dense work vector (values by original row index) and visit marks.
   work_.assign(static_cast<std::size_t>(n), 0.0);
@@ -166,13 +164,6 @@ bool SparseLu::factor(const CscMatrix& a) {
         }
       }
     }
-    // Record the processing (topological) order so refactor() can replay the
-    // numeric sweep with the exact same arithmetic sequence.
-    for (auto it = pattern.rbegin(); it != pattern.rend(); ++it) {
-      eorder_.push_back(*it);
-    }
-    eptr_[static_cast<std::size_t>(j) + 1] = static_cast<int>(eorder_.size());
-
     // --- Numeric: sparse triangular solve x = L \ A(:,j). ---
     for (int r : pattern) work[static_cast<std::size_t>(r)] = 0.0;
     for (int k = a.col_ptr[static_cast<std::size_t>(j)];
@@ -233,16 +224,23 @@ bool SparseLu::factor(const CscMatrix& a) {
     const double pivot_val = work[static_cast<std::size_t>(pivot_row)];
 
     // --- Store U(:,j) (pivotal rows) and L(:,j) (non-pivotal / pivot_row). ---
-    // Exact zeros are stored too: the L/U structure must depend only on the
-    // A pattern and the pivot sequence (never on values) so that refactor()
-    // always finds a slot for every entry of the replayed sweep.  A stored
-    // 0.0 only ever contributes `x -= 0.0 * y` updates downstream, which
-    // leave every nonzero bit pattern untouched.
+    // Both are stored in the topological order processed above, so
+    // refactor() can drive its elimination straight from U(:,j).  Exact
+    // zeros are stored too: the L/U structure must depend only on the A
+    // pattern and the pivot sequence (never on values) so that the stored
+    // pattern is always the full reach set.  A stored 0.0 only ever
+    // contributes `x -= 0.0 * y` updates downstream, which leave every
+    // nonzero bit pattern untouched.
     for (auto it = pattern.rbegin(); it != pattern.rend(); ++it) {
       const int r = *it;
       const double v = work[static_cast<std::size_t>(r)];
       const int piv = pinv_[static_cast<std::size_t>(r)];
-      if (r == pivot_row) continue;
+      if (r == pivot_row) {
+        l_pivot_pos_[static_cast<std::size_t>(j)] =
+            static_cast<int>(l_rowidx_.size()) -
+            l_colptr_[static_cast<std::size_t>(j)];
+        continue;
+      }
       if (piv >= 0 && piv < j) {
         u_rowidx_.push_back(piv);
         u_values_.push_back(v);
@@ -282,68 +280,79 @@ bool SparseLu::refactor_impl(const CscMatrix& a, bool cold_exact) {
   std::vector<double>& work = work_;
 
   for (int j = 0; j < n; ++j) {
-    const int s0 = eptr_[static_cast<std::size_t>(j)];
-    const int s1 = eptr_[static_cast<std::size_t>(j) + 1];
-    // Load A(:,j) over a zeroed reach set.
-    for (int s = s0; s < s1; ++s) {
-      work[static_cast<std::size_t>(eorder_[static_cast<std::size_t>(s)])] =
+    const int u0 = u_colptr_[static_cast<std::size_t>(j)];
+    const int udiag = u_colptr_[static_cast<std::size_t>(j) + 1] - 1;
+    const int l0 = l_colptr_[static_cast<std::size_t>(j)];
+    const int l1 = l_colptr_[static_cast<std::size_t>(j) + 1];
+    const int prow = perm_[static_cast<std::size_t>(j)];
+    // Column j's reach set is exactly the rows of U(:,j) (the diagonal's
+    // row is the pivot row) plus those of L(:,j): zero it, load A(:,j).
+    for (int k = u0; k <= udiag; ++k) {
+      work[static_cast<std::size_t>(
+          perm_[static_cast<std::size_t>(u_rowidx_[static_cast<std::size_t>(k)])])] =
           0.0;
+    }
+    for (int k = l0; k < l1; ++k) {
+      work[static_cast<std::size_t>(l_rowidx_[static_cast<std::size_t>(k)])] = 0.0;
     }
     for (int k = a.col_ptr[static_cast<std::size_t>(j)];
          k < a.col_ptr[static_cast<std::size_t>(j) + 1]; ++k) {
       work[static_cast<std::size_t>(a.row_idx[static_cast<std::size_t>(k)])] =
           a.values[static_cast<std::size_t>(k)];
     }
-    // Replay the elimination in the recorded topological order.  A row is
-    // pivotal "at time j" exactly when its final pivot position is < j.
-    for (int s = s0; s < s1; ++s) {
-      const int r = eorder_[static_cast<std::size_t>(s)];
-      const int piv = pinv_[static_cast<std::size_t>(r)];
-      if (piv >= j) continue;
-      const double xr = work[static_cast<std::size_t>(r)];
+    // Eliminate over U(:,j): factor() stored its entries in the topological
+    // order it processed the pivotal rows, so this repeats its arithmetic.
+    for (int k = u0; k < udiag; ++k) {
+      const int piv = u_rowidx_[static_cast<std::size_t>(k)];
+      const double xr =
+          work[static_cast<std::size_t>(perm_[static_cast<std::size_t>(piv)])];
       if (xr == 0.0) continue;
-      for (int k = l_colptr_[static_cast<std::size_t>(piv)];
-           k < l_colptr_[static_cast<std::size_t>(piv) + 1]; ++k) {
-        work[static_cast<std::size_t>(l_rowidx_[static_cast<std::size_t>(k)])] -=
-            l_values_[static_cast<std::size_t>(k)] * xr;
+      for (int q = l_colptr_[static_cast<std::size_t>(piv)];
+           q < l_colptr_[static_cast<std::size_t>(piv) + 1]; ++q) {
+        work[static_cast<std::size_t>(l_rowidx_[static_cast<std::size_t>(q)])] -=
+            l_values_[static_cast<std::size_t>(q)] * xr;
       }
     }
 
-    // Inherited pivot guard, two severities: the relative threshold rejects
-    // a numerically degraded pivot (KLU semantics, the default); bit-exact
-    // mode additionally demands that factor()'s exact candidate scan (same
-    // post-order traversal, strict >) would land on the cached pivot row
-    // again, so the replay provably repeats a fresh factor()'s arithmetic.
-    const int prow = perm_[static_cast<std::size_t>(j)];
+    // Inherited pivot guard over the pivot candidates (the pivot row plus
+    // L(:,j)'s rows), two severities: the relative threshold rejects a
+    // numerically degraded pivot (KLU semantics, the default); bit-exact
+    // mode raises the bar to the ratio at which a repivoting factor() would
+    // drop this pivot.
     const double pivot_val = work[static_cast<std::size_t>(prow)];
     const double pivot_abs = std::abs(pivot_val);
     if (cold_exact) {
-      // Cold-equivalence guard: rerun factor()'s pivot scan exactly — its
-      // post-order traversal (the reverse of the stored topological tape)
-      // with strict >, over the rows not yet pivotal at time j — and demand
-      // it lands on the inherited pivot row.  An empty pivot memory plays
-      // no part in that scan, so success means a cold factor() would have
-      // chosen these very pivots and therefore run this very arithmetic.
+      // Cold-equivalence guard: rerun factor()'s pivot scan exactly — strict
+      // > in its post-order, i.e. L(:,j) backwards with the pivot row at its
+      // recorded position — and demand it lands on the inherited pivot row.
+      // An empty pivot memory plays no part in that scan, so success means a
+      // cold factor() would have chosen these very pivots and therefore run
+      // this very arithmetic.
+      const int split = l0 + l_pivot_pos_[static_cast<std::size_t>(j)];
       int argmax_row = -1;
       double max_abs = 0.0;
-      for (int s = s1 - 1; s >= s0; --s) {
-        const int r = eorder_[static_cast<std::size_t>(s)];
-        if (pinv_[static_cast<std::size_t>(r)] < j) continue;
+      const auto scan = [&](int r) {
         const double v = std::abs(work[static_cast<std::size_t>(r)]);
         if (v > max_abs) {
           max_abs = v;
           argmax_row = r;
         }
+      };
+      for (int k = l1 - 1; k >= split; --k) {
+        scan(l_rowidx_[static_cast<std::size_t>(k)]);
+      }
+      scan(prow);
+      for (int k = split - 1; k >= l0; --k) {
+        scan(l_rowidx_[static_cast<std::size_t>(k)]);
       }
       if (argmax_row != prow || max_abs < 1e-300) {
         return false;  // a cold factor() would pivot differently
       }
     } else {
-      double cand_abs = 0.0;
-      for (int s = s0; s < s1; ++s) {
-        const int r = eorder_[static_cast<std::size_t>(s)];
-        if (pinv_[static_cast<std::size_t>(r)] < j) continue;  // already pivotal
-        const double v = std::abs(work[static_cast<std::size_t>(r)]);
+      double cand_abs = pivot_abs > 0.0 ? pivot_abs : 0.0;  // NaN skipped
+      for (int k = l0; k < l1; ++k) {
+        const double v = std::abs(
+            work[static_cast<std::size_t>(l_rowidx_[static_cast<std::size_t>(k)])]);
         if (v > cand_abs) cand_abs = v;
       }
       // Degradation guard.  In bit-exact mode the bar is threshold_pivot_ratio
@@ -360,33 +369,18 @@ bool SparseLu::refactor_impl(const CscMatrix& a, bool cold_exact) {
       }
     }
 
-    // Write the new values into the cached slots (same order factor() stored
-    // them).  Storage is exhaustive — factor() keeps exact zeros — so every
-    // replayed entry has a slot; a mismatch means the cached structure is
-    // stale and the caller must repivot.
-    int lk = l_colptr_[static_cast<std::size_t>(j)];
-    int uk = u_colptr_[static_cast<std::size_t>(j)];
-    const int lend = l_colptr_[static_cast<std::size_t>(j) + 1];
-    const int uend = u_colptr_[static_cast<std::size_t>(j) + 1] - 1;  // diag
-    for (int s = s0; s < s1; ++s) {
-      const int r = eorder_[static_cast<std::size_t>(s)];
-      if (r == prow) continue;
-      const int piv = pinv_[static_cast<std::size_t>(r)];
-      const double v = work[static_cast<std::size_t>(r)];
-      if (piv < j) {
-        if (uk >= uend || u_rowidx_[static_cast<std::size_t>(uk)] != piv) {
-          return false;
-        }
-        u_values_[static_cast<std::size_t>(uk++)] = v;
-      } else {
-        if (lk >= lend || l_rowidx_[static_cast<std::size_t>(lk)] != r) {
-          return false;
-        }
-        l_values_[static_cast<std::size_t>(lk++)] = v / pivot_val;
-      }
+    // Write the new values in place.  factor() stores exact zeros, so the
+    // stored pattern is the whole reach set and every slot is refreshed.
+    for (int k = u0; k < udiag; ++k) {
+      u_values_[static_cast<std::size_t>(k)] = work[static_cast<std::size_t>(
+          perm_[static_cast<std::size_t>(u_rowidx_[static_cast<std::size_t>(k)])])];
     }
-    if (lk != lend || uk != uend) return false;
-    u_values_[static_cast<std::size_t>(uend)] = pivot_val;
+    u_values_[static_cast<std::size_t>(udiag)] = pivot_val;
+    for (int k = l0; k < l1; ++k) {
+      l_values_[static_cast<std::size_t>(k)] =
+          work[static_cast<std::size_t>(l_rowidx_[static_cast<std::size_t>(k)])] /
+          pivot_val;
+    }
   }
   factored_ = true;
   return true;
@@ -452,8 +446,7 @@ bool BatchedSparseLu::structure_equal(const SparseLu& x, const SparseLu& y) {
   return x.factored_ && y.factored_ && x.n_ == y.n_ && x.a_nnz_ == y.a_nnz_ &&
          x.perm_ == y.perm_ && x.l_colptr_ == y.l_colptr_ &&
          x.l_rowidx_ == y.l_rowidx_ && x.u_colptr_ == y.u_colptr_ &&
-         x.u_rowidx_ == y.u_rowidx_ && x.eptr_ == y.eptr_ &&
-         x.eorder_ == y.eorder_;
+         x.u_rowidx_ == y.u_rowidx_;
 }
 
 bool BatchedSparseLu::holds_structure_of(const SparseLu& ref,
@@ -462,7 +455,6 @@ bool BatchedSparseLu::holds_structure_of(const SparseLu& ref,
          bit_exact_ == ref.bit_exact_ && perm_ == ref.perm_ &&
          l_colptr_ == ref.l_colptr_ && l_rowidx_ == ref.l_rowidx_ &&
          u_colptr_ == ref.u_colptr_ && u_rowidx_ == ref.u_rowidx_ &&
-         eptr_ == ref.eptr_ && eorder_ == ref.eorder_ &&
          a_colptr_ == a.col_ptr && a_rowidx_ == a.row_idx;
 }
 
@@ -482,9 +474,6 @@ bool BatchedSparseLu::adopt(const SparseLu& ref, const CscMatrix& a,
   u_colptr_ = ref.u_colptr_;
   u_rowidx_ = ref.u_rowidx_;
   perm_ = ref.perm_;
-  pinv_ = ref.pinv_;
-  eptr_ = ref.eptr_;
-  eorder_ = ref.eorder_;
   a_colptr_ = a.col_ptr;
   a_rowidx_ = a.row_idx;
   const auto n = static_cast<std::size_t>(n_);
@@ -571,11 +560,16 @@ void BatchedSparseLu::refactor_scalar(unsigned char* ok) {
                                 : SparseLu::pivot_degradation_tol;
   std::fill(ok, ok + L, 1);
   for (int j = 0; j < n_; ++j) {
-    const int s0 = eptr_[static_cast<std::size_t>(j)];
-    const int s1 = eptr_[static_cast<std::size_t>(j) + 1];
-    for (int s = s0; s < s1; ++s) {
-      double* wr = work_.row(
-          static_cast<std::size_t>(eorder_[static_cast<std::size_t>(s)]));
+    const int u0 = u_colptr_[static_cast<std::size_t>(j)];
+    const int udiag = u_colptr_[static_cast<std::size_t>(j) + 1] - 1;
+    const int l0 = l_colptr_[static_cast<std::size_t>(j)];
+    const int l1 = l_colptr_[static_cast<std::size_t>(j) + 1];
+    for (int k = u0; k <= udiag; ++k) {
+      double* wr = work_.row(u_work_row(k));
+      for (std::size_t l = 0; l < L; ++l) wr[l] = 0.0;
+    }
+    for (int k = l0; k < l1; ++k) {
+      double* wr = work_.row(l_work_row(k));
       for (std::size_t l = 0; l < L; ++l) wr[l] = 0.0;
     }
     for (int k = a_colptr_[static_cast<std::size_t>(j)];
@@ -585,55 +579,44 @@ void BatchedSparseLu::refactor_scalar(unsigned char* ok) {
       const double* avk = av_.row(static_cast<std::size_t>(k));
       for (std::size_t l = 0; l < L; ++l) wr[l] = avk[l];
     }
-    for (int s = s0; s < s1; ++s) {
-      const int r = eorder_[static_cast<std::size_t>(s)];
-      const int piv = pinv_[static_cast<std::size_t>(r)];
-      if (piv >= j) continue;
-      const double* xr = work_.row(static_cast<std::size_t>(r));
+    for (int k = u0; k < udiag; ++k) {
+      const int piv = u_rowidx_[static_cast<std::size_t>(k)];
+      const double* xr = work_.row(u_work_row(k));
       bool any = false;
       for (std::size_t l = 0; l < L; ++l) any = any || xr[l] != 0.0;
       if (!any) continue;
-      for (int k = l_colptr_[static_cast<std::size_t>(piv)];
-           k < l_colptr_[static_cast<std::size_t>(piv) + 1]; ++k) {
-        double* wu = work_.row(
-            static_cast<std::size_t>(l_rowidx_[static_cast<std::size_t>(k)]));
-        const double* lvk = lv_.row(static_cast<std::size_t>(k));
+      for (int q = l_colptr_[static_cast<std::size_t>(piv)];
+           q < l_colptr_[static_cast<std::size_t>(piv) + 1]; ++q) {
+        double* wu = work_.row(l_work_row(q));
+        const double* lvq = lv_.row(static_cast<std::size_t>(q));
         for (std::size_t l = 0; l < L; ++l) {
-          if (xr[l] != 0.0) wu[l] -= lvk[l] * xr[l];
+          if (xr[l] != 0.0) wu[l] -= lvq[l] * xr[l];
         }
       }
     }
-    const int prow = perm_[static_cast<std::size_t>(j)];
-    const double* pv = work_.row(static_cast<std::size_t>(prow));
+    const double* pv =
+        work_.row(static_cast<std::size_t>(perm_[static_cast<std::size_t>(j)]));
     for (std::size_t l = 0; l < L; ++l) {
       const double pivot_abs = std::abs(pv[l]);
-      double cand_abs = 0.0;
-      for (int s = s0; s < s1; ++s) {
-        const int r = eorder_[static_cast<std::size_t>(s)];
-        if (pinv_[static_cast<std::size_t>(r)] < j) continue;
-        const double v = std::abs(work_.row(static_cast<std::size_t>(r))[l]);
+      double cand_abs = pivot_abs > 0.0 ? pivot_abs : 0.0;
+      for (int k = l0; k < l1; ++k) {
+        const double v = std::abs(work_.row(l_work_row(k))[l]);
         if (v > cand_abs) cand_abs = v;
       }
       if (pivot_abs < 1e-300 || pivot_abs < bar * cand_abs) ok[l] = 0;
     }
-    int lk = l_colptr_[static_cast<std::size_t>(j)];
-    int uk = u_colptr_[static_cast<std::size_t>(j)];
-    const int uend = u_colptr_[static_cast<std::size_t>(j) + 1] - 1;
-    for (int s = s0; s < s1; ++s) {
-      const int r = eorder_[static_cast<std::size_t>(s)];
-      if (r == prow) continue;
-      const int piv = pinv_[static_cast<std::size_t>(r)];
-      const double* wr = work_.row(static_cast<std::size_t>(r));
-      if (piv < j) {
-        double* u = uv_.row(static_cast<std::size_t>(uk++));
-        for (std::size_t l = 0; l < L; ++l) u[l] = wr[l];
-      } else {
-        double* lvr = lv_.row(static_cast<std::size_t>(lk++));
-        for (std::size_t l = 0; l < L; ++l) lvr[l] = wr[l] / pv[l];
-      }
+    for (int k = u0; k < udiag; ++k) {
+      double* u = uv_.row(static_cast<std::size_t>(k));
+      const double* wr = work_.row(u_work_row(k));
+      for (std::size_t l = 0; l < L; ++l) u[l] = wr[l];
     }
-    double* ud = uv_.row(static_cast<std::size_t>(uend));
+    double* ud = uv_.row(static_cast<std::size_t>(udiag));
     for (std::size_t l = 0; l < L; ++l) ud[l] = pv[l];
+    for (int k = l0; k < l1; ++k) {
+      double* lvk = lv_.row(static_cast<std::size_t>(k));
+      const double* wr = work_.row(l_work_row(k));
+      for (std::size_t l = 0; l < L; ++l) lvk[l] = wr[l] / pv[l];
+    }
   }
 }
 
@@ -697,11 +680,16 @@ __attribute__((target("avx2"))) void BatchedSparseLu::refactor_avx2(
   const __m256d vbar = _mm256_set1_pd(bar);
   std::fill(ok, ok + lanes_, 1);
   for (int j = 0; j < n_; ++j) {
-    const int s0 = eptr_[static_cast<std::size_t>(j)];
-    const int s1 = eptr_[static_cast<std::size_t>(j) + 1];
-    for (int s = s0; s < s1; ++s) {
-      double* wr = work_.row(
-          static_cast<std::size_t>(eorder_[static_cast<std::size_t>(s)]));
+    const int u0 = u_colptr_[static_cast<std::size_t>(j)];
+    const int udiag = u_colptr_[static_cast<std::size_t>(j) + 1] - 1;
+    const int l0 = l_colptr_[static_cast<std::size_t>(j)];
+    const int l1 = l_colptr_[static_cast<std::size_t>(j) + 1];
+    for (int k = u0; k <= udiag; ++k) {
+      double* wr = work_.row(u_work_row(k));
+      for (std::size_t v = 0; v < S; v += 4) _mm256_storeu_pd(wr + v, vzero);
+    }
+    for (int k = l0; k < l1; ++k) {
+      double* wr = work_.row(l_work_row(k));
       for (std::size_t v = 0; v < S; v += 4) _mm256_storeu_pd(wr + v, vzero);
     }
     for (int k = a_colptr_[static_cast<std::size_t>(j)];
@@ -713,14 +701,12 @@ __attribute__((target("avx2"))) void BatchedSparseLu::refactor_avx2(
         _mm256_storeu_pd(wr + v, _mm256_loadu_pd(avk + v));
       }
     }
-    for (int s = s0; s < s1; ++s) {
-      const int r = eorder_[static_cast<std::size_t>(s)];
-      const int piv = pinv_[static_cast<std::size_t>(r)];
-      if (piv >= j) continue;
-      const double* xr = work_.row(static_cast<std::size_t>(r));
-      const int k0 = l_colptr_[static_cast<std::size_t>(piv)];
-      const int k1 = l_colptr_[static_cast<std::size_t>(piv) + 1];
-      // Block-outer, k-inner: the multiplier xv and its zero mask are
+    for (int k = u0; k < udiag; ++k) {
+      const int piv = u_rowidx_[static_cast<std::size_t>(k)];
+      const double* xr = work_.row(u_work_row(k));
+      const int q0 = l_colptr_[static_cast<std::size_t>(piv)];
+      const int q1 = l_colptr_[static_cast<std::size_t>(piv) + 1];
+      // Block-outer, q-inner: the multiplier xv and its zero mask are
       // loop-invariant over L's column, so hoist them per 4-lane block.  A
       // block whose lanes are all zero is skipped outright — every update it
       // would issue is a blended no-op, the vector analog of the scalar
@@ -729,33 +715,28 @@ __attribute__((target("avx2"))) void BatchedSparseLu::refactor_avx2(
         const __m256d xv = _mm256_loadu_pd(xr + v);
         const __m256d eq = _mm256_cmp_pd(xv, vzero, _CMP_EQ_OQ);
         if (_mm256_movemask_pd(eq) == 0xF) continue;
-        for (int k = k0; k < k1; ++k) {
-          double* wu =
-              work_.row(
-                  static_cast<std::size_t>(
-                      l_rowidx_[static_cast<std::size_t>(k)])) +
-              v;
+        for (int q = q0; q < q1; ++q) {
+          double* wu = work_.row(l_work_row(q)) + v;
           const __m256d wv = _mm256_loadu_pd(wu);
           // Separate mul+sub (no FMA): the scalar solver contracts nothing.
           const __m256d upd = _mm256_sub_pd(
               wv, _mm256_mul_pd(
-                      _mm256_loadu_pd(lv_.row(static_cast<std::size_t>(k)) + v),
+                      _mm256_loadu_pd(lv_.row(static_cast<std::size_t>(q)) + v),
                       xv));
           _mm256_storeu_pd(wu, _mm256_blendv_pd(upd, wv, eq));
         }
       }
     }
-    const int prow = perm_[static_cast<std::size_t>(j)];
-    const double* pv = work_.row(static_cast<std::size_t>(prow));
+    const double* pv =
+        work_.row(static_cast<std::size_t>(perm_[static_cast<std::size_t>(j)]));
     for (std::size_t v = 0; v < S; v += 4) {
       const __m256d pabs = _mm256_and_pd(_mm256_loadu_pd(pv + v), vabs);
-      __m256d cand = vzero;
-      for (int s = s0; s < s1; ++s) {
-        const int r = eorder_[static_cast<std::size_t>(s)];
-        if (pinv_[static_cast<std::size_t>(r)] < j) continue;
+      // Strict > with GT_OQ: false on NaN, exactly like the scalar scan.
+      __m256d cand =
+          _mm256_blendv_pd(vzero, pabs, _mm256_cmp_pd(pabs, vzero, _CMP_GT_OQ));
+      for (int k = l0; k < l1; ++k) {
         const __m256d wa = _mm256_and_pd(
-            _mm256_loadu_pd(work_.row(static_cast<std::size_t>(r)) + v), vabs);
-        // Strict > with GT_OQ: false on NaN, exactly like the scalar scan.
+            _mm256_loadu_pd(work_.row(l_work_row(k)) + v), vabs);
         const __m256d gt = _mm256_cmp_pd(wa, cand, _CMP_GT_OQ);
         cand = _mm256_blendv_pd(cand, wa, gt);
       }
@@ -770,30 +751,24 @@ __attribute__((target("avx2"))) void BatchedSparseLu::refactor_avx2(
         if (lane < lanes_ && ((m >> bit) & 1) != 0) ok[lane] = 0;
       }
     }
-    int lk = l_colptr_[static_cast<std::size_t>(j)];
-    int uk = u_colptr_[static_cast<std::size_t>(j)];
-    const int uend = u_colptr_[static_cast<std::size_t>(j) + 1] - 1;
-    for (int s = s0; s < s1; ++s) {
-      const int r = eorder_[static_cast<std::size_t>(s)];
-      if (r == prow) continue;
-      const int piv = pinv_[static_cast<std::size_t>(r)];
-      const double* wr = work_.row(static_cast<std::size_t>(r));
-      if (piv < j) {
-        double* u = uv_.row(static_cast<std::size_t>(uk++));
-        for (std::size_t v = 0; v < S; v += 4) {
-          _mm256_storeu_pd(u + v, _mm256_loadu_pd(wr + v));
-        }
-      } else {
-        double* lvr = lv_.row(static_cast<std::size_t>(lk++));
-        for (std::size_t v = 0; v < S; v += 4) {
-          _mm256_storeu_pd(lvr + v, _mm256_div_pd(_mm256_loadu_pd(wr + v),
-                                                  _mm256_loadu_pd(pv + v)));
-        }
+    for (int k = u0; k < udiag; ++k) {
+      double* u = uv_.row(static_cast<std::size_t>(k));
+      const double* wr = work_.row(u_work_row(k));
+      for (std::size_t v = 0; v < S; v += 4) {
+        _mm256_storeu_pd(u + v, _mm256_loadu_pd(wr + v));
       }
     }
-    double* ud = uv_.row(static_cast<std::size_t>(uend));
+    double* ud = uv_.row(static_cast<std::size_t>(udiag));
     for (std::size_t v = 0; v < S; v += 4) {
       _mm256_storeu_pd(ud + v, _mm256_loadu_pd(pv + v));
+    }
+    for (int k = l0; k < l1; ++k) {
+      double* lvk = lv_.row(static_cast<std::size_t>(k));
+      const double* wr = work_.row(l_work_row(k));
+      for (std::size_t v = 0; v < S; v += 4) {
+        _mm256_storeu_pd(lvk + v, _mm256_div_pd(_mm256_loadu_pd(wr + v),
+                                                _mm256_loadu_pd(pv + v)));
+      }
     }
   }
 }
@@ -880,11 +855,16 @@ __attribute__((target("avx512f"))) void BatchedSparseLu::refactor_avx512(
   const __m512d vbar = _mm512_set1_pd(bar);
   std::fill(ok, ok + lanes_, 1);
   for (int j = 0; j < n_; ++j) {
-    const int s0 = eptr_[static_cast<std::size_t>(j)];
-    const int s1 = eptr_[static_cast<std::size_t>(j) + 1];
-    for (int s = s0; s < s1; ++s) {
-      double* wr = work_.row(
-          static_cast<std::size_t>(eorder_[static_cast<std::size_t>(s)]));
+    const int u0 = u_colptr_[static_cast<std::size_t>(j)];
+    const int udiag = u_colptr_[static_cast<std::size_t>(j) + 1] - 1;
+    const int l0 = l_colptr_[static_cast<std::size_t>(j)];
+    const int l1 = l_colptr_[static_cast<std::size_t>(j) + 1];
+    for (int k = u0; k <= udiag; ++k) {
+      double* wr = work_.row(u_work_row(k));
+      for (std::size_t v = 0; v < S; v += 8) _mm512_storeu_pd(wr + v, vzero);
+    }
+    for (int k = l0; k < l1; ++k) {
+      double* wr = work_.row(l_work_row(k));
       for (std::size_t v = 0; v < S; v += 8) _mm512_storeu_pd(wr + v, vzero);
     }
     for (int k = a_colptr_[static_cast<std::size_t>(j)];
@@ -896,13 +876,11 @@ __attribute__((target("avx512f"))) void BatchedSparseLu::refactor_avx512(
         _mm512_storeu_pd(wr + v, _mm512_loadu_pd(avk + v));
       }
     }
-    for (int s = s0; s < s1; ++s) {
-      const int r = eorder_[static_cast<std::size_t>(s)];
-      const int piv = pinv_[static_cast<std::size_t>(r)];
-      if (piv >= j) continue;
-      const double* xr = work_.row(static_cast<std::size_t>(r));
-      const int k0 = l_colptr_[static_cast<std::size_t>(piv)];
-      const int k1 = l_colptr_[static_cast<std::size_t>(piv) + 1];
+    for (int k = u0; k < udiag; ++k) {
+      const int piv = u_rowidx_[static_cast<std::size_t>(k)];
+      const double* xr = work_.row(u_work_row(k));
+      const int q0 = l_colptr_[static_cast<std::size_t>(piv)];
+      const int q1 = l_colptr_[static_cast<std::size_t>(piv) + 1];
       for (std::size_t v = 0; v < S; v += 8) {
         const __m512d xv = _mm512_loadu_pd(xr + v);
         // EQ_OQ false on NaN, like the scalar `x == 0.0`; a masked subtract
@@ -910,31 +888,26 @@ __attribute__((target("avx512f"))) void BatchedSparseLu::refactor_avx512(
         const __mmask8 keq = _mm512_cmp_pd_mask(xv, vzero, _CMP_EQ_OQ);
         if (keq == 0xFF) continue;
         const auto knz = static_cast<__mmask8>(~keq);
-        for (int k = k0; k < k1; ++k) {
-          double* wu =
-              work_.row(
-                  static_cast<std::size_t>(
-                      l_rowidx_[static_cast<std::size_t>(k)])) +
-              v;
+        for (int q = q0; q < q1; ++q) {
+          double* wu = work_.row(l_work_row(q)) + v;
           const __m512d wv = _mm512_loadu_pd(wu);
           // Separate mul then masked sub (no FMA), as in the scalar solver.
           const __m512d prod = _mm512_mul_pd(
-              _mm512_loadu_pd(lv_.row(static_cast<std::size_t>(k)) + v), xv);
+              _mm512_loadu_pd(lv_.row(static_cast<std::size_t>(q)) + v), xv);
           _mm512_storeu_pd(wu, _mm512_mask_sub_pd(wv, knz, wv, prod));
         }
       }
     }
-    const int prow = perm_[static_cast<std::size_t>(j)];
-    const double* pv = work_.row(static_cast<std::size_t>(prow));
+    const double* pv =
+        work_.row(static_cast<std::size_t>(perm_[static_cast<std::size_t>(j)]));
     for (std::size_t v = 0; v < S; v += 8) {
       const __m512d pabs = _mm512_abs_pd(_mm512_loadu_pd(pv + v));
-      __m512d cand = vzero;
-      for (int s = s0; s < s1; ++s) {
-        const int r = eorder_[static_cast<std::size_t>(s)];
-        if (pinv_[static_cast<std::size_t>(r)] < j) continue;
-        const __m512d wa = _mm512_abs_pd(
-            _mm512_loadu_pd(work_.row(static_cast<std::size_t>(r)) + v));
-        // Strict > with GT_OQ: false on NaN, exactly like the scalar scan.
+      // Strict > with GT_OQ: false on NaN, exactly like the scalar scan.
+      __m512d cand = _mm512_mask_blend_pd(
+          _mm512_cmp_pd_mask(pabs, vzero, _CMP_GT_OQ), vzero, pabs);
+      for (int k = l0; k < l1; ++k) {
+        const __m512d wa =
+            _mm512_abs_pd(_mm512_loadu_pd(work_.row(l_work_row(k)) + v));
         const __mmask8 kgt = _mm512_cmp_pd_mask(wa, cand, _CMP_GT_OQ);
         cand = _mm512_mask_blend_pd(kgt, cand, wa);
       }
@@ -947,30 +920,24 @@ __attribute__((target("avx512f"))) void BatchedSparseLu::refactor_avx512(
         if (lane < lanes_ && ((kfail >> bit) & 1) != 0) ok[lane] = 0;
       }
     }
-    int lk = l_colptr_[static_cast<std::size_t>(j)];
-    int uk = u_colptr_[static_cast<std::size_t>(j)];
-    const int uend = u_colptr_[static_cast<std::size_t>(j) + 1] - 1;
-    for (int s = s0; s < s1; ++s) {
-      const int r = eorder_[static_cast<std::size_t>(s)];
-      if (r == prow) continue;
-      const int piv = pinv_[static_cast<std::size_t>(r)];
-      const double* wr = work_.row(static_cast<std::size_t>(r));
-      if (piv < j) {
-        double* u = uv_.row(static_cast<std::size_t>(uk++));
-        for (std::size_t v = 0; v < S; v += 8) {
-          _mm512_storeu_pd(u + v, _mm512_loadu_pd(wr + v));
-        }
-      } else {
-        double* lvr = lv_.row(static_cast<std::size_t>(lk++));
-        for (std::size_t v = 0; v < S; v += 8) {
-          _mm512_storeu_pd(lvr + v, _mm512_div_pd(_mm512_loadu_pd(wr + v),
-                                                  _mm512_loadu_pd(pv + v)));
-        }
+    for (int k = u0; k < udiag; ++k) {
+      double* u = uv_.row(static_cast<std::size_t>(k));
+      const double* wr = work_.row(u_work_row(k));
+      for (std::size_t v = 0; v < S; v += 8) {
+        _mm512_storeu_pd(u + v, _mm512_loadu_pd(wr + v));
       }
     }
-    double* ud = uv_.row(static_cast<std::size_t>(uend));
+    double* ud = uv_.row(static_cast<std::size_t>(udiag));
     for (std::size_t v = 0; v < S; v += 8) {
       _mm512_storeu_pd(ud + v, _mm512_loadu_pd(pv + v));
+    }
+    for (int k = l0; k < l1; ++k) {
+      double* lvk = lv_.row(static_cast<std::size_t>(k));
+      const double* wr = work_.row(l_work_row(k));
+      for (std::size_t v = 0; v < S; v += 8) {
+        _mm512_storeu_pd(lvk + v, _mm512_div_pd(_mm512_loadu_pd(wr + v),
+                                                _mm512_loadu_pd(pv + v)));
+      }
     }
   }
 }

@@ -8,8 +8,9 @@
 //
 // Newton iterations change matrix *values*, never the sparsity pattern, so
 // SparseLu splits the classic analyze+factor step from a value-only
-// refactor(): the pivot order, elimination order and L/U pattern from the
-// last full factor() are replayed against the new values (the KLU trick).
+// refactor(): the pivot order and L/U pattern from the last full factor()
+// are replayed against the new values, each column's elimination driven
+// from its stored U pattern (the KLU refactor loop).
 // A refactor refuses — and the caller falls back to a full repivoting
 // factor() — when the inherited pivot degrades below a relative threshold.
 
@@ -58,20 +59,21 @@ class SparseLu {
   ///  * in bit-exact mode (set_bit_exact), the bar rises to
   ///    `threshold_pivot_ratio` — the exact ratio at which a repivoting
   ///    factor() would stop keeping this pivot (sticky pivot memory), so a
-  ///    successful bit-exact refactor provably replays the same pivots;
-  ///  * new values do not line up with the cached L/U structure.
+  ///    successful bit-exact refactor provably replays the same pivots.
   /// Whenever the inherited pivots coincide with what a fresh factor()
   /// would pick (always true on success in bit-exact mode), the L/U factors
-  /// are bit-identical to factor()'s: the replay tape repeats the same
-  /// elimination order, i.e. the exact same arithmetic sequence.
+  /// are bit-identical to factor()'s: U(:,j) is stored in factor()'s
+  /// topological order, so walking it repeats the exact same arithmetic
+  /// sequence.
   bool refactor(const CscMatrix& a);
 
   /// Value-only refactor that is provably bit-identical to a *cold* full
   /// factor() — one on a freshly constructed SparseLu with empty pivot
   /// memory.  Per column it re-runs factor()'s exact pivot scan (same
-  /// post-order traversal, strict >) over the replayed values and succeeds
-  /// only when the scan lands on the inherited pivot row, in which case the
-  /// replay repeats a cold factor()'s arithmetic sequence bit for bit.
+  /// post-order traversal, strict >, ties to the first row in post-order)
+  /// over the replayed values and succeeds only when the scan lands on the
+  /// inherited pivot row, in which case the replay repeats a cold
+  /// factor()'s arithmetic sequence bit for bit.
   /// Returns false (factorisation left invalid) as soon as any column's
   /// argmax moved; the caller must then reset() and factor() so pivot
   /// memory cannot leak into the fallback.  Used by the cross-query
@@ -91,6 +93,16 @@ class SparseLu {
     return l_rowidx_.size() + u_rowidx_.size();
   }
 
+  /// L (strictly lower, unit diagonal implied) and U (diagonal last per
+  /// column) values in storage order, for bitwise comparisons of two
+  /// factorisations of one structure.
+  [[nodiscard]] const std::vector<double>& l_values() const {
+    return l_values_;
+  }
+  [[nodiscard]] const std::vector<double>& u_values() const {
+    return u_values_;
+  }
+
   /// Strict mode: refactor() additionally bails whenever a fresh pivot scan
   /// would pick a different row (see Tolerances::lu_refactor_bit_exact).
   void set_bit_exact(bool on) { bit_exact_ = on; }
@@ -103,10 +115,10 @@ class SparseLu {
   /// contractually bit-identical to cold runs.
   void reset();
 
-  /// Monotone generation counter for the L/U *structure* (pivot order,
-  /// pattern, elimination tape): bumped whenever factor() or reset() may
-  /// change it, and never by value-only refactors.  Lets the batched solver
-  /// skip O(nnz) structure comparisons while the epoch is unchanged.
+  /// Monotone generation counter for the L/U *structure* (pivot order and
+  /// pattern): bumped whenever factor() or reset() may change it, and never
+  /// by value-only refactors.  Lets the batched solver skip O(nnz)
+  /// structure comparisons while the epoch is unchanged.
   [[nodiscard]] std::uint64_t factor_epoch() const { return factor_epoch_; }
 
   /// True when a factorisation is available for solve()/refactor().
@@ -140,7 +152,9 @@ class SparseLu {
   std::uint64_t factor_epoch_ = 0;
   int a_nnz_ = 0;  ///< nnz of the factored matrix (pattern fingerprint).
   // L is unit-lower-triangular, U upper-triangular, both in CSC over the
-  // pivoted row ordering; perm_[k] = original row chosen as pivot k.
+  // pivoted row ordering; perm_[k] = original row chosen as pivot k.  Within
+  // a column, L rows (original indices) and U rows (pivot positions) are in
+  // the topological order factor() eliminated them, U's diagonal last.
   std::vector<int> l_colptr_, l_rowidx_;
   std::vector<double> l_values_;
   std::vector<int> u_colptr_, u_rowidx_;
@@ -151,10 +165,10 @@ class SparseLu {
   /// numerically acceptable) by the next factor() — see
   /// threshold_pivot_ratio.  Survives refactor() bail-outs.
   std::vector<int> pivot_mem_;
-  // Elimination replay tape for refactor(): eorder_[eptr_[j]..eptr_[j+1])
-  // is column j's reach set in the exact (topological) order factor()
-  // processed it.
-  std::vector<int> eptr_, eorder_;
+  /// Per column: how many of L(:,j)'s rows precede the pivot row in that
+  /// topological order — enough for refactor_cold_exact() to rebuild
+  /// factor()'s post-order pivot scan, tie-break included.
+  std::vector<int> l_pivot_pos_;
   // Reusable workspaces (factor/refactor numeric sweep and solve).
   std::vector<double> work_;
   std::vector<int> mark_;
@@ -162,11 +176,11 @@ class SparseLu {
 };
 
 /// Batched value-only refactor + solve over B lanes that share one L/U
-/// structure (DESIGN.md §12).  The structure — pivot order, L/U pattern,
-/// elimination tape and A pattern — is adopted from one lane's factored
-/// SparseLu; per-lane values live in lane-major SoA buffers so the inner
-/// loops touch the (shared) index streams once per element and the values of
-/// all lanes with one vector op.
+/// structure (DESIGN.md §12).  The structure — pivot order, L/U pattern
+/// and A pattern — is adopted from one lane's factored SparseLu; per-lane
+/// values live in lane-major SoA buffers so the inner loops touch the
+/// (shared) index streams once per element and the values of all lanes
+/// with one vector op.
 ///
 /// Bit-identity contract: for every lane, refactor()'s ok verdict and — when
 /// ok — the solution read back by store_lane_solution() are bit-identical to
@@ -189,9 +203,9 @@ class BatchedSparseLu {
   /// or its pattern fingerprint does not match `a`.
   bool adopt(const SparseLu& ref, const CscMatrix& a, std::size_t lanes);
 
-  /// Structural equality of two factorisations: same pivot order, L/U
-  /// pattern and elimination tape (values ignored).  O(nnz) — callers
-  /// memoize via SparseLu::factor_epoch().
+  /// Structural equality of two factorisations: same pivot order and L/U
+  /// pattern (values ignored).  O(nnz) — callers memoize via
+  /// SparseLu::factor_epoch().
   [[nodiscard]] static bool structure_equal(const SparseLu& x,
                                             const SparseLu& y);
 
@@ -202,9 +216,9 @@ class BatchedSparseLu {
 
   /// True when this solver's adopted structure equals `ref`'s current
   /// factorisation over A pattern `a`: same dimension, pivot order, L/U
-  /// pattern, elimination tape, A pattern and bit-exact bar.  Compares
-  /// against the solver's own stored copies, so it is safe even when the
-  /// instance originally adopted from no longer exists.
+  /// pattern, A pattern and bit-exact bar.  Compares against the solver's
+  /// own stored copies, so it is safe even when the instance originally
+  /// adopted from no longer exists.
   [[nodiscard]] bool holds_structure_of(const SparseLu& ref,
                                         const CscMatrix& a) const;
 
@@ -231,6 +245,14 @@ class BatchedSparseLu {
  private:
   void refactor_scalar(unsigned char* ok);
   void solve_scalar();
+  /// Work-vector row (original row index) of U entry k and of L entry k.
+  [[nodiscard]] std::size_t u_work_row(int k) const {
+    return static_cast<std::size_t>(perm_[static_cast<std::size_t>(
+        u_rowidx_[static_cast<std::size_t>(k)])]);
+  }
+  [[nodiscard]] std::size_t l_work_row(int k) const {
+    return static_cast<std::size_t>(l_rowidx_[static_cast<std::size_t>(k)]);
+  }
 #if defined(__x86_64__)
   void refactor_avx2(unsigned char* ok);
   void solve_avx2();
@@ -250,8 +272,7 @@ class BatchedSparseLu {
   // Shared structure (copied from the adopted SparseLu / A pattern).
   std::vector<int> l_colptr_, l_rowidx_;
   std::vector<int> u_colptr_, u_rowidx_;
-  std::vector<int> perm_, pinv_;
-  std::vector<int> eptr_, eorder_;
+  std::vector<int> perm_;
   std::vector<int> a_colptr_, a_rowidx_;
   // Lane-major values: A, L, U, the elimination work vector, rhs/solution
   // and the forward-substitution workspaces.

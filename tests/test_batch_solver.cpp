@@ -10,8 +10,9 @@
 //     convergence and a lane falling into the Newton homotopy fallback
 //     while its siblings proceed.
 //   * The batch engine's width-W lockstep stream is bit-identical to the
-//     width-1 (pre-batching) scalar stream for every kind and both
-//     structured backends, and fault plans force the scalar path verbatim.
+//     width-1 scalar stream for every kind and both structured backends,
+//     the default width runs no lockstep group, and fault plans force the
+//     scalar path verbatim.
 
 #include <gtest/gtest.h>
 
@@ -577,6 +578,44 @@ std::vector<E2eCase> all_e2e_cases() {
 
 INSTANTIATE_TEST_SUITE_P(AllSixBothBackends, BatchIdentityE2e,
                          ::testing::ValuesIn(all_e2e_cases()));
+
+std::uint64_t counter(const char* name) {
+  for (const obs::MetricValue& m : obs::collect()) {
+    if (m.name == name) return m.count;
+  }
+  return 0;
+}
+
+// Default engine options run FullSpice streams one query per task — no
+// lockstep group at all — and still produce the width-8 results bit for bit.
+TEST(BatchIdentityDefaults, DefaultWidthSkipsLockstepAndMatchesWidthEight) {
+  for (const dist::DistanceKind kind : dist::kAllKinds) {
+    const Stream stream = make_stream(kind, 6, 3);
+    core::DistanceSpec spec;
+    spec.kind = kind;
+    spec.threshold = 0.3;
+    core::AcceleratorConfig cfg;
+    cfg.backend = core::Backend::FullSpice;
+
+    core::Accelerator acc8(cfg);
+    acc8.configure(spec);
+    core::BatchOptions w8;
+    w8.solver_batch_width = 8;
+    const auto want = core::BatchEngine(w8).compute_batch(acc8, stream.queries);
+
+    core::Accelerator acc(cfg);
+    acc.configure(spec);
+    obs::reset();
+    const auto got =
+        core::BatchEngine(core::BatchOptions{}).compute_batch(acc, stream.queries);
+    EXPECT_EQ(counter("mda.batch.lockstep_groups"), 0u) << dist::kind_name(kind);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      expect_result_bitwise(want[i], got[i],
+                            (dist::kind_name(kind) + " default width").c_str());
+    }
+  }
+}
 
 TEST(BatchIdentityFaults, FaultPlanForcesScalarPathBitwise) {
   // An active fault plan must bypass lockstep batching entirely (injection

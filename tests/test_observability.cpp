@@ -174,6 +174,33 @@ INSTANTIATE_TEST_SUITE_P(Threads, ObsShards,
                          ::testing::Values(std::size_t{1}, std::size_t{2},
                                            std::size_t{8}));
 
+// mda.batch.job_time_s records one sample per parallel_for job on every
+// path: the pool, and each inline one — a 1-thread engine, a single-task
+// batch and a call nested inside a running task.
+TEST(ObsBatchEngine, JobTimeCoversInlineJobs) {
+  const auto job_samples = [] {
+    const obs::MetricsSnapshot snap = obs::MetricsSnapshot::capture();
+    const obs::MetricValue* v = snap.find("mda.batch.job_time_s");
+    return v == nullptr ? std::uint64_t{0} : v->count;
+  };
+  obs::reset();
+  core::BatchOptions serial;
+  serial.num_threads = 1;
+  const core::BatchEngine one(serial);
+  one.parallel_for(5, [](std::size_t) {});
+  EXPECT_EQ(job_samples(), 1u);
+
+  core::BatchOptions pooled;
+  pooled.num_threads = 2;
+  const core::BatchEngine two(pooled);
+  two.parallel_for(1, [](std::size_t) {});
+  EXPECT_EQ(job_samples(), 2u);
+  two.parallel_for(4, [&](std::size_t) {
+    two.parallel_for(3, [](std::size_t) {});
+  });
+  EXPECT_EQ(job_samples(), 2u + 1u + 4u);  // the pooled job plus 4 nested
+}
+
 TEST(ObsSnapshot, JsonRoundTrip) {
   obs::reset();
   static const obs::Counter c("mda.obs.test_rt_counter");

@@ -10,17 +10,24 @@
 //  * the pivot-stable fill-reducing elimination order: a valid permutation,
 //    a pure function of the stamp pattern, guarded op-amp / comparator
 //    branch columns after their two-hop input nodes, and refactors still
-//    absorbing the factorisation load under it.
+//    absorbing the factorisation load under it;
+//  * the partial restamp both Newton paths use: at every iterate of a full
+//    transient, for all six kinds and under a fault plan, replaying the
+//    solve point's recording assembles byte-identically to a full stamp.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <set>
 #include <vector>
 
 #include "core/array_builder.hpp"
 #include "core/backend.hpp"
+#include "fault/injection.hpp"
+#include "fault/plan.hpp"
 #include "obs/snapshot.hpp"
 #include "spice/mna.hpp"
 #include "spice/netlist.hpp"
@@ -443,6 +450,155 @@ TEST(TransientStepControl, NoGrowthOffFallbackRecoveredSteps) {
   EXPECT_EQ(tr.fallback_steps, tr.steps);
   // ... so dt never grew: the run takes the full t_stop / dt_init steps.
   EXPECT_GE(tr.steps, 40);
+}
+
+// A stamp-free nonlinear device appended to a netlist as a restamp oracle.
+// Being nonlinear, it is stamped live at every Newton iterate of the solver
+// under test, and there it assembles the same iterate on two shadow
+// MnaSystems over the same netlist: `replay` records at the solve point's
+// first iterate and restamps after, exactly like the Newton ladder, while
+// `full` stamps every device every time.  Each successful restamp must
+// leave triplets and RHS byte-identical to the full assembly.  The extra
+// stamp calls are harmless only if every device's stamp is a pure function
+// of (context, committed state) — which the caller checks by comparing the
+// run against one without the oracle.
+class RestampOracle : public spice::Device {
+ public:
+  [[nodiscard]] bool nonlinear() const override { return true; }
+
+  void attach(spice::MnaSystem& replay, spice::MnaSystem& full) {
+    replay_ = &replay;
+    full_ = &full;
+  }
+
+  void stamp(spice::Stamper& /*s*/, const spice::StampContext& ctx) override {
+    if (busy_ || replay_ == nullptr) return;  // shadow assemblies stamp us too
+    busy_ = true;
+    if (new_point_ || !replay_->reassemble_linearized(ctx, 0.0)) {
+      replay_->assemble_linearized(ctx, 0.0);
+      new_point_ = false;
+      ++records;
+    } else {
+      full_->assemble_linearized(ctx, 0.0);
+      ++replays;
+      if (!replay_->same_assembly(*full_)) ++mismatches;
+    }
+    busy_ = false;
+  }
+
+  // Committed state changes only here, so the next stamp opens a new point.
+  void accept_step(const spice::StampContext& /*ctx*/) override {
+    new_point_ = true;
+  }
+  void reset_state() override { new_point_ = true; }
+
+  int records = 0;
+  int replays = 0;
+  int mismatches = 0;
+
+ private:
+  spice::MnaSystem* replay_ = nullptr;
+  spice::MnaSystem* full_ = nullptr;
+  bool busy_ = false;
+  bool new_point_ = true;
+};
+
+struct RestampRun {
+  spice::TransientResult result;
+  int records = 0;
+  int replays = 0;
+  int mismatches = 0;
+};
+
+// Runs a length-`n` array transient for `kind`, optionally with device
+// faults from `plan` and with the restamp oracle appended to the netlist.
+RestampRun run_restamp_transient(dist::DistanceKind kind, std::size_t n,
+                                 const fault::FaultPlan* plan,
+                                 bool with_oracle) {
+  util::Rng rng(53 + static_cast<std::uint64_t>(kind));
+  std::vector<double> p(n), q(n);
+  for (double& v : p) v = rng.uniform(-1.5, 1.5);
+  for (double& v : q) v = rng.uniform(-1.5, 1.5);
+  AcceleratorConfig config;
+  DistanceSpec spec;
+  spec.kind = kind;
+  spec.threshold = 0.3;
+  const EncodedInputs enc = encode_inputs(config, spec, p, q);
+  AcceleratorConfig cfg = config;
+  cfg.vstep = enc.vstep_eff;
+  ArrayCircuit array = build_array(cfg, spec, n, n);
+  array.set_step_inputs(enc.p_volts, enc.q_volts, 0.0);
+  if (plan != nullptr) {
+    const fault::InjectionSummary injected = fault::apply_device_faults(
+        array.factory->memristors(), array.factory->opamps(), *plan);
+    EXPECT_GT(injected.total(), 0u);
+  }
+  RestampOracle* oracle =
+      with_oracle ? &array.net->add<RestampOracle>() : nullptr;
+  spice::TransientSimulator sim(*array.net);
+  sim.probe(array.out, "out");
+  spice::MnaSystem replay(*array.net);
+  spice::MnaSystem full(*array.net);
+  if (oracle != nullptr) oracle->attach(replay, full);
+  spice::TransientParams params;
+  params.t_stop = 3e-9;
+  RestampRun run;
+  run.result = sim.run(params);
+  if (oracle != nullptr) {
+    run.records = oracle->records;
+    run.replays = oracle->replays;
+    run.mismatches = oracle->mismatches;
+  }
+  return run;
+}
+
+void expect_same_transient(const spice::TransientResult& a,
+                           const spice::TransientResult& b) {
+  EXPECT_EQ(a.ok, b.ok);
+  EXPECT_EQ(a.steps, b.steps);
+  EXPECT_EQ(a.total_newton_iterations, b.total_newton_iterations);
+  ASSERT_EQ(a.final_x.size(), b.final_x.size());
+  EXPECT_EQ(std::memcmp(a.final_x.data(), b.final_x.data(),
+                        a.final_x.size() * sizeof(double)),
+            0);
+}
+
+class PartialRestamp : public ::testing::TestWithParam<dist::DistanceKind> {};
+
+TEST_P(PartialRestamp, ReplayMatchesFullAssemblyAtEveryIterate) {
+  const dist::DistanceKind kind = GetParam();
+  const RestampRun checked = run_restamp_transient(kind, 3, nullptr, true);
+  ASSERT_TRUE(checked.result.ok) << checked.result.error;
+  EXPECT_EQ(checked.mismatches, 0);
+  EXPECT_GT(checked.records, 0);
+  EXPECT_GT(checked.replays, checked.records);  // most iterates restamp
+  // The oracle's extra stamp calls must not have perturbed the run.
+  expect_same_transient(checked.result,
+                        run_restamp_transient(kind, 3, nullptr, false).result);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, PartialRestamp,
+    ::testing::Values(dist::DistanceKind::Dtw, dist::DistanceKind::Lcs,
+                      dist::DistanceKind::Edit, dist::DistanceKind::Hausdorff,
+                      dist::DistanceKind::Hamming,
+                      dist::DistanceKind::Manhattan));
+
+TEST(PartialRestampFaults, ReplayMatchesFullAssemblyUnderFaultPlan) {
+  fault::FaultConfig fc;
+  fc.seed = 41;
+  fc.stuck_rate = 0.1;
+  fc.drift_rate = 0.1;
+  fc.opamp_rate = 0.2;
+  const fault::FaultPlan plan(fc);
+  for (const dist::DistanceKind kind :
+       {dist::DistanceKind::Dtw, dist::DistanceKind::Manhattan}) {
+    const RestampRun checked = run_restamp_transient(kind, 3, &plan, true);
+    EXPECT_EQ(checked.mismatches, 0) << static_cast<int>(kind);
+    EXPECT_GT(checked.replays, 0) << static_cast<int>(kind);
+    expect_same_transient(checked.result,
+                          run_restamp_transient(kind, 3, &plan, false).result);
+  }
 }
 
 }  // namespace

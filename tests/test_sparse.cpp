@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <vector>
+
+#include "spice/batch_state.hpp"
 #include "spice/dense.hpp"
 #include "spice/sparse.hpp"
 #include "util/rng.hpp"
@@ -219,6 +224,209 @@ TEST(SparseLuRefactor, RequiresPriorFactor) {
   const CscMatrix bigger = CscMatrix::from_triplets(
       2, {0, 1, 0}, {0, 1, 1}, {1.0, 1.0, 0.5});
   EXPECT_FALSE(lu.refactor(bigger));
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// Two factorisations of one A pattern are bitwise the same: same pivots and
+// L/U pattern, same L/U bits, and the same bits out of a solve.
+void expect_same_factors(SparseLu& x, SparseLu& y, const char* what) {
+  ASSERT_TRUE(BatchedSparseLu::structure_equal(x, y)) << what;
+  EXPECT_TRUE(same_bits(x.l_values(), y.l_values())) << what;
+  EXPECT_TRUE(same_bits(x.u_values(), y.u_values())) << what;
+  std::vector<double> bx(static_cast<std::size_t>(x.dimension()));
+  for (std::size_t i = 0; i < bx.size(); ++i) {
+    bx[i] = 1.0 + 0.25 * static_cast<double>(i);
+  }
+  std::vector<double> by = bx;
+  x.solve(bx);
+  y.solve(by);
+  EXPECT_TRUE(same_bits(bx, by)) << what;
+}
+
+// 4x4 [c | e0 | e2 | e3]: column 0 carries the pivot candidates, the unit
+// columns make the rest of the elimination follow from column 0's pivot.
+CscMatrix first_column_system(const std::vector<double>& c) {
+  return CscMatrix::from_triplets(4, {0, 1, 2, 3, 0, 2, 3},
+                                  {0, 0, 0, 0, 1, 2, 3},
+                                  {c[0], c[1], c[2], c[3], 1.0, 1.0, 1.0});
+}
+
+// refactor_cold_exact() must accept exactly when a cold factor() would pick
+// the inherited pivots, ties included.  Column 0's rows 1 and 2 tie in
+// magnitude; factor()'s scan visits candidates in post-order (rows 0, 1, 2,
+// 3 here) with strict >, so a cold factor() takes row 1.  Inheriting any
+// other row — the tied twin above all — must be rejected; inheriting row 1
+// must reproduce the cold factor() bit for bit.
+TEST(SparseLuRefactor, ColdExactMatchesColdFactorOnTies) {
+  const CscMatrix tie = first_column_system({1.0, 2.0, -2.0, 1.0});
+  SparseLu cold;
+  ASSERT_TRUE(cold.factor(tie));
+  for (int p = 0; p < 4; ++p) {
+    std::vector<double> steer = {1.0, 2.0, -2.0, 1.0};
+    steer[static_cast<std::size_t>(p)] = 8.0;  // make row p the clear winner
+    SparseLu lu;
+    ASSERT_TRUE(lu.factor(first_column_system(steer)));
+    const bool same_pivots = BatchedSparseLu::structure_equal(lu, cold);
+    EXPECT_EQ(same_pivots, p == 1) << "inherited pivot row " << p;
+    ASSERT_EQ(lu.refactor_cold_exact(tie), same_pivots)
+        << "inherited pivot row " << p;
+    if (same_pivots) expect_same_factors(lu, cold, "tie, inherited row 1");
+  }
+  // Flip the tie by one ulp towards row 2: the inherited row 1 no longer
+  // wins a cold scan, so the re-entry must be refused.
+  SparseLu lu;
+  ASSERT_TRUE(lu.factor(tie));
+  EXPECT_FALSE(lu.refactor_cold_exact(
+      first_column_system({1.0, 2.0, -std::nextafter(2.0, 3.0), 1.0})));
+}
+
+// Random pattern with a wide spread of shapes — columns with no
+// off-diagonal entries (empty L and U), dense ones, missing diagonals — and
+// small-integer values, so tied pivot candidates and exact zeros (stored in
+// A, and produced by cancellation) are common.
+CscMatrix fuzz_pattern(int n, mda::util::Rng& rng) {
+  std::vector<int> rows, cols;
+  std::vector<double> vals;
+  for (int c = 0; c < n; ++c) {
+    if (rng.uniform(0.0, 1.0) < 0.9) {
+      rows.push_back(c);
+      cols.push_back(c);
+      vals.push_back(0.0);
+    }
+    const int extra = static_cast<int>(rng.index(4));
+    for (int k = 0; k < extra; ++k) {
+      rows.push_back(static_cast<int>(rng.index(static_cast<std::size_t>(n))));
+      cols.push_back(c);
+      vals.push_back(0.0);
+    }
+  }
+  return CscMatrix::from_triplets(n, rows, cols, vals);
+}
+
+void fuzz_values(CscMatrix& a, mda::util::Rng& rng) {
+  static constexpr double kLevels[] = {0.0, 1.0, -1.0, 2.0, -2.0, 3.0, 0.5};
+  for (double& v : a.values) v = kLevels[rng.index(7)];
+}
+
+// Bit-exact refactor() must equal a repivoting factor() from the same pivot
+// memory exactly when it accepts, and refactor_cold_exact() must equal a
+// cold factor() exactly when it accepts; both refuse precisely when that
+// factor() would pivot differently (or find the matrix singular).
+TEST(SparseLuRefactor, FuzzedPatternsAcceptExactlyWhenFactorAgrees) {
+  mda::util::Rng rng(2026);
+  int accepted = 0, refused = 0, cold_accepted = 0, cold_refused = 0;
+  for (int trial = 0; trial < 1000; ++trial) {
+    const int n = 1 + static_cast<int>(rng.index(24));
+    CscMatrix a = fuzz_pattern(n, rng);
+    SparseLu lu;
+    lu.set_bit_exact(true);
+    fuzz_values(a, rng);
+    if (!lu.factor(a)) continue;
+    for (int round = 0; round < 4; ++round) {
+      fuzz_values(a, rng);
+      const SparseLu before = lu;
+
+      SparseLu warm = before;  // same pivot memory
+      const bool warm_ok = warm.factor(a);
+      const bool ok = lu.refactor(a);
+      EXPECT_EQ(ok, warm_ok && BatchedSparseLu::structure_equal(before, warm))
+          << "trial " << trial << " round " << round;
+      if (ok) {
+        expect_same_factors(lu, warm, "bit-exact refactor");
+        ++accepted;
+      } else {
+        ++refused;
+      }
+
+      SparseLu reentry = before;
+      SparseLu cold;
+      cold.set_bit_exact(true);
+      const bool cold_ok = cold.factor(a);
+      const bool cold_exact = reentry.refactor_cold_exact(a);
+      EXPECT_EQ(cold_exact,
+                cold_ok && BatchedSparseLu::structure_equal(before, cold))
+          << "trial " << trial << " round " << round;
+      if (cold_exact) {
+        expect_same_factors(reentry, cold, "cold-exact refactor");
+        ++cold_accepted;
+      } else {
+        ++cold_refused;
+      }
+      if (!ok && !lu.factor(a)) break;  // the caller's fallback
+    }
+  }
+  // The fuzz must exercise both verdicts of both guards.
+  EXPECT_GT(accepted, 50);
+  EXPECT_GT(refused, 50);
+  EXPECT_GT(cold_accepted, 50);
+  EXPECT_GT(cold_refused, 50);
+}
+
+// Every BatchedSparseLu kernel — portable scalar, AVX2 (stride 4) and
+// AVX-512 (stride 8) where the CPU has them — must reproduce scalar
+// SparseLu per lane on fuzzed patterns: the same refactor verdict and, for
+// accepted lanes, the same solution bits.
+TEST(SparseLuRefactor, FuzzedPatternsEveryBatchedKernelMatchesScalar) {
+  mda::util::Rng rng(77);
+  const bool prev_force = batch::force_scalar();
+  int lanes_checked = 0, lanes_refused = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    const int n = 1 + static_cast<int>(rng.index(24));
+    CscMatrix a = fuzz_pattern(n, rng);
+    fuzz_values(a, rng);
+    SparseLu ref;
+    ref.set_bit_exact(trial % 2 == 0);
+    if (!ref.factor(a)) continue;
+    for (const std::size_t lanes : {3u, 8u}) {
+      std::vector<CscMatrix> lane_a(lanes, a);
+      std::vector<std::vector<double>> rhs(lanes);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        // Lane 0 keeps the factored values; the others get fresh ones.
+        if (l > 0) fuzz_values(lane_a[l], rng);
+        rhs[l].resize(static_cast<std::size_t>(n));
+        for (double& v : rhs[l]) v = rng.uniform(-2.0, 2.0);
+      }
+      for (const bool force_scalar : {true, false}) {
+        batch::set_force_scalar(force_scalar);
+        BatchedSparseLu batched;
+        ASSERT_TRUE(batched.adopt(ref, a, lanes));
+        for (std::size_t l = 0; l < lanes; ++l) {
+          batched.load_lane_values(l, lane_a[l]);
+          batched.load_lane_rhs(l, rhs[l]);
+        }
+        std::vector<unsigned char> ok(lanes, 1);
+        batched.refactor(ok.data());
+        batched.solve();
+        for (std::size_t l = 0; l < lanes; ++l) {
+          SparseLu scalar = ref;
+          const bool want_ok = scalar.refactor(lane_a[l]);
+          ASSERT_EQ(want_ok, ok[l] != 0)
+              << "trial " << trial << " lanes " << lanes << " lane " << l
+              << " forced scalar " << force_scalar;
+          ++lanes_checked;
+          if (!want_ok) {
+            ++lanes_refused;
+            continue;
+          }
+          std::vector<double> want = rhs[l];
+          scalar.solve(want);
+          std::vector<double> got;
+          batched.store_lane_solution(l, got);
+          EXPECT_TRUE(same_bits(want, got))
+              << "trial " << trial << " lanes " << lanes << " lane " << l
+              << " forced scalar " << force_scalar;
+        }
+      }
+    }
+  }
+  batch::set_force_scalar(prev_force);
+  EXPECT_GT(lanes_refused, 0);
+  EXPECT_GT(lanes_checked - lanes_refused, 100);
 }
 
 TEST(DenseLu, SingularDetected) {
