@@ -139,6 +139,12 @@ class JsonWriter {
     out_ << v;
     return *this;
   }
+  /// Field whose value is already serialized JSON (host_fingerprint_json()).
+  JsonWriter& raw(const std::string& key, const std::string& json) {
+    pre(key);
+    out_ << json;
+    return *this;
+  }
   /// Bare value inside an array (arrays have no keys).
   template <typename T>
   JsonWriter& value(T v) {

@@ -7,7 +7,7 @@
 // the documented (value, lowest-index) merge rule:
 //
 //  * full profile + neighbour indices bitwise, for the serial scan and for
-//    BatchEngine runs at 2 and 8 threads (the determinism contract);
+//    BatchEngine runs at 1, 2, 4 and 8 threads (the determinism contract);
 //  * profile_motif / profile_discords against the oracle's motif and
 //    discords (recall is exact by construction — any drop is a mismatch);
 //  * StreamingProfile replay ≡ batch bitwise, including a sliding-window
@@ -15,22 +15,27 @@
 //  * accelerator-backed DTW (Behavioral backend) identical across engine
 //    thread counts.
 //
-// Exit code 2 on ANY mismatch, else 0.  Timings compare the brute oracle
-// against the cascade (LB_Kim/LB_Keogh + early-abandon) engine per kind.
+// Exit code 2 on ANY mismatch, else 0.  Timings (median of 3 runs) compare
+// the brute oracle, the serial scan (scalar kernels, live-best pruning) and
+// the engine at 1, 4 and 8 threads (lane-parallel kernels, block barriers)
+// per kind; the report carries the host fingerprint they were taken on.
 // Without --json it runs the google-benchmark microbenchmarks below.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "host_fingerprint.hpp"
 #include "core/accelerator.hpp"
 #include "core/batch_engine.hpp"
 #include "data/normalize.hpp"
@@ -73,6 +78,19 @@ double now_s() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// Median wall seconds of three calls of `run`, and the last call's result.
+template <typename Run>
+double median3_s(Run&& run, mining::ProfileResult& out) {
+  double t[3];
+  for (double& ti : t) {
+    const double t0 = now_s();
+    out = run();
+    ti = now_s() - t0;
+  }
+  std::sort(std::begin(t), std::end(t));
+  return t[1];
 }
 
 /// Independent oracle: all ordered pairs, no bounds, no abandoning, the
@@ -152,13 +170,17 @@ int run_json_bench(const std::string& path, int argc, char** argv) {
       .field("window", window)
       .field("k", k)
       .end();
+  json.raw("host", bench::host_fingerprint_json());
 
-  core::BatchOptions o2;
-  o2.num_threads = 2;
-  core::BatchOptions o8;
-  o8.num_threads = 8;
-  const core::BatchEngine engine2(o2);
-  const core::BatchEngine engine8(o8);
+  const auto engine_with = [](std::size_t threads) {
+    core::BatchOptions o;
+    o.num_threads = threads;
+    return std::make_unique<core::BatchEngine>(o);
+  };
+  const auto engine1 = engine_with(1);
+  const auto engine2 = engine_with(2);
+  const auto engine4 = engine_with(4);
+  const auto engine8 = engine_with(8);
 
   bool all_ok = true;
   json.begin_array("kinds");
@@ -179,16 +201,19 @@ int run_json_bench(const std::string& path, int argc, char** argv) {
         brute_profile(series, window, kind, params);
     const double t_brute = now_s() - t0;
 
-    const double t1 = now_s();
-    const mining::ProfileResult serial = mining::matrix_profile(series, cfg);
-    const double t_serial = now_s() - t1;
-
-    cfg.engine = &engine2;
-    const mining::ProfileResult r2 = mining::matrix_profile(series, cfg);
-    cfg.engine = &engine8;
-    const double t2 = now_s();
-    const mining::ProfileResult r8 = mining::matrix_profile(series, cfg);
-    const double t_engine8 = now_s() - t2;
+    const auto timed = [&](const core::BatchEngine* engine,
+                           mining::ProfileResult& out) {
+      cfg.engine = engine;
+      return median3_s([&] { return mining::matrix_profile(series, cfg); },
+                       out);
+    };
+    mining::ProfileResult serial, r1, r2, r4, r8;
+    const double t_serial = timed(nullptr, serial);
+    const double t_engine1 = timed(engine1.get(), r1);
+    const double t_engine4 = timed(engine4.get(), r4);
+    const double t_engine8 = timed(engine8.get(), r8);
+    cfg.engine = engine2.get();
+    r2 = mining::matrix_profile(series, cfg);
     cfg.engine = nullptr;
 
     // Streaming replay (plus a sliding-window run with evictions, checked
@@ -212,7 +237,9 @@ int run_json_bench(const std::string& path, int argc, char** argv) {
     const bool discords_ok = same_discords(mining::profile_discords(serial, k),
                                            mining::profile_discords(brute, k));
     const bool brute_ok = same_profile(serial, brute);
-    const bool threads_ok = same_profile(r2, brute) && same_profile(r8, brute);
+    const bool threads_ok = same_profile(r1, brute) &&
+                            same_profile(r2, brute) &&
+                            same_profile(r4, brute) && same_profile(r8, brute);
     const bool ok = brute_ok && threads_ok && motif_ok && discords_ok &&
                     stream_ok && capped_ok;
     all_ok = all_ok && ok;
@@ -235,7 +262,13 @@ int run_json_bench(const std::string& path, int argc, char** argv) {
         .field("top_discord", mining::profile_discords(serial, k)[0].position)
         .field("t_brute_s", t_brute)
         .field("t_serial_s", t_serial)
+        .field("t_engine1_s", t_engine1)
+        .field("t_engine4_s", t_engine4)
         .field("t_engine8_s", t_engine8)
+        .field("engine1_vs_serial",
+               t_engine1 > 0.0 ? t_serial / t_engine1 : 0.0)
+        .field("engine4_vs_engine1",
+               t_engine4 > 0.0 ? t_engine1 / t_engine4 : 0.0)
         .field("speedup_vs_brute", t_engine8 > 0.0 ? t_brute / t_engine8 : 0.0)
         .field("brute_match", brute_ok)
         .field("threads_match", threads_ok)
@@ -275,9 +308,9 @@ int run_json_bench(const std::string& path, int argc, char** argv) {
     cfg.accelerator = &acc;
     cfg.lb_margin = 1.5;  // bounds hold for the digital reference only
     const mining::ProfileResult serial = mining::matrix_profile(aseries, cfg);
-    cfg.engine = &engine2;
+    cfg.engine = engine2.get();
     const mining::ProfileResult r2 = mining::matrix_profile(aseries, cfg);
-    cfg.engine = &engine8;
+    cfg.engine = engine8.get();
     const mining::ProfileResult r8 = mining::matrix_profile(aseries, cfg);
     const bool accel_ok = same_profile(r2, r8) && same_profile(r2, serial);
     all_ok = all_ok && accel_ok;

@@ -7,15 +7,15 @@
 #include <string>
 #include <thread>
 
-#include "spice/batch_state.hpp"
+#include "util/cpu_dispatch.hpp"
 
 namespace mda::bench {
 
 /// One-line JSON object naming the host a --json bench ran on: hardware
-/// threads, SIMD support, the batched-LU kernel the solver picks, compiler
-/// and build type.
+/// threads, SIMD support, the SIMD kernel the batched LU and the lane-parallel
+/// distance kernels pick, compiler and build type.
 inline std::string host_fingerprint_json() {
-  namespace simd = spice::batch;
+  namespace simd = util;
   const char* kernel = simd::use_avx512() ? "avx512"
                        : simd::use_avx2() ? "avx2"
                                           : "scalar";

@@ -9,19 +9,25 @@ double edit_distance(std::span<const double> p, std::span<const double> q,
                      const DistanceParams& params) {
   const std::size_t m = p.size();
   const std::size_t n = q.size();
-  std::vector<double> prev(n + 1, 0.0);
-  std::vector<double> cur(n + 1, 0.0);
+  // Two rolling rows, reused across calls; every row rewrites all cells.
+  thread_local std::vector<double> rows;
+  rows.resize(2 * (n + 1));
+  double* prev = rows.data();
+  double* cur = prev + n + 1;
+  const double* w = params.pair_weights ? params.pair_weights->data() : nullptr;
   for (std::size_t j = 0; j <= n; ++j) {
     prev[j] = static_cast<double>(j) * params.vstep;
   }
   for (std::size_t i = 1; i <= m; ++i) {
     cur[0] = static_cast<double>(i) * params.vstep;
+    const double pi = p[i - 1];
     for (std::size_t j = 1; j <= n; ++j) {
-      const double w = params.w(i - 1, j - 1, n) * params.vstep;
-      const double del = prev[j] + w;
-      const double ins = cur[j - 1] + w;
-      const bool equal = std::abs(p[i - 1] - q[j - 1]) <= params.threshold;
-      const double sub = prev[j - 1] + (equal ? 0.0 : w);
+      const double wij =
+          (w != nullptr ? w[(i - 1) * n + j - 1] : 1.0) * params.vstep;
+      const double del = prev[j] + wij;
+      const double ins = cur[j - 1] + wij;
+      const bool equal = std::abs(pi - q[j - 1]) <= params.threshold;
+      const double sub = prev[j - 1] + (equal ? 0.0 : wij);
       cur[j] = std::min({del, ins, sub});
     }
     std::swap(prev, cur);

@@ -11,10 +11,13 @@ double lcs(std::span<const double> p, std::span<const double> q,
   const std::size_t m = p.size();
   const std::size_t n = q.size();
   if (m == 0 || n == 0) return 0.0;
-  std::vector<double> prev(n + 1, 0.0);
-  std::vector<double> cur(n + 1, 0.0);
+  // Two rolling rows, reused across calls; column 0 stays 0 and every row
+  // rewrites the rest.
+  thread_local std::vector<double> rows;
+  rows.assign(2 * (n + 1), 0.0);
+  double* prev = rows.data();
+  double* cur = prev + n + 1;
   for (std::size_t i = 1; i <= m; ++i) {
-    cur[0] = 0.0;
     for (std::size_t j = 1; j <= n; ++j) {
       if (std::abs(p[i - 1] - q[j - 1]) <= params.threshold) {
         cur[j] = prev[j - 1] + params.w(i - 1, j - 1, n) * params.vstep;

@@ -9,6 +9,7 @@
 
 #include "core/batch_engine.hpp"
 #include "data/normalize.hpp"
+#include "distance/lanes.hpp"
 #include "distance/registry.hpp"
 #include "obs/metrics.hpp"
 
@@ -113,14 +114,22 @@ core::QueryRequest make_request(const ProfileConfig& cfg,
   return req;
 }
 
+/// The abandon cutoff a digital kernel runs under for a pair whose frozen
+/// cutoff is `cutoff`.
+double lane_cutoff(const ProfileConfig& cfg, const KernelTraits& traits,
+                   double cutoff) {
+  return traits.abandon && cutoff < kInf ? cutoff : cfg.params.abandon_above;
+}
+
 /// Digital/custom kernel evaluation under an (optional) abandon cutoff.
 double kernel_eval(const ProfileConfig& cfg, const KernelTraits& traits,
                    std::span<const double> a, std::span<const double> b,
                    double cutoff) {
   if (traits.custom) return cfg.fn(a, b);
-  dist::DistanceParams params = cfg.params;
-  if (traits.abandon && cutoff < kInf) params.abandon_above = cutoff;
-  return dist::compute(cfg.kind, a, b, params);
+  const dist::LanePair pair{a, b, lane_cutoff(cfg, traits, cutoff)};
+  double d = 0.0;
+  dist::compute_lanes(cfg.kind, {&pair, 1}, cfg.params, {&d, 1});
+  return d;
 }
 
 enum class Outcome : std::uint8_t {
@@ -193,12 +202,20 @@ void run_pairs(const Ctx& c, const std::vector<PairTask>& pairs,
   };
 
   if (c.cfg.engine != nullptr) {
+    // Three stages per block: the LB cascade per pair, evaluation of the
+    // survivors, and the in-order merge.  Kinds with a lane kernel evaluate
+    // dist::kMaxLanes survivors per compute_lanes call, each lane
+    // bit-identical to its scalar call, so the profile and the cascade
+    // statistics do not depend on the grouping; custom callables and the
+    // other kinds evaluate within the cascade stage.
     struct Eval {
       Outcome outcome;
       double d;
       double cutoff;
     };
     const std::size_t block = std::max<std::size_t>(1, c.cfg.engine_block);
+    const bool lanes = !c.traits.custom && !c.traits.accel &&
+                       dist::has_lane_kernel(c.cfg.kind);
     std::vector<Eval> evals(block);
     std::vector<double> frozen;
     std::vector<std::size_t> pending;
@@ -210,12 +227,8 @@ void run_pairs(const Ctx& c, const std::vector<PairTask>& pairs,
         const PairTask& t = pairs[base + k];
         const double cutoff = cutoff_of(t, frozen);
         const Outcome lb = lb_check(c, t, cutoff * c.cfg.lb_margin);
-        if (lb != Outcome::Survive) {
-          evals[k] = {lb, 0.0, cutoff};
-          return;
-        }
-        if (c.traits.accel) {  // evaluation deferred to the batched stage
-          evals[k] = {Outcome::Survive, 0.0, cutoff};
+        if (lb != Outcome::Survive || c.traits.accel || lanes) {
+          evals[k] = {lb, 0.0, cutoff};  // survivors evaluated below
           return;
         }
         const double d =
@@ -224,15 +237,16 @@ void run_pairs(const Ctx& c, const std::vector<PairTask>& pairs,
                                          : Outcome::Evaluated,
                     d, cutoff};
       });
+      pending.clear();
+      for (std::size_t k = 0; k < count; ++k) {
+        if (evals[k].outcome == Outcome::Survive) pending.push_back(k);
+      }
       if (c.traits.accel) {
         // Survivors of the digital front end, absorbed as one QueryRequest
         // batch — BatchEngine feeds them to the §12 lockstep solver.
-        pending.clear();
         requests.clear();
-        for (std::size_t k = 0; k < count; ++k) {
-          if (evals[k].outcome != Outcome::Survive) continue;
+        for (const std::size_t k : pending) {
           const PairTask& t = pairs[base + k];
-          pending.push_back(k);
           requests.push_back(make_request(c.cfg, c.wa[t.i], c.wb[t.j]));
         }
         if (!requests.empty()) {
@@ -243,6 +257,29 @@ void run_pairs(const Ctx& c, const std::vector<PairTask>& pairs,
                                  outcomes[k].unwrap().value, 0.0};
           }
         }
+      } else if (lanes) {
+        const std::size_t groups =
+            (pending.size() + dist::kMaxLanes - 1) / dist::kMaxLanes;
+        c.cfg.engine->parallel_for(groups, [&](std::size_t g) {
+          const std::size_t first = g * dist::kMaxLanes;
+          const std::size_t n =
+              std::min(dist::kMaxLanes, pending.size() - first);
+          dist::LanePair lane[dist::kMaxLanes];
+          double d[dist::kMaxLanes];
+          for (std::size_t l = 0; l < n; ++l) {
+            const Eval& e = evals[pending[first + l]];
+            const PairTask& t = pairs[base + pending[first + l]];
+            lane[l] = {c.wa[t.i], c.wb[t.j],
+                       lane_cutoff(c.cfg, c.traits, e.cutoff)};
+          }
+          dist::compute_lanes(c.cfg.kind, {lane, n}, c.cfg.params, {d, n});
+          for (std::size_t l = 0; l < n; ++l) {
+            Eval& e = evals[pending[first + l]];
+            e = {abandoned(e.cutoff, d[l]) ? Outcome::Abandoned
+                                           : Outcome::Evaluated,
+                 d[l], e.cutoff};
+          }
+        });
       }
       for (std::size_t k = 0; k < count; ++k) {
         switch (evals[k].outcome) {

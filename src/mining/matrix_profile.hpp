@@ -79,7 +79,9 @@ struct ProfileConfig {
 
   /// Optional batch engine.  Pairs run in fixed-size blocks: within a block
   /// every pair prunes against per-window bests frozen at the block
-  /// boundary and evaluates in parallel; bests advance at each barrier.
+  /// boundary, and the survivors evaluate in parallel — digital kernels
+  /// dist::kMaxLanes pairs per dist::compute_lanes call, one pair per SIMD
+  /// lane; bests advance at each barrier.
   /// Profile values/indices equal the serial scan; the cascade *statistics*
   /// depend only on the block structure, never on the thread count.
   const core::BatchEngine* engine = nullptr;

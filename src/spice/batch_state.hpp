@@ -10,16 +10,17 @@
 // pointers, the L/U pattern) are read once per element instead of once per
 // lane.
 //
-// Kernel selection is a runtime decision: AVX2 when the CPU supports it,
-// a portable scalar fallback otherwise.  Both kernels execute the exact
-// same per-lane arithmetic sequence as the serial solver (no FMA
-// contraction, zero-skips and max scans replicated with masked blends), so
-// the choice never changes a single result bit — which is what lets the
-// scalar-forced CI job (MDA_BATCH_FORCE_SCALAR=1) pin the vector path by
-// differential testing.
+// Kernel selection is a runtime decision made in util/cpu_dispatch.hpp:
+// AVX-512 or AVX2 when the CPU supports them, a portable scalar fallback
+// otherwise.  Every kernel executes the exact same per-lane arithmetic
+// sequence as the serial solver (no FMA contraction, zero-skips and max
+// scans replicated with masked blends), so the choice never changes a
+// single result bit.
 
 #include <cstddef>
 #include <vector>
+
+#include "util/cpu_dispatch.hpp"
 
 namespace mda::spice::batch {
 
@@ -31,27 +32,11 @@ inline constexpr std::size_t kSimdLanes = 4;
   return (lanes + kSimdLanes - 1) / kSimdLanes * kSimdLanes;
 }
 
-/// True when this CPU can run the AVX2 kernels.
-[[nodiscard]] bool avx2_available();
-
-/// True when this CPU can additionally run the AVX-512 kernels.  A 512-bit
-/// op covers 8 lanes with the instruction count of a 4-lane 256-bit op, and
-/// the sparse kernels are bound by per-element bookkeeping rather than
-/// arithmetic throughput — so 8-lane batches nearly halve the per-lane cost.
-[[nodiscard]] bool avx512_available();
-
-/// Force the portable scalar kernels even on AVX2 hardware.  Seeded from
-/// the MDA_BATCH_FORCE_SCALAR environment variable ("0"/unset = off);
-/// settable at runtime for differential tests.
-void set_force_scalar(bool on);
-[[nodiscard]] bool force_scalar();
-
-/// The effective kernel choice: AVX2 available and not forced scalar.
-[[nodiscard]] bool use_avx2();
-
-/// AVX-512 available and not forced scalar.  Callers additionally require a
-/// stride divisible by 8 (whole 512-bit blocks) before taking this path.
-[[nodiscard]] bool use_avx512();
+// The dispatch queries under their solver-side names, for existing callers.
+using util::avx2_available;
+using util::avx512_available;
+using util::use_avx2;
+using util::use_avx512;
 
 /// Lane-major SoA buffer: `rows` logical elements by `lanes` lanes, stored
 /// with a padded stride so every row starts vector-aligned work-wise

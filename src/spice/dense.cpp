@@ -113,7 +113,7 @@ void BatchedDenseLu::store_lane_solution(std::size_t lane,
 
 void BatchedDenseLu::factor(unsigned char* ok) {
 #if defined(__x86_64__)
-  if (batch::use_avx2()) {
+  if (util::use_avx2()) {
     factor_avx2(ok);
     return;
   }
@@ -123,7 +123,7 @@ void BatchedDenseLu::factor(unsigned char* ok) {
 
 void BatchedDenseLu::solve() {
 #if defined(__x86_64__)
-  if (batch::use_avx2()) {
+  if (util::use_avx2()) {
     solve_avx2();
     return;
   }

@@ -35,7 +35,7 @@ class DenseLu {
 /// Per lane, factor()'s ok verdict and the solution read back by
 /// store_lane_solution() are bit-identical to DenseLu::factor() + solve() on
 /// that lane alone; kernel choice (AVX2 / portable scalar) follows
-/// batch::use_avx2() and never changes a result bit.  A lane that fails
+/// util::use_avx2() and never changes a result bit.  A lane that fails
 /// (singular) keeps computing garbage without perturbing siblings.
 class BatchedDenseLu {
  public:

@@ -528,11 +528,11 @@ void BatchedSparseLu::store_lane_solution(std::size_t lane,
 
 void BatchedSparseLu::refactor(unsigned char* ok) {
 #if defined(__x86_64__)
-  if (stride_ % 8 == 0 && batch::use_avx512()) {
+  if (stride_ % 8 == 0 && util::use_avx512()) {
     refactor_avx512(ok);
     return;
   }
-  if (batch::use_avx2()) {
+  if (util::use_avx2()) {
     refactor_avx2(ok);
     return;
   }
@@ -542,11 +542,11 @@ void BatchedSparseLu::refactor(unsigned char* ok) {
 
 void BatchedSparseLu::solve() {
 #if defined(__x86_64__)
-  if (stride_ % 8 == 0 && batch::use_avx512()) {
+  if (stride_ % 8 == 0 && util::use_avx512()) {
     solve_avx512();
     return;
   }
-  if (batch::use_avx2()) {
+  if (util::use_avx2()) {
     solve_avx2();
     return;
   }

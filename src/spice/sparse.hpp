@@ -185,7 +185,7 @@ class SparseLu {
 /// Bit-identity contract: for every lane, refactor()'s ok verdict and — when
 /// ok — the solution read back by store_lane_solution() are bit-identical to
 /// running SparseLu::refactor() + solve() on that lane alone.  Both kernels
-/// (AVX2 and portable scalar, chosen by batch::use_avx2()) execute the exact
+/// (AVX2 and portable scalar, chosen by util::use_avx2()) execute the exact
 /// per-lane arithmetic sequence of the scalar solver: lanes never mix, FP
 /// contraction is off, and scalar control flow that depends on values
 /// (zero-entry skips, the pivot-candidate max scan, the degradation guard)

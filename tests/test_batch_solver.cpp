@@ -29,12 +29,12 @@
 #include "distance/registry.hpp"
 #include "fault/plan.hpp"
 #include "obs/metrics.hpp"
-#include "spice/batch_state.hpp"
 #include "spice/dense.hpp"
 #include "spice/netlist.hpp"
 #include "spice/primitives.hpp"
 #include "spice/sparse.hpp"
 #include "spice/transient.hpp"
+#include "util/cpu_dispatch.hpp"
 #include "util/rng.hpp"
 
 using namespace mda;
@@ -208,9 +208,9 @@ TEST_P(SparseKernelWidths, Avx2AndScalarKernelsAgreeBitwise) {
   spice::CscMatrix m = rs.base;
   ASSERT_TRUE(ref_lu.factor(m));
 
-  const bool prev_force = spice::batch::force_scalar();
+  const bool prev_force = util::force_scalar();
   auto run = [&](bool force_scalar) {
-    spice::batch::set_force_scalar(force_scalar);
+    util::set_force_scalar(force_scalar);
     spice::BatchedSparseLu batch;
     EXPECT_TRUE(batch.adopt(ref_lu, rs.base, lanes));
     util::Rng rng(13);
@@ -230,7 +230,7 @@ TEST_P(SparseKernelWidths, Avx2AndScalarKernelsAgreeBitwise) {
       EXPECT_NE(ok[l], 0u);
       batch.store_lane_solution(l, xs[l]);
     }
-    spice::batch::set_force_scalar(prev_force);
+    util::set_force_scalar(prev_force);
     return xs;
   };
   const auto scalar = run(true);

@@ -13,6 +13,7 @@
 #include "data/synthetic.hpp"
 #include "distance/registry.hpp"
 #include "mining/matrix_profile.hpp"
+#include "util/cpu_dispatch.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -82,11 +83,19 @@ TEST(MatrixProfile, CascadeAndAbandonDoNotChangeTheAnswer) {
   EXPECT_LT(cascaded.stats.evaluated, plain.stats.evaluated);
 }
 
+void expect_same_stats(const ProfileStats& x, const ProfileStats& y) {
+  EXPECT_EQ(x.pairs, y.pairs);
+  EXPECT_EQ(x.pruned_lb_kim, y.pruned_lb_kim);
+  EXPECT_EQ(x.pruned_lb_keogh, y.pruned_lb_keogh);
+  EXPECT_EQ(x.abandoned, y.abandoned);
+  EXPECT_EQ(x.evaluated, y.evaluated);
+}
+
 TEST(MatrixProfile, BitIdenticalAcrossThreadCounts) {
   const data::Series s = with_planted_motif(180, 12, 25, 130, 7);
-  for (const dist::DistanceKind kind :
-       {dist::DistanceKind::Dtw, dist::DistanceKind::Hausdorff,
-        dist::DistanceKind::Lcs}) {
+  const bool prev_force = util::force_scalar();
+  for (const dist::DistanceKind kind : dist::kAllKinds) {
+    SCOPED_TRACE(dist::kind_name(kind));
     ProfileConfig cfg;
     cfg.window = 12;
     cfg.kind = kind;
@@ -107,12 +116,15 @@ TEST(MatrixProfile, BitIdenticalAcrossThreadCounts) {
       } else {
         // Engine runs share the block structure, so even the cascade
         // statistics are thread-count invariant.
-        EXPECT_EQ(first_engine.stats.pruned_lb_kim, r.stats.pruned_lb_kim);
-        EXPECT_EQ(first_engine.stats.pruned_lb_keogh,
-                  r.stats.pruned_lb_keogh);
-        EXPECT_EQ(first_engine.stats.abandoned, r.stats.abandoned);
-        EXPECT_EQ(first_engine.stats.evaluated, r.stats.evaluated);
+        expect_same_stats(first_engine.stats, r.stats);
       }
+      // The lane stage against the forced-scalar engine, which evaluates
+      // pairs one by one: same profile bits and the same five statistics.
+      util::set_force_scalar(true);
+      const ProfileResult scalar = matrix_profile(s, cfg);
+      util::set_force_scalar(prev_force);
+      expect_same(r, scalar);
+      expect_same_stats(r.stats, scalar.stats);
     }
     cfg.engine = nullptr;
   }

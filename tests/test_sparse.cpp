@@ -4,9 +4,9 @@
 #include <cstring>
 #include <vector>
 
-#include "spice/batch_state.hpp"
 #include "spice/dense.hpp"
 #include "spice/sparse.hpp"
+#include "util/cpu_dispatch.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -373,7 +373,7 @@ TEST(SparseLuRefactor, FuzzedPatternsAcceptExactlyWhenFactorAgrees) {
 // accepted lanes, the same solution bits.
 TEST(SparseLuRefactor, FuzzedPatternsEveryBatchedKernelMatchesScalar) {
   mda::util::Rng rng(77);
-  const bool prev_force = batch::force_scalar();
+  const bool prev_force = mda::util::force_scalar();
   int lanes_checked = 0, lanes_refused = 0;
   for (int trial = 0; trial < 120; ++trial) {
     const int n = 1 + static_cast<int>(rng.index(24));
@@ -392,7 +392,7 @@ TEST(SparseLuRefactor, FuzzedPatternsEveryBatchedKernelMatchesScalar) {
         for (double& v : rhs[l]) v = rng.uniform(-2.0, 2.0);
       }
       for (const bool force_scalar : {true, false}) {
-        batch::set_force_scalar(force_scalar);
+        mda::util::set_force_scalar(force_scalar);
         BatchedSparseLu batched;
         ASSERT_TRUE(batched.adopt(ref, a, lanes));
         for (std::size_t l = 0; l < lanes; ++l) {
@@ -424,7 +424,7 @@ TEST(SparseLuRefactor, FuzzedPatternsEveryBatchedKernelMatchesScalar) {
       }
     }
   }
-  batch::set_force_scalar(prev_force);
+  mda::util::set_force_scalar(prev_force);
   EXPECT_GT(lanes_refused, 0);
   EXPECT_GT(lanes_checked - lanes_refused, 100);
 }
