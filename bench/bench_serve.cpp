@@ -1,11 +1,14 @@
 // Multi-tenant serving benchmark for `mda serve` (DESIGN.md §13).  A Zipf
 // load generator replays the same trace against two in-process servers:
 //
-//  * one_per_solve — solver_batch_width = 1, duplicate collapse off: every
-//    admitted request costs its own analog solve (the naive serving loop);
+//  * one_per_solve — duplicate collapse off: every admitted request costs
+//    its own analog solve (the naive serving loop);
 //  * coalesced — the production configuration: worker drains coalesce
-//    windows, collapses bitwise-identical requests, solves the unique rest
-//    in lockstep groups of solver_batch_width.
+//    windows, collapses bitwise-identical requests and solves only the
+//    unique rest.
+//
+// Both modes solve each request on the same scalar FullSpice path, so they
+// differ by duplicate collapse only.
 //
 // The trace is the paper's data-center shape (§1, §4.3): a small universe of
 // hot (config, pair) queries under Zipf popularity, fanned across many
@@ -15,9 +18,9 @@
 // served response compared bitwise against a direct try_compute on a fresh
 // accelerator (the serving contract).  Exit code 2 on any mismatch.
 //
-// --json=<path> writes the machine-readable report (committed baseline:
-// BENCH_serve.json).  Knobs: --queries=N --clients=N --window=N --pairs=N
-// --tenants=N --length=L --zipf=S.
+// --json=<path> writes the machine-readable report with the host
+// fingerprint (committed baseline: BENCH_serve.json).  Knobs: --queries=N
+// --clients=N --window=N --pairs=N --tenants=N --length=L --zipf=S.
 
 #include <algorithm>
 #include <chrono>
@@ -30,6 +33,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "host_fingerprint.hpp"
 #include "core/accelerator.hpp"
 #include "core/backend.hpp"
 #include "core/query.hpp"
@@ -149,11 +153,9 @@ struct ModeResult {
 
 /// Replay the trace against a fresh in-process server.
 ModeResult run_mode(const Universe& u, const std::vector<TraceEntry>& trace,
-                    std::size_t width, bool collapse, std::size_t clients,
-                    std::size_t window) {
+                    bool collapse, std::size_t clients, std::size_t window) {
   serve::ServeOptions opts;
   opts.accelerator.backend = core::Backend::FullSpice;
-  opts.solver_batch_width = width;
   opts.collapse_duplicates = collapse;
   serve::Server server(opts);
   server.start();
@@ -304,18 +306,18 @@ int main(int argc, char** argv) {
                queries, kNumConfigs, pairs_per_config, tenants, clients,
                window, length);
 
-  std::fprintf(stderr, "[bench_serve] mode one_per_solve (width=1)...\n");
+  std::fprintf(stderr, "[bench_serve] mode one_per_solve...\n");
   const ModeResult baseline =
-      run_mode(u, trace, /*width=*/1, /*collapse=*/false, clients, window);
+      run_mode(u, trace, /*collapse=*/false, clients, window);
   std::fprintf(stderr,
                "[bench_serve]   %.2fs, %.1f qps, p50 %.1fms p99 %.1fms, "
                "%llu solves\n",
                baseline.wall_s, baseline.qps, baseline.p50_ms, baseline.p99_ms,
                static_cast<unsigned long long>(baseline.solves));
 
-  std::fprintf(stderr, "[bench_serve] mode coalesced (width=8, collapse)...\n");
+  std::fprintf(stderr, "[bench_serve] mode coalesced (collapse)...\n");
   const ModeResult coalesced =
-      run_mode(u, trace, /*width=*/8, /*collapse=*/true, clients, window);
+      run_mode(u, trace, /*collapse=*/true, clients, window);
   std::fprintf(stderr,
                "[bench_serve]   %.2fs, %.1f qps, p50 %.1fms p99 %.1fms, "
                "%llu solves (%llu collapsed)\n",
@@ -346,6 +348,7 @@ int main(int argc, char** argv) {
     bench::JsonWriter w(out);
     w.begin_object();
     w.field("bench", "serve");
+    w.raw("host", bench::host_fingerprint_json());
     w.begin_object("scenario");
     w.field("queries", queries);
     w.field("configs", kNumConfigs);

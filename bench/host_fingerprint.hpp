@@ -12,8 +12,8 @@
 namespace mda::bench {
 
 /// One-line JSON object naming the host a --json bench ran on: hardware
-/// threads, SIMD support, the SIMD kernel the batched LU and the lane-parallel
-/// distance kernels pick, compiler and build type.
+/// threads, SIMD support, the SIMD kernel the lane-parallel distance kernels
+/// pick, compiler and build type.
 inline std::string host_fingerprint_json() {
   namespace simd = util;
   const char* kernel = simd::use_avx512() ? "avx512"

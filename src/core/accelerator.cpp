@@ -110,10 +110,7 @@ power::PowerBreakdown Accelerator::power(std::size_t n) const {
 ComputeOutcome Accelerator::try_compute_with(Backend backend,
                                              std::span<const double> p,
                                              std::span<const double> q,
-                                             int base_attempt,
-                                             const EncodedInputs* pre_enc,
-                                             const AnalogEval* first_eval)
-    const {
+                                             int base_attempt) const {
   static const obs::Counter computes("mda.accel.computes");
   static const obs::Counter failures("mda.accel.failures");
   static const obs::Histogram compute_time("mda.accel.compute_time_s");
@@ -138,17 +135,13 @@ ComputeOutcome Accelerator::try_compute_with(Backend backend,
   static const obs::Counter recovered_ctr("mda.fault.recovered");
 
   EncodedInputs enc;
-  if (pre_enc != nullptr) {
-    enc = *pre_enc;  // Already encoded (and counted) by the batch caller.
-  } else {
-    try {
-      enc = encode_inputs(config_, spec_, p, q);
-    } catch (const std::exception& e) {
-      failures.add();
-      ComputeError err{ComputeErrorCode::BackendFailure, e.what()};
-      err.backend = backend;
-      return err;
-    }
+  try {
+    enc = encode_inputs(config_, spec_, p, q);
+  } catch (const std::exception& e) {
+    failures.add();
+    ComputeError err{ComputeErrorCode::BackendFailure, e.what()};
+    err.backend = backend;
+    return err;
   }
 
   const bool counting = spec_.kind == dist::DistanceKind::Lcs ||
@@ -174,27 +167,18 @@ ComputeOutcome Accelerator::try_compute_with(Backend backend,
       ++attempts;
       if (attempt > 0) retries_ctr.add();
       bool ok = false;
-      if (first_eval != nullptr && c == 0 && attempt == 0) {
-        // The chain's first attempt was evaluated (and its backend metrics
-        // counted) by the lockstep batch; consume it here and let every
-        // later attempt run the normal path.
-        eval = *first_eval;
+      AcceleratorConfig cfg = config_;
+      // Attempts stack on the accelerator's own re-tune level: a scrubbed
+      // accelerator (retune() bumped config_.fault_attempt) must not see its
+      // healing undone by a request that starts at attempt 0.
+      cfg.fault_attempt += base_attempt + attempt;
+      try {
+        eval = evaluate(chain[c], cfg, spec_, enc);
         ok = eval.ok;
         if (!ok) last_error = eval.error;
-      } else {
-        AcceleratorConfig cfg = config_;
-        // Attempts stack on the accelerator's own re-tune level: a scrubbed
-        // accelerator (retune() bumped config_.fault_attempt) must not see
-        // its healing undone by a request that starts at attempt 0.
-        cfg.fault_attempt += base_attempt + attempt;
-        try {
-          eval = evaluate(chain[c], cfg, spec_, enc);
-          ok = eval.ok;
-          if (!ok) last_error = eval.error;
-        } catch (const std::exception& e) {
-          eval = AnalogEval{};
-          last_error = e.what();
-        }
+      } catch (const std::exception& e) {
+        eval = AnalogEval{};
+        last_error = e.what();
       }
       newton_total += eval.newton_iterations;
       fallback_solves += eval.solver_fallbacks;
@@ -354,62 +338,9 @@ ComputeOutcome Accelerator::try_compute(const QueryRequest& req) const {
 
 std::vector<ComputeOutcome> Accelerator::try_compute_lockstep(
     std::span<const QueryRequest> queries) const {
-  static const obs::Counter groups("mda.accel.lockstep_groups");
-  static const obs::Counter lanes("mda.accel.lockstep_lanes");
-  static const obs::Counter scalar_lanes("mda.accel.lockstep_scalar_lanes");
-
-  const std::size_t count = queries.size();
-  std::vector<std::optional<ComputeOutcome>> slots(count);
-  // A lane joins the batched first attempt only when that attempt would be
-  // a plain FullSpice evaluation: effective backend FullSpice, no fault
-  // plan, first attempt (fault_attempt == 0), spec-compatible, valid
-  // inputs, encodable.  Everything else takes the scalar path, which is
-  // the serial code verbatim.
-  const bool batchable = config_.faults == nullptr;
-  std::vector<std::size_t> group;
-  std::vector<EncodedInputs> encs;
-  for (std::size_t i = 0; i < count; ++i) {
-    const QueryRequest& req = queries[i];
-    const Backend backend = req.backend.value_or(config_.backend);
-    if (auto err = spec_mismatch(req)) {
-      scalar_lanes.add();
-      slots[i].emplace(std::move(*err));
-      continue;
-    }
-    bool valid = batchable && backend == Backend::FullSpice &&
-                 req.fault_attempt == 0 && !req.p.empty() && !req.q.empty() &&
-                 (!dist::requires_equal_length(spec_.kind) ||
-                  req.p.size() == req.q.size());
-    if (valid) {
-      try {
-        encs.push_back(encode_inputs(config_, spec_, req.p, req.q));
-        group.push_back(i);
-        continue;
-      } catch (const std::exception&) {
-        // encode_inputs counts nothing before throwing; the scalar rerun
-        // below repeats the failure with serial accounting.
-      }
-    }
-    scalar_lanes.add();
-    slots[i].emplace(
-        try_compute_with(backend, req.p, req.q, req.fault_attempt));
-  }
-
-  if (!group.empty()) {
-    groups.add();
-    lanes.add(static_cast<std::uint64_t>(group.size()));
-    const std::vector<AnalogEval> evals =
-        eval_full_spice_batch(config_, spec_, encs);
-    for (std::size_t s = 0; s < group.size(); ++s) {
-      const std::size_t i = group[s];
-      slots[i].emplace(try_compute_with(Backend::FullSpice, queries[i].p,
-                                        queries[i].q, 0, &encs[s], &evals[s]));
-    }
-  }
-
   std::vector<ComputeOutcome> out;
-  out.reserve(count);
-  for (auto& s : slots) out.push_back(std::move(*s));
+  out.reserve(queries.size());
+  for (const QueryRequest& req : queries) out.push_back(try_compute(req));
   return out;
 }
 

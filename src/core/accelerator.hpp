@@ -74,14 +74,8 @@ class Accelerator {
   /// like try_compute(req.p, req.q).
   [[nodiscard]] ComputeOutcome try_compute(const QueryRequest& req) const;
 
-  /// Evaluate a group of queries with the first FullSpice attempt of every
-  /// eligible query batched through the lockstep solver (DESIGN.md §12).
-  /// Outcome i — and every accelerator/solver metric — is bit-identical to
-  /// try_compute(queries[i]) run serially.  Queries that are invalid,
-  /// resolve to a non-FullSpice backend, carry a nonzero starting fault
-  /// attempt, or run under an active fault plan take the scalar path; a
-  /// query whose batched first attempt fails continues the serial
-  /// retry/degradation chain from that result.
+  /// try_compute(queries[i]) for every i, in order.  Exists only for the
+  /// benchmark runner, which drives FullSpice groups through it.
   [[nodiscard]] std::vector<ComputeOutcome> try_compute_lockstep(
       std::span<const QueryRequest> queries) const;
 
@@ -120,15 +114,10 @@ class Accelerator {
 
  private:
   /// `base_attempt` offsets AcceleratorConfig::fault_attempt for the whole
-  /// chain (QueryRequest::fault_attempt); `pre_enc` supplies already-encoded
-  /// (and already-counted) inputs; `first_eval` supplies the result of the
-  /// chain's first attempt (batched elsewhere) — the retry/degradation
-  /// chain continues from it unchanged.
+  /// chain (QueryRequest::fault_attempt).
   ComputeOutcome try_compute_with(Backend backend, std::span<const double> p,
                                   std::span<const double> q,
-                                  int base_attempt = 0,
-                                  const EncodedInputs* pre_enc = nullptr,
-                                  const AnalogEval* first_eval = nullptr) const;
+                                  int base_attempt = 0) const;
   /// Spec-compatibility check for requests that pin kind/threshold/band;
   /// nullopt = compatible.
   [[nodiscard]] std::optional<ComputeError> spec_mismatch(

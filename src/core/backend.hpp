@@ -90,13 +90,9 @@ AnalogEval evaluate(Backend backend, const AcceleratorConfig& config,
                     const DistanceSpec& spec, const EncodedInputs& enc,
                     double t_stop = 0.0);
 
-/// Batched whole-array transient evaluation (DESIGN.md §12): runs every
-/// encoded query of one configuration in lockstep through one
-/// run_transient_lockstep call, leasing one cached array instance per lane
-/// for the duration of the batch.  Result i — and every solver metric — is
-/// bit-identical to eval_full_spice(config, spec, encs[i], t_stop) run
-/// serially.  Single-lane batches (and any call under an active fault plan)
-/// delegate to the scalar evaluation path directly.
+/// evaluate(Backend::FullSpice, config, spec, encs[i], t_stop) for every
+/// i, in order.  Exists only for the benchmark runner's replay of
+/// Accelerator::try_compute_lockstep.
 std::vector<AnalogEval> eval_full_spice_batch(const AcceleratorConfig& config,
                                               const DistanceSpec& spec,
                                               std::span<const EncodedInputs> encs,

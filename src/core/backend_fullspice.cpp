@@ -212,37 +212,6 @@ AnalogEval evaluate(Backend backend, const AcceleratorConfig& config,
   throw std::logic_error("unreachable backend");
 }
 
-namespace {
-
-/// The post-run half of eval_full_spice: provenance, watchdog, readout.
-AnalogEval unpack_transient(const AcceleratorConfig& config,
-                            spice::TransientResult& tr) {
-  AnalogEval result;
-  result.newton_iterations = tr.total_newton_iterations;
-  result.solver_fallbacks = tr.fallback_steps;
-  if (!tr.ok) {
-    result.error = "transient failed: " + tr.error;
-    return result;
-  }
-  if (fault::watchdog_tripped(tr.total_newton_iterations,
-                              config.fault_handling.newton_budget)) {
-    if (config.health) config.health->record_watchdog_trip();
-    result.error = "transient watchdog: " +
-                   std::to_string(tr.total_newton_iterations) +
-                   " Newton iterations exceeded budget " +
-                   std::to_string(config.fault_handling.newton_budget);
-    result.fault_detected = true;
-    return result;
-  }
-  const spice::Trace& out = tr.trace("out");
-  result.ok = true;
-  result.out_volts = out.final_value();
-  result.convergence_time_s = spice::settling_time(out, 1e-3, 1e-3);
-  return result;
-}
-
-}  // namespace
-
 AnalogEval eval_full_spice(const AcceleratorConfig& config,
                            const DistanceSpec& spec, const EncodedInputs& enc,
                            double t_stop) {
@@ -327,76 +296,37 @@ AnalogEval eval_full_spice(const AcceleratorConfig& config,
   params.t_stop = t_stop > 0.0
                       ? t_stop
                       : default_t_stop(spec.kind, array.m, array.n);
-  spice::TransientResult tr = inst->sim->run(params);
-  AnalogEval unpacked = unpack_transient(config, tr);
-  unpacked.fault_detected = unpacked.fault_detected || result.fault_detected;
-  return unpacked;
+  const spice::TransientResult tr = inst->sim->run(params);
+  result.newton_iterations = tr.total_newton_iterations;
+  result.solver_fallbacks = tr.fallback_steps;
+  if (!tr.ok) {
+    result.error = "transient failed: " + tr.error;
+    return result;
+  }
+  if (fault::watchdog_tripped(tr.total_newton_iterations,
+                              config.fault_handling.newton_budget)) {
+    if (config.health) config.health->record_watchdog_trip();
+    result.error = "transient watchdog: " +
+                   std::to_string(tr.total_newton_iterations) +
+                   " Newton iterations exceeded budget " +
+                   std::to_string(config.fault_handling.newton_budget);
+    result.fault_detected = true;
+    return result;
+  }
+  const spice::Trace& out = tr.trace("out");
+  result.ok = true;
+  result.out_volts = out.final_value();
+  result.convergence_time_s = spice::settling_time(out, 1e-3, 1e-3);
+  return result;
 }
 
 std::vector<AnalogEval> eval_full_spice_batch(
     const AcceleratorConfig& config, const DistanceSpec& spec,
     std::span<const EncodedInputs> encs, double t_stop) {
-  static const obs::Counter evals("mda.backend.fullspice_evals");
-  static const obs::Histogram time("mda.backend.fullspice_time_s");
-  static const obs::Counter groups("mda.backend.lockstep_groups");
-  static const obs::Counter lanes("mda.backend.lockstep_lanes");
-
-  const std::size_t nlanes = encs.size();
   std::vector<AnalogEval> out;
-  out.reserve(nlanes);
-  // Fault plans mutate persistent device state per query and bypass the
-  // instance cache; keep those evaluations strictly serial (and let
-  // single-lane batches take the identical scalar path).
-  if (nlanes < 2 || config.faults) {
-    for (const EncodedInputs& enc : encs) {
-      out.push_back(evaluate(Backend::FullSpice, config, spec, enc, t_stop));
-    }
-    return out;
-  }
-
-  const obs::ScopedTimer timer(time);
-  evals.add(static_cast<std::uint64_t>(nlanes));
-  groups.add();
-  lanes.add(static_cast<std::uint64_t>(nlanes));
-
-  // One lease per lane, all held for the duration of the batch: concurrent
-  // checkouts of one key grow the per-key instance pool, so the lanes get
-  // distinct simulators.  Build/reuse logic matches eval_full_spice.
-  std::vector<ArrayCache::Lease> leases;
-  leases.reserve(nlanes);
-  std::vector<spice::TransientSimulator*> sims(nlanes);
-  std::vector<spice::TransientParams> params(nlanes);
-  for (std::size_t i = 0; i < nlanes; ++i) {
-    const EncodedInputs& enc = encs[i];
-    leases.push_back(ArrayCache::checkout(
-        config.array_cache,
-        make_instance_key(InstanceType::FullSpiceArray, config, spec, enc,
-                          enc.p_volts.size(), enc.q_volts.size()),
-        [] { return std::make_unique<SimArrayInstance>(); }));
-    auto* inst = static_cast<SimArrayInstance*>(leases.back().get());
-    if (!inst->built) {
-      AcceleratorConfig cfg = config;
-      cfg.vstep = enc.vstep_eff;
-      inst->array =
-          build_array(cfg, spec, enc.p_volts.size(), enc.q_volts.size());
-      inst->sim = std::make_unique<spice::TransientSimulator>(*inst->array.net);
-      inst->sim->probe(inst->array.out, "out");
-      inst->built = true;
-    } else {
-      inst->begin_query();
-    }
-    inst->array.set_step_inputs(enc.p_volts, enc.q_volts, /*t_edge=*/0.0);
-    params[i].t_stop =
-        t_stop > 0.0 ? t_stop
-                     : default_t_stop(spec.kind, inst->array.m, inst->array.n);
-    sims[i] = inst->sim.get();
-  }
-
-  std::vector<spice::TransientResult> trs = spice::run_transient_lockstep(
-      std::span<spice::TransientSimulator* const>(sims),
-      std::span<const spice::TransientParams>(params));
-  for (std::size_t i = 0; i < nlanes; ++i) {
-    out.push_back(unpack_transient(config, trs[i]));
+  out.reserve(encs.size());
+  for (const EncodedInputs& enc : encs) {
+    out.push_back(evaluate(Backend::FullSpice, config, spec, enc, t_stop));
   }
   return out;
 }

@@ -197,7 +197,8 @@ std::vector<ComputeOutcome> BatchEngine::try_compute_batch(
   std::vector<std::optional<ComputeOutcome>> slots(queries.size());
   // Per-task retry budget (never shared across tasks, so which queries
   // retry is independent of scheduling).  Invalid inputs never retry.
-  auto apply_retries = [&](std::size_t i, ComputeOutcome outcome) {
+  parallel_for(queries.size(), [&](std::size_t i) {
+    ComputeOutcome outcome = target.try_compute(queries[i]);
     const std::size_t budget = std::max<std::size_t>(
         opts_.retry_budget,
         std::min<std::size_t>(queries[i].retry_budget,
@@ -211,34 +212,7 @@ std::vector<ComputeOutcome> BatchEngine::try_compute_batch(
     }
     if (!outcome.ok()) query_failures.add();
     slots[i].emplace(std::move(outcome));
-  };
-
-  // Lockstep batch formation (DESIGN.md §12): FullSpice streams are chunked
-  // into fixed width-W groups whose first attempts share one batched solve.
-  // Group boundaries depend only on the query index, never on scheduling.
-  const std::size_t width = std::max<std::size_t>(1, opts_.solver_batch_width);
-  if (width >= 2 && queries.size() >= 2 &&
-      target.config().backend == Backend::FullSpice &&
-      target.config().faults == nullptr) {
-    static const obs::Counter lockstep_groups("mda.batch.lockstep_groups");
-    const std::size_t ngroups = (queries.size() + width - 1) / width;
-    parallel_for(ngroups, [&](std::size_t g) {
-      const std::size_t begin = g * width;
-      const std::size_t end = std::min(queries.size(), begin + width);
-      lockstep_groups.add();
-      // BatchQuery IS QueryRequest: the group subspan feeds the lockstep
-      // entry point directly, per-query knobs included.
-      std::vector<ComputeOutcome> outcomes =
-          target.try_compute_lockstep(queries.subspan(begin, end - begin));
-      for (std::size_t i = begin; i < end; ++i) {
-        apply_retries(i, std::move(outcomes[i - begin]));
-      }
-    });
-  } else {
-    parallel_for(queries.size(), [&](std::size_t i) {
-      apply_retries(i, target.try_compute(queries[i]));
-    });
-  }
+  });
   std::vector<ComputeOutcome> out;
   out.reserve(slots.size());
   for (auto& s : slots) out.push_back(std::move(*s));

@@ -66,16 +66,9 @@ struct BatchOptions {
   /// persistently failing query; the engine-level retry_budget above is
   /// owner-configured and is not clamped.
   std::size_t max_retry_budget = 8;
-  /// Lockstep solver batch width for FullSpice computes (DESIGN.md §12):
-  /// try_compute_batch partitions the query list into fixed groups
-  /// [g*W, (g+1)*W) and evaluates each group through
-  /// Accelerator::try_compute_lockstep, so structure-matched lanes share
-  /// batched SoA LU work.  Groups are fixed by index — results stay
-  /// bit-identical for any num_threads AND any width.  1 (the default)
-  /// disables batching: one task per query on the scalar Newton path, which
-  /// measured faster than lockstep on the six-kind kNN stream at 1 and 4
-  /// threads (BENCH_batchsolve.json, DESIGN.md §12).
-  std::size_t solver_batch_width = 1;
+  /// Always 1: every query runs its own scalar FullSpice solve.  Exists
+  /// only for the benchmark runner, which reads it to size its groups.
+  static constexpr std::size_t solver_batch_width = 1;
 };
 
 /// One distance query — the unified request type (core/query.hpp).  Spans

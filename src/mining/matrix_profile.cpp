@@ -243,7 +243,7 @@ void run_pairs(const Ctx& c, const std::vector<PairTask>& pairs,
       }
       if (c.traits.accel) {
         // Survivors of the digital front end, absorbed as one QueryRequest
-        // batch — BatchEngine feeds them to the §12 lockstep solver.
+        // batch through BatchEngine.
         requests.clear();
         for (const std::size_t k : pending) {
           const PairTask& t = pairs[base + k];

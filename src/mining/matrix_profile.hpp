@@ -11,8 +11,7 @@
 // LB_Keogh cascade plus early-abandoning DTW) filters candidate pairs
 // cheaply, and the surviving distance evaluations are absorbed either by the
 // digital reference kernels or by the accelerator through the unified
-// core::QueryRequest path — batched through BatchEngine::try_compute_batch,
-// which feeds the §12 lockstep solver.
+// core::QueryRequest path — batched through BatchEngine::try_compute_batch.
 //
 // Determinism contracts (pinned by tests/test_matrix_profile.cpp):
 //  * profile values and neighbour indices are BIT-identical for any
@@ -59,7 +58,7 @@ struct ProfileConfig {
   ///  2. `accelerator` when set — every surviving pair becomes a
   ///     core::QueryRequest pinned to (kind, params.threshold, params.band),
   ///     evaluated through Accelerator::try_compute or, with an engine,
-  ///     BatchEngine::try_compute_batch (lockstep solver underneath);
+  ///     BatchEngine::try_compute_batch;
   ///  3. the digital reference dist::compute(kind, ...) otherwise.
   DistanceFn fn;
   dist::DistanceKind kind = dist::DistanceKind::Dtw;

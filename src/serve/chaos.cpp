@@ -75,7 +75,6 @@ ChaosReport run_chaos(const ChaosOptions& o) {
   ServeOptions so;
   so.replicas = replicas;
   so.shard_queue_depth = 64;
-  so.solver_batch_width = 4;
   so.hedge.enabled = replicas > 1;
   so.selfheal.auto_scrub = false;  // Deterministic boundary scans instead.
   so.selfheal.probe_len = o.length;

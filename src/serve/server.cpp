@@ -188,7 +188,6 @@ struct Server::Impl {
   explicit Impl(ServeOptions opts)
       : opts_(std::move(opts)), scheduler_(scrub_opts(opts_)) {
     if (opts_.coalesce_window == 0) opts_.coalesce_window = 1;
-    if (opts_.solver_batch_width == 0) opts_.solver_batch_width = 1;
     if (opts_.shard_queue_depth == 0) opts_.shard_queue_depth = 1;
     opts_.replicas = std::clamp<std::size_t>(opts_.replicas, 1, 255);
   }
@@ -1196,31 +1195,14 @@ struct Server::Impl {
       }
     }
 
-    // 3. Solve the unique requests in lockstep groups of solver_batch_width
-    //    (width 1 = the one-request-per-solve baseline).  Same entry points
-    //    as BatchEngine, so served ≡ direct is structural.
+    // 3. Solve each unique request through the same try_compute entry point
+    //    BatchEngine uses, so served ≡ direct is structural.
     solves.add(static_cast<std::uint64_t>(unique.size()));
     n_solves_.fetch_add(unique.size());
     std::vector<core::ComputeOutcome> outcomes;
     outcomes.reserve(unique.size());
-    const std::size_t width = opts_.solver_batch_width;
-    if (width < 2) {
-      for (const QueryRequest* req : unique) {
-        outcomes.push_back(apply_retries(r, *req, r.acc.try_compute(*req)));
-      }
-    } else {
-      std::vector<QueryRequest> group;
-      for (std::size_t begin = 0; begin < unique.size(); begin += width) {
-        const std::size_t end = std::min(unique.size(), begin + width);
-        group.clear();
-        for (std::size_t i = begin; i < end; ++i) group.push_back(*unique[i]);
-        std::vector<core::ComputeOutcome> got =
-            r.acc.try_compute_lockstep(group);
-        for (std::size_t i = 0; i < got.size(); ++i) {
-          outcomes.push_back(
-              apply_retries(r, *unique[begin + i], std::move(got[i])));
-        }
-      }
+    for (const QueryRequest* req : unique) {
+      outcomes.push_back(apply_retries(r, *req, r.acc.try_compute(*req)));
     }
 
     // 4. Fan responses out to their sockets (through the hedge gate).

@@ -10,8 +10,8 @@
 //                  bounded request queue + worker
 //   worker         drain up to coalesce_window requests, drop expired
 //                  deadlines, collapse bitwise-identical duplicates, solve
-//                  the unique rest in lockstep groups of solver_batch_width,
-//                  fan responses back out to their sockets
+//                  the unique rest one by one, fan responses back out to
+//                  their sockets
 //
 // Admission control happens before a request ever reaches a worker: a full
 // replica queue (or a shard table at max_shards) answers Overloaded with a
@@ -34,10 +34,10 @@
 // AcceleratorConfig (including the responding replica's fault plan and
 // fault_attempt at solve time — the response carries the replica index) and
 // the shard's DistanceSpec, at any shard/replica/thread count — the worker
-// calls the exact same try_compute_lockstep entry point BatchEngine uses
-// (scalar path at width 1), every solve is deterministic, and duplicate
-// collapse keys on exact payload+knob bit equality, so a fanned-out (or
-// hedged) response equals the response of a dedicated solve.
+// calls the exact same try_compute entry point BatchEngine uses, every
+// solve is deterministic, and duplicate collapse keys on exact payload+knob
+// bit equality, so a fanned-out (or hedged) response equals the response
+// of a dedicated solve.
 
 #include <atomic>
 #include <cstdint>
@@ -107,9 +107,6 @@ struct ServeOptions {
 
   /// Max requests one worker drain coalesces into a solve window.
   std::size_t coalesce_window = 64;
-  /// Lockstep solver width within a window (DESIGN.md §12); 1 =
-  /// one-request-per-solve serving (the bench baseline).
-  std::size_t solver_batch_width = 8;
   /// Collapse bitwise-identical requests within a window into one solve.
   bool collapse_duplicates = true;
 

@@ -46,7 +46,6 @@ void MnaSystem::rebuild_structure_cache() {
   static const obs::Counter pattern_builds("mda.spice.mna_pattern_builds");
   static const obs::Histogram ordering_time("mda.spice.ordering_time_s");
   pattern_builds.add();
-  ++structure_epoch_;
   lu_valid_ = false;
   // A pattern change orphans any factorisation held across a query
   // boundary; drop it (and the pivot memory) so the next factor() is cold.
@@ -61,7 +60,7 @@ void MnaSystem::rebuild_structure_cache() {
   const std::size_t nnz_in = pat_rows_.size();
   // The elimination order is a pure function of the pattern (and of the
   // netlist's guarded branches), so every instance over the same pattern —
-  // any thread, lane or cache generation — factors the same permuted
+  // any thread or cache generation — factors the same permuted
   // matrix.
   {
     obs::ScopedTimer timer(ordering_time);
@@ -134,11 +133,10 @@ void MnaSystem::rebuild_structure_cache() {
   csc_.values.assign(csc_.row_idx.size(), 0.0);
 }
 
-const std::vector<double>& MnaSystem::permuted_rhs() {
+void MnaSystem::permute_rhs() {
   for (std::size_t k = 0; k < lu_x_.size(); ++k) {
     lu_x_[k] = rhs_[static_cast<std::size_t>(perm_[k])];
   }
-  return lu_x_;
 }
 
 void MnaSystem::unpermute_solution(std::vector<double>& x_out) const {
@@ -322,7 +320,7 @@ bool MnaSystem::solve_assembled(std::vector<double>& x_out) {
   }
 
   prepare_sparse_values();
-  permuted_rhs();
+  permute_rhs();
 
   // Cross-query reuse (DESIGN.md §11): a factorisation carried over a
   // reset_solver_state() boundary may only be re-entered through the

@@ -26,8 +26,6 @@
 
 namespace mda::spice {
 
-class BatchNewtonSolver;
-
 class MnaSystem {
  public:
   /// Bind to a netlist.  Assigns branch rows to devices.  The netlist must
@@ -64,13 +62,6 @@ class MnaSystem {
   /// falls back to a genuinely cold factor (pivot memory cleared first).
   void reset_solver_state();
 
-  /// Monotone generation counter for the cached CSC pattern: bumped by every
-  /// rebuild_structure_cache().  The batched solver memoizes cross-lane
-  /// pattern comparisons against it.
-  [[nodiscard]] std::uint64_t structure_epoch() const {
-    return structure_epoch_;
-  }
-
   /// Elimination order of the cached sparse pattern: elimination_order()[k]
   /// is the unknown factored k-th (empty before the first sparse solve).
   [[nodiscard]] const std::vector<int>& elimination_order() const {
@@ -103,21 +94,19 @@ class MnaSystem {
 
  private:
   friend class NewtonSolver;
-  friend class BatchNewtonSolver;
 
   /// Rebuild the elimination order, the CSC pattern cache and the
   /// accumulation tape from the triplets currently in rows_/cols_.
   /// Invalidates any cached LU factorisation.
   void rebuild_structure_cache();
 
-  /// rhs_ gathered into elimination order (in lu_x_), ready for a solve.
-  const std::vector<double>& permuted_rhs();
+  /// Gather rhs_ into elimination order (in lu_x_), ready for a solve.
+  void permute_rhs();
 
   /// Scatter lu_x_ (a solution in elimination order) into unknown order.
   void unpermute_solution(std::vector<double>& x_out) const;
 
-  /// The Newton assembly ladder shared by the scalar and lockstep solvers:
-  /// a full (recording) assembly on a solve point's first iteration, a
+  /// The Newton assembly ladder: a full (recording) assembly on a solve point's first iteration, a
   /// partial restamp after, and a full assembly whenever the restamp
   /// refuses.
   void assemble_iterate(const StampContext& ctx, double gmin_extra,
@@ -129,7 +118,7 @@ class MnaSystem {
   bool solve_assembled(std::vector<double>& x_out);
 
   /// Pattern check/rebuild + value scatter into the cached CSC slots (the
-  /// sparse-path preamble of solve_assembled, shared with the batch driver).
+  /// sparse-path preamble of solve_assembled).
   void prepare_sparse_values();
 
   Netlist* netlist_;
@@ -166,7 +155,6 @@ class MnaSystem {
   bool lu_stream_pending_ = false;
   DenseLu dense_lu_;
   std::vector<double> dense_;  ///< Reused n^2 assembly buffer (dense path).
-  std::uint64_t structure_epoch_ = 0;
   // Partial-restamp recording, refreshed by every full assembly.
   bool replay_valid_ = false;
   std::vector<std::uint8_t> dev_nonlinear_;  ///< Cached Device::nonlinear().

@@ -4,10 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
-
 namespace mda::spice {
 
 CscMatrix CscMatrix::from_triplets(int n, const std::vector<int>& rows,
@@ -92,14 +88,12 @@ void SparseLu::reset() {
   a_nnz_ = 0;
   n_ = 0;
   pivot_mem_.clear();
-  ++factor_epoch_;
 }
 
 bool SparseLu::factor(const CscMatrix& a) {
   n_ = a.n;
   const int n = n_;
   factored_ = false;
-  ++factor_epoch_;  // the structure below is rebuilt from scratch
   a_nnz_ = static_cast<int>(a.values.size());
   l_colptr_.assign(static_cast<std::size_t>(n) + 1, 0);
   u_colptr_.assign(static_cast<std::size_t>(n) + 1, 0);
@@ -422,594 +416,11 @@ void SparseLu::solve(std::vector<double>& b) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// BatchedSparseLu
-//
-// Both kernels below replay SparseLu::refactor_impl(cold_exact=false) and
-// SparseLu::solve per lane, with the shared index streams hoisted out of the
-// lane dimension.  The bit-identity argument (DESIGN.md §12) rests on three
-// invariants the kernels maintain:
-//  * lanes never mix — every operation is elementwise over the lane axis;
-//  * each lane's arithmetic sequence (order of loads, subtractions,
-//    multiplies, divides; no FMA contraction) equals the scalar solver's;
-//  * value-dependent scalar control flow is replicated per lane: the
-//    `x == 0.0` elimination/substitution skips become EQ_OQ blends, the
-//    pivot-candidate scan's `v > cand` (which skips NaNs) becomes a GT_OQ
-//    blend, and the guard's `<` comparisons use LT_OQ so a NaN pivot passes
-//    exactly as it does in the scalar code.
-// A guard failure only clears ok[lane]; the lane keeps computing (garbage)
-// so siblings are unperturbed, and the caller reruns it through the scalar
-// fallback path.
-// ---------------------------------------------------------------------------
-
-bool BatchedSparseLu::structure_equal(const SparseLu& x, const SparseLu& y) {
+bool SparseLu::structure_equal(const SparseLu& x, const SparseLu& y) {
   return x.factored_ && y.factored_ && x.n_ == y.n_ && x.a_nnz_ == y.a_nnz_ &&
          x.perm_ == y.perm_ && x.l_colptr_ == y.l_colptr_ &&
          x.l_rowidx_ == y.l_rowidx_ && x.u_colptr_ == y.u_colptr_ &&
          x.u_rowidx_ == y.u_rowidx_;
 }
-
-bool BatchedSparseLu::holds_structure_of(const SparseLu& ref,
-                                         const CscMatrix& a) const {
-  return ref.factored_ && n_ == ref.n_ && a_nnz_ == ref.a_nnz_ &&
-         bit_exact_ == ref.bit_exact_ && perm_ == ref.perm_ &&
-         l_colptr_ == ref.l_colptr_ && l_rowidx_ == ref.l_rowidx_ &&
-         u_colptr_ == ref.u_colptr_ && u_rowidx_ == ref.u_rowidx_ &&
-         a_colptr_ == a.col_ptr && a_rowidx_ == a.row_idx;
-}
-
-bool BatchedSparseLu::adopt(const SparseLu& ref, const CscMatrix& a,
-                            std::size_t lanes) {
-  if (!ref.factored_ || a.n != ref.n_ ||
-      static_cast<int>(a.values.size()) != ref.a_nnz_ || lanes == 0) {
-    return false;
-  }
-  n_ = ref.n_;
-  a_nnz_ = ref.a_nnz_;
-  bit_exact_ = ref.bit_exact_;
-  lanes_ = lanes;
-  stride_ = batch::padded_lanes(lanes);
-  l_colptr_ = ref.l_colptr_;
-  l_rowidx_ = ref.l_rowidx_;
-  u_colptr_ = ref.u_colptr_;
-  u_rowidx_ = ref.u_rowidx_;
-  perm_ = ref.perm_;
-  a_colptr_ = a.col_ptr;
-  a_rowidx_ = a.row_idx;
-  const auto n = static_cast<std::size_t>(n_);
-  av_.resize(static_cast<std::size_t>(a_nnz_), lanes);
-  lv_.resize(ref.l_values_.size(), lanes);
-  uv_.resize(ref.u_values_.size(), lanes);
-  work_.resize(n, lanes);
-  b_.resize(n, lanes);
-  y_.resize(n, lanes);
-  w_.resize(n, lanes);
-  return true;
-}
-
-void BatchedSparseLu::resize_lanes(std::size_t lanes) {
-  lanes_ = lanes;
-  const std::size_t s = batch::padded_lanes(lanes);
-  if (s == stride_) return;  // same padded stride: buffers already fit
-  stride_ = s;
-  const auto n = static_cast<std::size_t>(n_);
-  av_.resize(static_cast<std::size_t>(a_nnz_), lanes);
-  lv_.resize(static_cast<std::size_t>(l_colptr_.back()), lanes);
-  uv_.resize(static_cast<std::size_t>(u_colptr_.back()), lanes);
-  work_.resize(n, lanes);
-  b_.resize(n, lanes);
-  y_.resize(n, lanes);
-  w_.resize(n, lanes);
-}
-
-void BatchedSparseLu::load_lane_values(std::size_t lane, const CscMatrix& a) {
-  double* dst = av_.data() + lane;
-  for (std::size_t k = 0; k < a.values.size(); ++k) {
-    dst[k * stride_] = a.values[k];
-  }
-}
-
-void BatchedSparseLu::load_lane_rhs(std::size_t lane,
-                                    const std::vector<double>& b) {
-  double* dst = b_.data() + lane;
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    dst[i * stride_] = b[i];
-  }
-}
-
-void BatchedSparseLu::store_lane_solution(std::size_t lane,
-                                          std::vector<double>& x) const {
-  x.resize(static_cast<std::size_t>(n_));
-  const double* src = b_.data() + lane;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = src[i * stride_];
-  }
-}
-
-void BatchedSparseLu::refactor(unsigned char* ok) {
-#if defined(__x86_64__)
-  if (stride_ % 8 == 0 && util::use_avx512()) {
-    refactor_avx512(ok);
-    return;
-  }
-  if (util::use_avx2()) {
-    refactor_avx2(ok);
-    return;
-  }
-#endif
-  refactor_scalar(ok);
-}
-
-void BatchedSparseLu::solve() {
-#if defined(__x86_64__)
-  if (stride_ % 8 == 0 && util::use_avx512()) {
-    solve_avx512();
-    return;
-  }
-  if (util::use_avx2()) {
-    solve_avx2();
-    return;
-  }
-#endif
-  solve_scalar();
-}
-
-void BatchedSparseLu::refactor_scalar(unsigned char* ok) {
-  const std::size_t L = lanes_;
-  const double bar = bit_exact_ ? SparseLu::threshold_pivot_ratio
-                                : SparseLu::pivot_degradation_tol;
-  std::fill(ok, ok + L, 1);
-  for (int j = 0; j < n_; ++j) {
-    const int u0 = u_colptr_[static_cast<std::size_t>(j)];
-    const int udiag = u_colptr_[static_cast<std::size_t>(j) + 1] - 1;
-    const int l0 = l_colptr_[static_cast<std::size_t>(j)];
-    const int l1 = l_colptr_[static_cast<std::size_t>(j) + 1];
-    for (int k = u0; k <= udiag; ++k) {
-      double* wr = work_.row(u_work_row(k));
-      for (std::size_t l = 0; l < L; ++l) wr[l] = 0.0;
-    }
-    for (int k = l0; k < l1; ++k) {
-      double* wr = work_.row(l_work_row(k));
-      for (std::size_t l = 0; l < L; ++l) wr[l] = 0.0;
-    }
-    for (int k = a_colptr_[static_cast<std::size_t>(j)];
-         k < a_colptr_[static_cast<std::size_t>(j) + 1]; ++k) {
-      double* wr = work_.row(
-          static_cast<std::size_t>(a_rowidx_[static_cast<std::size_t>(k)]));
-      const double* avk = av_.row(static_cast<std::size_t>(k));
-      for (std::size_t l = 0; l < L; ++l) wr[l] = avk[l];
-    }
-    for (int k = u0; k < udiag; ++k) {
-      const int piv = u_rowidx_[static_cast<std::size_t>(k)];
-      const double* xr = work_.row(u_work_row(k));
-      bool any = false;
-      for (std::size_t l = 0; l < L; ++l) any = any || xr[l] != 0.0;
-      if (!any) continue;
-      for (int q = l_colptr_[static_cast<std::size_t>(piv)];
-           q < l_colptr_[static_cast<std::size_t>(piv) + 1]; ++q) {
-        double* wu = work_.row(l_work_row(q));
-        const double* lvq = lv_.row(static_cast<std::size_t>(q));
-        for (std::size_t l = 0; l < L; ++l) {
-          if (xr[l] != 0.0) wu[l] -= lvq[l] * xr[l];
-        }
-      }
-    }
-    const double* pv =
-        work_.row(static_cast<std::size_t>(perm_[static_cast<std::size_t>(j)]));
-    for (std::size_t l = 0; l < L; ++l) {
-      const double pivot_abs = std::abs(pv[l]);
-      double cand_abs = pivot_abs > 0.0 ? pivot_abs : 0.0;
-      for (int k = l0; k < l1; ++k) {
-        const double v = std::abs(work_.row(l_work_row(k))[l]);
-        if (v > cand_abs) cand_abs = v;
-      }
-      if (pivot_abs < 1e-300 || pivot_abs < bar * cand_abs) ok[l] = 0;
-    }
-    for (int k = u0; k < udiag; ++k) {
-      double* u = uv_.row(static_cast<std::size_t>(k));
-      const double* wr = work_.row(u_work_row(k));
-      for (std::size_t l = 0; l < L; ++l) u[l] = wr[l];
-    }
-    double* ud = uv_.row(static_cast<std::size_t>(udiag));
-    for (std::size_t l = 0; l < L; ++l) ud[l] = pv[l];
-    for (int k = l0; k < l1; ++k) {
-      double* lvk = lv_.row(static_cast<std::size_t>(k));
-      const double* wr = work_.row(l_work_row(k));
-      for (std::size_t l = 0; l < L; ++l) lvk[l] = wr[l] / pv[l];
-    }
-  }
-}
-
-void BatchedSparseLu::solve_scalar() {
-  const std::size_t L = lanes_;
-  const auto n = static_cast<std::size_t>(n_);
-  std::copy(b_.data(), b_.data() + n * stride_, w_.data());
-  for (int j = 0; j < n_; ++j) {
-    const int prow = perm_[static_cast<std::size_t>(j)];
-    const double* wj = w_.row(static_cast<std::size_t>(prow));
-    double* yj = y_.row(static_cast<std::size_t>(j));
-    bool any = false;
-    for (std::size_t l = 0; l < L; ++l) {
-      yj[l] = wj[l];
-      any = any || yj[l] != 0.0;
-    }
-    if (!any) continue;
-    for (int k = l_colptr_[static_cast<std::size_t>(j)];
-         k < l_colptr_[static_cast<std::size_t>(j) + 1]; ++k) {
-      double* wu = w_.row(
-          static_cast<std::size_t>(l_rowidx_[static_cast<std::size_t>(k)]));
-      const double* lvk = lv_.row(static_cast<std::size_t>(k));
-      for (std::size_t l = 0; l < L; ++l) {
-        if (yj[l] != 0.0) wu[l] -= lvk[l] * yj[l];
-      }
-    }
-  }
-  for (int j = n_ - 1; j >= 0; --j) {
-    const int last = u_colptr_[static_cast<std::size_t>(j) + 1] - 1;
-    const double* diag = uv_.row(static_cast<std::size_t>(last));
-    const double* yj = y_.row(static_cast<std::size_t>(j));
-    double* xj = b_.row(static_cast<std::size_t>(j));
-    bool any = false;
-    for (std::size_t l = 0; l < L; ++l) {
-      xj[l] = yj[l] / diag[l];
-      any = any || xj[l] != 0.0;
-    }
-    if (!any) continue;
-    for (int k = u_colptr_[static_cast<std::size_t>(j)]; k < last; ++k) {
-      double* yu = y_.row(
-          static_cast<std::size_t>(u_rowidx_[static_cast<std::size_t>(k)]));
-      const double* uvk = uv_.row(static_cast<std::size_t>(k));
-      for (std::size_t l = 0; l < L; ++l) {
-        if (xj[l] != 0.0) yu[l] -= uvk[l] * xj[l];
-      }
-    }
-  }
-}
-
-#if defined(__x86_64__)
-
-__attribute__((target("avx2"))) void BatchedSparseLu::refactor_avx2(
-    unsigned char* ok) {
-  const std::size_t S = stride_;
-  const double bar = bit_exact_ ? SparseLu::threshold_pivot_ratio
-                                : SparseLu::pivot_degradation_tol;
-  const __m256d vzero = _mm256_setzero_pd();
-  const __m256d vabs =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-  const __m256d vtiny = _mm256_set1_pd(1e-300);
-  const __m256d vbar = _mm256_set1_pd(bar);
-  std::fill(ok, ok + lanes_, 1);
-  for (int j = 0; j < n_; ++j) {
-    const int u0 = u_colptr_[static_cast<std::size_t>(j)];
-    const int udiag = u_colptr_[static_cast<std::size_t>(j) + 1] - 1;
-    const int l0 = l_colptr_[static_cast<std::size_t>(j)];
-    const int l1 = l_colptr_[static_cast<std::size_t>(j) + 1];
-    for (int k = u0; k <= udiag; ++k) {
-      double* wr = work_.row(u_work_row(k));
-      for (std::size_t v = 0; v < S; v += 4) _mm256_storeu_pd(wr + v, vzero);
-    }
-    for (int k = l0; k < l1; ++k) {
-      double* wr = work_.row(l_work_row(k));
-      for (std::size_t v = 0; v < S; v += 4) _mm256_storeu_pd(wr + v, vzero);
-    }
-    for (int k = a_colptr_[static_cast<std::size_t>(j)];
-         k < a_colptr_[static_cast<std::size_t>(j) + 1]; ++k) {
-      double* wr = work_.row(
-          static_cast<std::size_t>(a_rowidx_[static_cast<std::size_t>(k)]));
-      const double* avk = av_.row(static_cast<std::size_t>(k));
-      for (std::size_t v = 0; v < S; v += 4) {
-        _mm256_storeu_pd(wr + v, _mm256_loadu_pd(avk + v));
-      }
-    }
-    for (int k = u0; k < udiag; ++k) {
-      const int piv = u_rowidx_[static_cast<std::size_t>(k)];
-      const double* xr = work_.row(u_work_row(k));
-      const int q0 = l_colptr_[static_cast<std::size_t>(piv)];
-      const int q1 = l_colptr_[static_cast<std::size_t>(piv) + 1];
-      // Block-outer, q-inner: the multiplier xv and its zero mask are
-      // loop-invariant over L's column, so hoist them per 4-lane block.  A
-      // block whose lanes are all zero is skipped outright — every update it
-      // would issue is a blended no-op, the vector analog of the scalar
-      // per-lane `x == 0.0` skip, so per-lane arithmetic is unchanged.
-      for (std::size_t v = 0; v < S; v += 4) {
-        const __m256d xv = _mm256_loadu_pd(xr + v);
-        const __m256d eq = _mm256_cmp_pd(xv, vzero, _CMP_EQ_OQ);
-        if (_mm256_movemask_pd(eq) == 0xF) continue;
-        for (int q = q0; q < q1; ++q) {
-          double* wu = work_.row(l_work_row(q)) + v;
-          const __m256d wv = _mm256_loadu_pd(wu);
-          // Separate mul+sub (no FMA): the scalar solver contracts nothing.
-          const __m256d upd = _mm256_sub_pd(
-              wv, _mm256_mul_pd(
-                      _mm256_loadu_pd(lv_.row(static_cast<std::size_t>(q)) + v),
-                      xv));
-          _mm256_storeu_pd(wu, _mm256_blendv_pd(upd, wv, eq));
-        }
-      }
-    }
-    const double* pv =
-        work_.row(static_cast<std::size_t>(perm_[static_cast<std::size_t>(j)]));
-    for (std::size_t v = 0; v < S; v += 4) {
-      const __m256d pabs = _mm256_and_pd(_mm256_loadu_pd(pv + v), vabs);
-      // Strict > with GT_OQ: false on NaN, exactly like the scalar scan.
-      __m256d cand =
-          _mm256_blendv_pd(vzero, pabs, _mm256_cmp_pd(pabs, vzero, _CMP_GT_OQ));
-      for (int k = l0; k < l1; ++k) {
-        const __m256d wa = _mm256_and_pd(
-            _mm256_loadu_pd(work_.row(l_work_row(k)) + v), vabs);
-        const __m256d gt = _mm256_cmp_pd(wa, cand, _CMP_GT_OQ);
-        cand = _mm256_blendv_pd(cand, wa, gt);
-      }
-      // LT_OQ is false on a NaN pivot, matching scalar `NaN < x == false`.
-      const __m256d fail =
-          _mm256_or_pd(_mm256_cmp_pd(pabs, vtiny, _CMP_LT_OQ),
-                       _mm256_cmp_pd(pabs, _mm256_mul_pd(vbar, cand),
-                                     _CMP_LT_OQ));
-      const int m = _mm256_movemask_pd(fail);
-      for (std::size_t bit = 0; bit < 4; ++bit) {
-        const std::size_t lane = v + bit;
-        if (lane < lanes_ && ((m >> bit) & 1) != 0) ok[lane] = 0;
-      }
-    }
-    for (int k = u0; k < udiag; ++k) {
-      double* u = uv_.row(static_cast<std::size_t>(k));
-      const double* wr = work_.row(u_work_row(k));
-      for (std::size_t v = 0; v < S; v += 4) {
-        _mm256_storeu_pd(u + v, _mm256_loadu_pd(wr + v));
-      }
-    }
-    double* ud = uv_.row(static_cast<std::size_t>(udiag));
-    for (std::size_t v = 0; v < S; v += 4) {
-      _mm256_storeu_pd(ud + v, _mm256_loadu_pd(pv + v));
-    }
-    for (int k = l0; k < l1; ++k) {
-      double* lvk = lv_.row(static_cast<std::size_t>(k));
-      const double* wr = work_.row(l_work_row(k));
-      for (std::size_t v = 0; v < S; v += 4) {
-        _mm256_storeu_pd(lvk + v, _mm256_div_pd(_mm256_loadu_pd(wr + v),
-                                                _mm256_loadu_pd(pv + v)));
-      }
-    }
-  }
-}
-
-__attribute__((target("avx2"))) void BatchedSparseLu::solve_avx2() {
-  const std::size_t S = stride_;
-  const auto n = static_cast<std::size_t>(n_);
-  const __m256d vzero = _mm256_setzero_pd();
-  std::copy(b_.data(), b_.data() + n * S, w_.data());
-  for (int j = 0; j < n_; ++j) {
-    const int prow = perm_[static_cast<std::size_t>(j)];
-    const double* wj = w_.row(static_cast<std::size_t>(prow));
-    double* yj = y_.row(static_cast<std::size_t>(j));
-    bool allz = true;
-    for (std::size_t v = 0; v < S; v += 4) {
-      const __m256d yv = _mm256_loadu_pd(wj + v);
-      _mm256_storeu_pd(yj + v, yv);
-      allz = allz &&
-             _mm256_movemask_pd(_mm256_cmp_pd(yv, vzero, _CMP_EQ_OQ)) == 0xF;
-    }
-    if (allz) continue;
-    const int k0 = l_colptr_[static_cast<std::size_t>(j)];
-    const int k1 = l_colptr_[static_cast<std::size_t>(j) + 1];
-    for (std::size_t v = 0; v < S; v += 4) {
-      const __m256d yv = _mm256_loadu_pd(yj + v);
-      const __m256d eq = _mm256_cmp_pd(yv, vzero, _CMP_EQ_OQ);
-      if (_mm256_movemask_pd(eq) == 0xF) continue;
-      for (int k = k0; k < k1; ++k) {
-        double* wu =
-            w_.row(static_cast<std::size_t>(
-                l_rowidx_[static_cast<std::size_t>(k)])) +
-            v;
-        const __m256d wv = _mm256_loadu_pd(wu);
-        const __m256d upd = _mm256_sub_pd(
-            wv, _mm256_mul_pd(
-                    _mm256_loadu_pd(lv_.row(static_cast<std::size_t>(k)) + v),
-                    yv));
-        _mm256_storeu_pd(wu, _mm256_blendv_pd(upd, wv, eq));
-      }
-    }
-  }
-  for (int j = n_ - 1; j >= 0; --j) {
-    const int last = u_colptr_[static_cast<std::size_t>(j) + 1] - 1;
-    const double* diag = uv_.row(static_cast<std::size_t>(last));
-    const double* yj = y_.row(static_cast<std::size_t>(j));
-    double* xj = b_.row(static_cast<std::size_t>(j));
-    bool allz = true;
-    for (std::size_t v = 0; v < S; v += 4) {
-      const __m256d xv =
-          _mm256_div_pd(_mm256_loadu_pd(yj + v), _mm256_loadu_pd(diag + v));
-      _mm256_storeu_pd(xj + v, xv);
-      allz = allz &&
-             _mm256_movemask_pd(_mm256_cmp_pd(xv, vzero, _CMP_EQ_OQ)) == 0xF;
-    }
-    if (allz) continue;
-    const int k0 = u_colptr_[static_cast<std::size_t>(j)];
-    for (std::size_t v = 0; v < S; v += 4) {
-      const __m256d xv = _mm256_loadu_pd(xj + v);
-      const __m256d eq = _mm256_cmp_pd(xv, vzero, _CMP_EQ_OQ);
-      if (_mm256_movemask_pd(eq) == 0xF) continue;
-      for (int k = k0; k < last; ++k) {
-        double* yu =
-            y_.row(static_cast<std::size_t>(
-                u_rowidx_[static_cast<std::size_t>(k)])) +
-            v;
-        const __m256d yv = _mm256_loadu_pd(yu);
-        const __m256d upd = _mm256_sub_pd(
-            yv, _mm256_mul_pd(
-                    _mm256_loadu_pd(uv_.row(static_cast<std::size_t>(k)) + v),
-                    xv));
-        _mm256_storeu_pd(yu, _mm256_blendv_pd(upd, yv, eq));
-      }
-    }
-  }
-}
-
-__attribute__((target("avx512f"))) void BatchedSparseLu::refactor_avx512(
-    unsigned char* ok) {
-  const std::size_t S = stride_;
-  const double bar = bit_exact_ ? SparseLu::threshold_pivot_ratio
-                                : SparseLu::pivot_degradation_tol;
-  const __m512d vzero = _mm512_setzero_pd();
-  const __m512d vtiny = _mm512_set1_pd(1e-300);
-  const __m512d vbar = _mm512_set1_pd(bar);
-  std::fill(ok, ok + lanes_, 1);
-  for (int j = 0; j < n_; ++j) {
-    const int u0 = u_colptr_[static_cast<std::size_t>(j)];
-    const int udiag = u_colptr_[static_cast<std::size_t>(j) + 1] - 1;
-    const int l0 = l_colptr_[static_cast<std::size_t>(j)];
-    const int l1 = l_colptr_[static_cast<std::size_t>(j) + 1];
-    for (int k = u0; k <= udiag; ++k) {
-      double* wr = work_.row(u_work_row(k));
-      for (std::size_t v = 0; v < S; v += 8) _mm512_storeu_pd(wr + v, vzero);
-    }
-    for (int k = l0; k < l1; ++k) {
-      double* wr = work_.row(l_work_row(k));
-      for (std::size_t v = 0; v < S; v += 8) _mm512_storeu_pd(wr + v, vzero);
-    }
-    for (int k = a_colptr_[static_cast<std::size_t>(j)];
-         k < a_colptr_[static_cast<std::size_t>(j) + 1]; ++k) {
-      double* wr = work_.row(
-          static_cast<std::size_t>(a_rowidx_[static_cast<std::size_t>(k)]));
-      const double* avk = av_.row(static_cast<std::size_t>(k));
-      for (std::size_t v = 0; v < S; v += 8) {
-        _mm512_storeu_pd(wr + v, _mm512_loadu_pd(avk + v));
-      }
-    }
-    for (int k = u0; k < udiag; ++k) {
-      const int piv = u_rowidx_[static_cast<std::size_t>(k)];
-      const double* xr = work_.row(u_work_row(k));
-      const int q0 = l_colptr_[static_cast<std::size_t>(piv)];
-      const int q1 = l_colptr_[static_cast<std::size_t>(piv) + 1];
-      for (std::size_t v = 0; v < S; v += 8) {
-        const __m512d xv = _mm512_loadu_pd(xr + v);
-        // EQ_OQ false on NaN, like the scalar `x == 0.0`; a masked subtract
-        // leaves skipped lanes untouched (the blend in the 256-bit kernel).
-        const __mmask8 keq = _mm512_cmp_pd_mask(xv, vzero, _CMP_EQ_OQ);
-        if (keq == 0xFF) continue;
-        const auto knz = static_cast<__mmask8>(~keq);
-        for (int q = q0; q < q1; ++q) {
-          double* wu = work_.row(l_work_row(q)) + v;
-          const __m512d wv = _mm512_loadu_pd(wu);
-          // Separate mul then masked sub (no FMA), as in the scalar solver.
-          const __m512d prod = _mm512_mul_pd(
-              _mm512_loadu_pd(lv_.row(static_cast<std::size_t>(q)) + v), xv);
-          _mm512_storeu_pd(wu, _mm512_mask_sub_pd(wv, knz, wv, prod));
-        }
-      }
-    }
-    const double* pv =
-        work_.row(static_cast<std::size_t>(perm_[static_cast<std::size_t>(j)]));
-    for (std::size_t v = 0; v < S; v += 8) {
-      const __m512d pabs = _mm512_abs_pd(_mm512_loadu_pd(pv + v));
-      // Strict > with GT_OQ: false on NaN, exactly like the scalar scan.
-      __m512d cand = _mm512_mask_blend_pd(
-          _mm512_cmp_pd_mask(pabs, vzero, _CMP_GT_OQ), vzero, pabs);
-      for (int k = l0; k < l1; ++k) {
-        const __m512d wa =
-            _mm512_abs_pd(_mm512_loadu_pd(work_.row(l_work_row(k)) + v));
-        const __mmask8 kgt = _mm512_cmp_pd_mask(wa, cand, _CMP_GT_OQ);
-        cand = _mm512_mask_blend_pd(kgt, cand, wa);
-      }
-      // LT_OQ is false on a NaN pivot, matching scalar `NaN < x == false`.
-      const __mmask8 kfail = static_cast<__mmask8>(
-          _mm512_cmp_pd_mask(pabs, vtiny, _CMP_LT_OQ) |
-          _mm512_cmp_pd_mask(pabs, _mm512_mul_pd(vbar, cand), _CMP_LT_OQ));
-      for (std::size_t bit = 0; bit < 8; ++bit) {
-        const std::size_t lane = v + bit;
-        if (lane < lanes_ && ((kfail >> bit) & 1) != 0) ok[lane] = 0;
-      }
-    }
-    for (int k = u0; k < udiag; ++k) {
-      double* u = uv_.row(static_cast<std::size_t>(k));
-      const double* wr = work_.row(u_work_row(k));
-      for (std::size_t v = 0; v < S; v += 8) {
-        _mm512_storeu_pd(u + v, _mm512_loadu_pd(wr + v));
-      }
-    }
-    double* ud = uv_.row(static_cast<std::size_t>(udiag));
-    for (std::size_t v = 0; v < S; v += 8) {
-      _mm512_storeu_pd(ud + v, _mm512_loadu_pd(pv + v));
-    }
-    for (int k = l0; k < l1; ++k) {
-      double* lvk = lv_.row(static_cast<std::size_t>(k));
-      const double* wr = work_.row(l_work_row(k));
-      for (std::size_t v = 0; v < S; v += 8) {
-        _mm512_storeu_pd(lvk + v, _mm512_div_pd(_mm512_loadu_pd(wr + v),
-                                                _mm512_loadu_pd(pv + v)));
-      }
-    }
-  }
-}
-
-__attribute__((target("avx512f"))) void BatchedSparseLu::solve_avx512() {
-  const std::size_t S = stride_;
-  const auto n = static_cast<std::size_t>(n_);
-  const __m512d vzero = _mm512_setzero_pd();
-  std::copy(b_.data(), b_.data() + n * S, w_.data());
-  for (int j = 0; j < n_; ++j) {
-    const int prow = perm_[static_cast<std::size_t>(j)];
-    const double* wj = w_.row(static_cast<std::size_t>(prow));
-    double* yj = y_.row(static_cast<std::size_t>(j));
-    bool allz = true;
-    for (std::size_t v = 0; v < S; v += 8) {
-      const __m512d yv = _mm512_loadu_pd(wj + v);
-      _mm512_storeu_pd(yj + v, yv);
-      allz = allz && _mm512_cmp_pd_mask(yv, vzero, _CMP_EQ_OQ) == 0xFF;
-    }
-    if (allz) continue;
-    const int k0 = l_colptr_[static_cast<std::size_t>(j)];
-    const int k1 = l_colptr_[static_cast<std::size_t>(j) + 1];
-    for (std::size_t v = 0; v < S; v += 8) {
-      const __m512d yv = _mm512_loadu_pd(yj + v);
-      const __mmask8 keq = _mm512_cmp_pd_mask(yv, vzero, _CMP_EQ_OQ);
-      if (keq == 0xFF) continue;
-      const auto knz = static_cast<__mmask8>(~keq);
-      for (int k = k0; k < k1; ++k) {
-        double* wu =
-            w_.row(static_cast<std::size_t>(
-                l_rowidx_[static_cast<std::size_t>(k)])) +
-            v;
-        const __m512d wv = _mm512_loadu_pd(wu);
-        const __m512d prod = _mm512_mul_pd(
-            _mm512_loadu_pd(lv_.row(static_cast<std::size_t>(k)) + v), yv);
-        _mm512_storeu_pd(wu, _mm512_mask_sub_pd(wv, knz, wv, prod));
-      }
-    }
-  }
-  for (int j = n_ - 1; j >= 0; --j) {
-    const int last = u_colptr_[static_cast<std::size_t>(j) + 1] - 1;
-    const double* diag = uv_.row(static_cast<std::size_t>(last));
-    const double* yj = y_.row(static_cast<std::size_t>(j));
-    double* xj = b_.row(static_cast<std::size_t>(j));
-    bool allz = true;
-    for (std::size_t v = 0; v < S; v += 8) {
-      const __m512d xv =
-          _mm512_div_pd(_mm512_loadu_pd(yj + v), _mm512_loadu_pd(diag + v));
-      _mm512_storeu_pd(xj + v, xv);
-      allz = allz && _mm512_cmp_pd_mask(xv, vzero, _CMP_EQ_OQ) == 0xFF;
-    }
-    if (allz) continue;
-    const int k0 = u_colptr_[static_cast<std::size_t>(j)];
-    for (std::size_t v = 0; v < S; v += 8) {
-      const __m512d xv = _mm512_loadu_pd(xj + v);
-      const __mmask8 keq = _mm512_cmp_pd_mask(xv, vzero, _CMP_EQ_OQ);
-      if (keq == 0xFF) continue;
-      const auto knz = static_cast<__mmask8>(~keq);
-      for (int k = k0; k < last; ++k) {
-        double* yu =
-            y_.row(static_cast<std::size_t>(
-                u_rowidx_[static_cast<std::size_t>(k)])) +
-            v;
-        const __m512d yv = _mm512_loadu_pd(yu);
-        const __m512d prod = _mm512_mul_pd(
-            _mm512_loadu_pd(uv_.row(static_cast<std::size_t>(k)) + v), xv);
-        _mm512_storeu_pd(yu, _mm512_mask_sub_pd(yv, knz, yv, prod));
-      }
-    }
-  }
-}
-
-#endif  // defined(__x86_64__)
 
 }  // namespace mda::spice

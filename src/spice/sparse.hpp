@@ -15,14 +15,10 @@
 // factor() — when the inherited pivot degrades below a relative threshold.
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
-#include "spice/batch_state.hpp"
 
 namespace mda::spice {
-
-class BatchedSparseLu;
 
 /// Compressed sparse column matrix.
 struct CscMatrix {
@@ -93,6 +89,12 @@ class SparseLu {
     return l_rowidx_.size() + u_rowidx_.size();
   }
 
+  /// Structural equality of two factorisations: same dimension, A pattern
+  /// size, pivot order and L/U pattern (values ignored).  False unless both
+  /// are factored.
+  [[nodiscard]] static bool structure_equal(const SparseLu& x,
+                                            const SparseLu& y);
+
   /// L (strictly lower, unit diagonal implied) and U (diagonal last per
   /// column) values in storage order, for bitwise comparisons of two
   /// factorisations of one structure.
@@ -115,12 +117,6 @@ class SparseLu {
   /// contractually bit-identical to cold runs.
   void reset();
 
-  /// Monotone generation counter for the L/U *structure* (pivot order and
-  /// pattern): bumped whenever factor() or reset() may change it, and never
-  /// by value-only refactors.  Lets the batched solver skip O(nnz)
-  /// structure comparisons while the epoch is unchanged.
-  [[nodiscard]] std::uint64_t factor_epoch() const { return factor_epoch_; }
-
   /// True when a factorisation is available for solve()/refactor().
   [[nodiscard]] bool factored() const { return factored_; }
 
@@ -140,8 +136,6 @@ class SparseLu {
   static constexpr double threshold_pivot_ratio = 0.1;
 
  private:
-  friend class BatchedSparseLu;
-
   /// Shared body of refactor() / refactor_cold_exact(); `cold_exact` swaps
   /// the degradation guard for the cold pivot-scan equivalence check.
   bool refactor_impl(const CscMatrix& a, bool cold_exact);
@@ -149,7 +143,6 @@ class SparseLu {
   int n_ = 0;
   bool factored_ = false;
   bool bit_exact_ = false;
-  std::uint64_t factor_epoch_ = 0;
   int a_nnz_ = 0;  ///< nnz of the factored matrix (pattern fingerprint).
   // L is unit-lower-triangular, U upper-triangular, both in CSC over the
   // pivoted row ordering; perm_[k] = original row chosen as pivot k.  Within
@@ -173,110 +166,6 @@ class SparseLu {
   std::vector<double> work_;
   std::vector<int> mark_;
   std::vector<double> solve_y_, solve_w_;
-};
-
-/// Batched value-only refactor + solve over B lanes that share one L/U
-/// structure (DESIGN.md §12).  The structure — pivot order, L/U pattern
-/// and A pattern — is adopted from one lane's factored SparseLu; per-lane
-/// values live in lane-major SoA buffers so the inner loops touch the
-/// (shared) index streams once per element and the values of all lanes
-/// with one vector op.
-///
-/// Bit-identity contract: for every lane, refactor()'s ok verdict and — when
-/// ok — the solution read back by store_lane_solution() are bit-identical to
-/// running SparseLu::refactor() + solve() on that lane alone.  Both kernels
-/// (AVX2 and portable scalar, chosen by util::use_avx2()) execute the exact
-/// per-lane arithmetic sequence of the scalar solver: lanes never mix, FP
-/// contraction is off, and scalar control flow that depends on values
-/// (zero-entry skips, the pivot-candidate max scan, the degradation guard)
-/// is replicated with IEEE-ordered compares and blends whose NaN behaviour
-/// matches the scalar comparisons.
-///
-/// A lane whose guard fails is reported via ok and computes garbage from
-/// that column on (lanes are independent, so siblings are unperturbed); the
-/// caller re-runs that lane through the scalar path, which reproduces the
-/// serial fallback arithmetic and metrics exactly.
-class BatchedSparseLu {
- public:
-  /// Adopt `ref`'s structure for a batch over matrices with A pattern `a`,
-  /// sized for `lanes` lanes.  Returns false when ref has no factorisation
-  /// or its pattern fingerprint does not match `a`.
-  bool adopt(const SparseLu& ref, const CscMatrix& a, std::size_t lanes);
-
-  /// Structural equality of two factorisations: same pivot order and L/U
-  /// pattern (values ignored).  O(nnz) — callers memoize via
-  /// SparseLu::factor_epoch().
-  [[nodiscard]] static bool structure_equal(const SparseLu& x,
-                                            const SparseLu& y);
-
-  /// Stage one lane's A values / right-hand side into the SoA buffers.
-  /// `a` must have the adopted pattern; `b` the adopted dimension.
-  void load_lane_values(std::size_t lane, const CscMatrix& a);
-  void load_lane_rhs(std::size_t lane, const std::vector<double>& b);
-
-  /// True when this solver's adopted structure equals `ref`'s current
-  /// factorisation over A pattern `a`: same dimension, pivot order, L/U
-  /// pattern, A pattern and bit-exact bar.  Compares against the solver's
-  /// own stored copies, so it is safe even when the instance originally
-  /// adopted from no longer exists.
-  [[nodiscard]] bool holds_structure_of(const SparseLu& ref,
-                                        const CscMatrix& a) const;
-
-  /// Change the lane count without re-adopting structure.  Cheap when the
-  /// padded stride is unchanged (the common case as lanes of a batch retire:
-  /// any count in (0, kSimdLanes] shares one stride); reallocates the SoA
-  /// buffers only when the stride actually changes.  Requires a prior
-  /// successful adopt().
-  void resize_lanes(std::size_t lanes);
-
-  /// Batched refactor of all lanes; ok[lane] matches what
-  /// SparseLu::refactor() would return for that lane's values (with the
-  /// bit-exact bar adopted from the reference).
-  void refactor(unsigned char* ok);
-
-  /// Batched forward/backward solve over the staged right-hand sides.
-  /// Valid only for lanes whose refactor succeeded.
-  void solve();
-  void store_lane_solution(std::size_t lane, std::vector<double>& x) const;
-
-  [[nodiscard]] int dimension() const { return n_; }
-  [[nodiscard]] std::size_t lanes() const { return lanes_; }
-
- private:
-  void refactor_scalar(unsigned char* ok);
-  void solve_scalar();
-  /// Work-vector row (original row index) of U entry k and of L entry k.
-  [[nodiscard]] std::size_t u_work_row(int k) const {
-    return static_cast<std::size_t>(perm_[static_cast<std::size_t>(
-        u_rowidx_[static_cast<std::size_t>(k)])]);
-  }
-  [[nodiscard]] std::size_t l_work_row(int k) const {
-    return static_cast<std::size_t>(l_rowidx_[static_cast<std::size_t>(k)]);
-  }
-#if defined(__x86_64__)
-  void refactor_avx2(unsigned char* ok);
-  void solve_avx2();
-  // 512-bit variants: one op per 8 lanes at the same instruction count as
-  // the 256-bit kernels, chosen when the stride is a whole number of
-  // 512-bit blocks.  Same per-lane arithmetic; compares produce native
-  // masks instead of blend vectors.
-  void refactor_avx512(unsigned char* ok);
-  void solve_avx512();
-#endif
-
-  int n_ = 0;
-  int a_nnz_ = 0;
-  bool bit_exact_ = false;
-  std::size_t lanes_ = 0;
-  std::size_t stride_ = 0;
-  // Shared structure (copied from the adopted SparseLu / A pattern).
-  std::vector<int> l_colptr_, l_rowidx_;
-  std::vector<int> u_colptr_, u_rowidx_;
-  std::vector<int> perm_;
-  std::vector<int> a_colptr_, a_rowidx_;
-  // Lane-major values: A, L, U, the elimination work vector, rhs/solution
-  // and the forward-substitution workspaces.
-  batch::SoaBuffer av_, lv_, uv_, work_, b_, y_, w_;
 };
 
 }  // namespace mda::spice

@@ -149,184 +149,4 @@ TransientResult TransientSimulator::run(const TransientParams& params) {
   return result;
 }
 
-std::vector<TransientResult> run_transient_lockstep(
-    std::span<TransientSimulator* const> sims,
-    std::span<const TransientParams> params) {
-  // Same-name counters as run() — shared series, advanced per lane / per
-  // lane event so the totals match a serial replay exactly.  The wall-time
-  // histogram gets one sample per lockstep call (wall time is shared).
-  static const obs::Counter runs("mda.spice.transient_runs");
-  static const obs::Counter steps_total("mda.spice.transient_steps");
-  static const obs::Counter rejects("mda.spice.transient_rejects");
-  static const obs::Counter steady_exits("mda.spice.transient_steady_exits");
-  static const obs::Histogram run_time("mda.spice.transient_time_s");
-  static const obs::Counter lockstep_runs("mda.spice.batch_lockstep_runs");
-  static const obs::Counter lockstep_lanes("mda.spice.batch_lockstep_lanes");
-  const obs::ScopedTimer timer(run_time);
-
-  const std::size_t nlanes = sims.size();
-  std::vector<TransientResult> results(nlanes);
-  if (nlanes == 0) return results;
-  lockstep_runs.add();
-  lockstep_lanes.add(nlanes);
-
-  struct Lane {
-    double t = 0.0;
-    double dt = 0.0;
-    int steady_streak = 0;
-    bool done = false;
-    std::vector<double> x;
-    std::vector<double> x_prev;
-  };
-  std::vector<Lane> lane(nlanes);
-  std::vector<NewtonLane> nl(nlanes);
-  BatchNewtonSolver batch;
-
-  auto record = [&](std::size_t i, double t) {
-    TransientSimulator& sim = *sims[i];
-    for (std::size_t p = 0; p < sim.probes_.size(); ++p) {
-      const NodeId node = sim.probes_[p].first;
-      const double v =
-          node == kGround ? 0.0 : lane[i].x[static_cast<std::size_t>(node)];
-      results[i].traces[p].t.push_back(t);
-      results[i].traces[p].v.push_back(v);
-    }
-  };
-  auto finish_ok = [&](std::size_t i) {
-    results[i].ok = true;
-    results[i].t_end = lane[i].t;
-    results[i].final_x = std::move(lane[i].x);
-    lane[i].done = true;
-  };
-
-  for (std::size_t i = 0; i < nlanes; ++i) {
-    runs.add();
-    TransientSimulator& sim = *sims[i];
-    results[i].traces.reserve(sim.probes_.size());
-    for (const auto& [node, name] : sim.probes_) {
-      Trace tr;
-      tr.node = node;
-      tr.name = name;
-      results[i].traces.push_back(std::move(tr));
-    }
-    lane[i].dt = params[i].dt_init;
-    nl[i].mna = &sim.mna_;
-    nl[i].newton = &sim.newton_;
-    nl[i].x = &lane[i].x;
-  }
-
-  // DC operating points in lockstep (mirrors dc_operating_point()).
-  for (std::size_t i = 0; i < nlanes; ++i) {
-    TransientSimulator& sim = *sims[i];
-    for (auto& dev : sim.netlist_->devices()) dev->reset_state();
-    lane[i].x.assign(static_cast<std::size_t>(sim.mna_.num_unknowns()), 0.0);
-    if (params[i].run_dc_first) {
-      nl[i].t = 0.0;
-      nl[i].dt = 0.0;
-      nl[i].dc = true;
-      nl[i].method = Integration::BackwardEuler;
-      nl[i].active = true;
-    } else {
-      nl[i].active = false;
-    }
-  }
-  batch.solve(std::span<NewtonLane>(nl));
-  for (std::size_t i = 0; i < nlanes; ++i) {
-    if (!params[i].run_dc_first) continue;
-    if (!nl[i].result.converged) {
-      results[i].error = "DC operating point failed to converge";
-      lane[i].done = true;
-      continue;
-    }
-    StampContext ctx;
-    ctx.t = 0.0;
-    ctx.dt = 0.0;
-    ctx.dc = true;
-    ctx.x = &lane[i].x;
-    for (auto& dev : sims[i]->netlist_->devices()) dev->accept_step(ctx);
-  }
-
-  for (std::size_t i = 0; i < nlanes; ++i) {
-    if (!lane[i].done) record(i, 0.0);
-  }
-
-  // Lockstep time loop: each round solves one candidate step per live lane.
-  // The per-lane accept/reject/steady logic is a line-for-line replay of
-  // run()'s loop body; lanes drift to their own (t, dt) immediately, the
-  // batch only aligns which *round* a solve happens in.
-  for (;;) {
-    bool any_live = false;
-    for (std::size_t i = 0; i < nlanes; ++i) {
-      Lane& L = lane[i];
-      if (L.done) {
-        nl[i].active = false;
-        continue;
-      }
-      any_live = true;
-      const TransientParams& p = params[i];
-      L.dt = std::min(L.dt, p.t_stop - L.t);
-      L.x_prev = L.x;
-      const Integration method =
-          results[i].steps == 0 ? Integration::BackwardEuler : p.method;
-      nl[i].t = L.t + L.dt;
-      nl[i].dt = L.dt;
-      nl[i].dc = false;
-      nl[i].method = method;
-      nl[i].active = true;
-    }
-    if (!any_live) break;
-    batch.solve(std::span<NewtonLane>(nl));
-    for (std::size_t i = 0; i < nlanes; ++i) {
-      Lane& L = lane[i];
-      if (L.done) continue;
-      const TransientParams& p = params[i];
-      const NewtonResult r = nl[i].result;
-      results[i].total_newton_iterations += r.iterations;
-      if (r.used_fallback) ++results[i].fallback_steps;
-      if (!r.converged) {
-        rejects.add();
-        L.x = L.x_prev;
-        L.dt *= p.shrink;
-        if (L.dt < p.dt_min) {
-          results[i].error = "timestep underflow at t=" + std::to_string(L.t);
-          results[i].t_end = L.t;
-          L.done = true;
-        }
-        continue;
-      }
-      L.t += nl[i].dt;
-      ++results[i].steps;
-      steps_total.add();
-      StampContext ctx;
-      ctx.t = L.t;
-      ctx.dt = nl[i].dt;
-      ctx.dc = false;
-      ctx.method = nl[i].method;
-      ctx.x = &L.x;
-      for (auto& dev : sims[i]->netlist_->devices()) dev->accept_step(ctx);
-      record(i, L.t);
-
-      if (p.steady_tol > 0.0 && nl[i].dt >= p.dt_max * 0.999) {
-        double max_delta = 0.0;
-        for (std::size_t u = 0; u < L.x.size(); ++u) {
-          max_delta = std::max(max_delta, std::abs(L.x[u] - L.x_prev[u]));
-        }
-        L.steady_streak =
-            max_delta < p.steady_tol ? L.steady_streak + 1 : 0;
-        if (L.steady_streak >= p.steady_count) {
-          util::log_debug() << "steady state reached at t=" << L.t;
-          steady_exits.add();
-          finish_ok(i);
-          continue;
-        }
-      }
-      if (r.iterations <= 4 && !r.used_fallback) {
-        L.dt = std::min(L.dt * p.grow, p.dt_max);
-      }
-      if (L.t >= p.t_stop) finish_ok(i);
-    }
-  }
-  return results;
-}
-
 }  // namespace mda::spice

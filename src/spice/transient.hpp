@@ -2,7 +2,6 @@
 // Transient analysis driver: DC operating point followed by adaptive
 // backward-Euler time stepping, recording probed node voltages.
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -60,29 +59,10 @@ class TransientSimulator {
   [[nodiscard]] MnaSystem& mna() { return mna_; }
 
  private:
-  friend std::vector<TransientResult> run_transient_lockstep(
-      std::span<TransientSimulator* const> sims,
-      std::span<const TransientParams> params);
-
   Netlist* netlist_;
   MnaSystem mna_;
   NewtonSolver newton_;
   std::vector<std::pair<NodeId, std::string>> probes_;
 };
-
-/// Run B transient analyses in lockstep through one BatchNewtonSolver
-/// (DESIGN.md §12): every lane advances its own adaptive timeline (t, dt,
-/// rejects, steady detection) exactly as TransientSimulator::run would, but
-/// each round's Newton solve points are batched so structure-matched lanes
-/// share SoA LU work.  Lanes that finish (t_stop, steady state, underflow,
-/// DC failure) retire early without perturbing the others.
-///
-/// Contract: results[i] is bit-identical (traces, final_x, steps,
-/// iterations, errors) to sims[i]->run(params[i]) run serially, and all
-/// mda.spice.* counters advance by the same amounts.  `sims` and `params`
-/// must have equal length.
-std::vector<TransientResult> run_transient_lockstep(
-    std::span<TransientSimulator* const> sims,
-    std::span<const TransientParams> params);
 
 }  // namespace mda::spice

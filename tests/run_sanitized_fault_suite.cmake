@@ -7,8 +7,8 @@
 # Usage: cmake -DMDA_SOURCE_DIR=<repo root> -DMDA_SAN_BINARY_DIR=<build dir>
 #              [-DMDA_GTEST_FILTER=<filter>] -P run_sanitized_fault_suite.cmake
 #
-# MDA_GTEST_FILTER overrides the default fault-suite filter; the batched
-# solver job points it at the batch-identity suite while sharing this
+# MDA_GTEST_FILTER overrides the default fault-suite filter; the other
+# sanitized jobs point it at their own suites while sharing this
 # script's nested build (both jobs pass the same MDA_SAN_BINARY_DIR, so the
 # second run's configure+build is an incremental no-op).
 

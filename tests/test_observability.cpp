@@ -1,6 +1,7 @@
 // Observability subsystem (src/obs): registry semantics, per-thread shard
 // aggregation under the batch engine, snapshot JSON round-trip, and the
-// runtime/compile-time disable paths.
+// runtime/compile-time disable paths, and the per-query accounting of the
+// FullSpice time histograms.
 //
 // Each TEST runs as its own ctest process (gtest_discover_tests), so
 // obs::reset() / obs::set_enabled() cannot leak across tests.
@@ -12,7 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "core/accelerator.hpp"
 #include "core/batch_engine.hpp"
+#include "distance/registry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/snapshot.hpp"
 
@@ -199,6 +202,42 @@ TEST(ObsBatchEngine, JobTimeCoversInlineJobs) {
     two.parallel_for(3, [](std::size_t) {});
   });
   EXPECT_EQ(job_samples(), 2u + 1u + 4u);  // the pooled job plus 4 nested
+}
+
+// mda.backend.fullspice_time_s and mda.accel.compute_time_s are observed
+// once per query, inside that query's own evaluation — also when the
+// queries arrive as a group — so a query's compute time covers its
+// FullSpice time.
+TEST(ObsAccelerator, FullSpiceTimesObservedOncePerQuery) {
+  const auto hist = [](const char* name) {
+    const obs::MetricsSnapshot snap = obs::MetricsSnapshot::capture();
+    const obs::MetricValue* v = snap.find(name);
+    return v == nullptr ? obs::MetricValue{} : *v;
+  };
+  core::AcceleratorConfig cfg;
+  cfg.backend = core::Backend::FullSpice;
+  core::Accelerator acc(cfg);
+  core::DistanceSpec spec;
+  spec.kind = dist::DistanceKind::Manhattan;
+  acc.configure(spec);
+  const std::vector<double> p = {0.2, -0.4, 0.1};
+  const std::vector<std::vector<double>> qs = {
+      {0.3, 0.1, -0.2}, {-0.5, 0.4, 0.0}, {0.1, 0.1, 0.6}};
+  std::vector<core::QueryRequest> group;
+  for (const auto& q : qs) group.push_back({p, q});
+
+  obs::reset();
+  const obs::MetricValue fs0 = hist("mda.backend.fullspice_time_s");
+  const obs::MetricValue ct0 = hist("mda.accel.compute_time_s");
+  for (const core::ComputeOutcome& o : acc.try_compute_lockstep(group)) {
+    ASSERT_TRUE(o.ok());
+  }
+  const obs::MetricValue fs1 = hist("mda.backend.fullspice_time_s");
+  const obs::MetricValue ct1 = hist("mda.accel.compute_time_s");
+  EXPECT_EQ(fs1.count - fs0.count, 3u);
+  EXPECT_EQ(ct1.count - ct0.count, 3u);
+  EXPECT_GT(fs1.sum - fs0.sum, 0.0);
+  EXPECT_GE(ct1.sum - ct0.sum, fs1.sum - fs0.sum);
 }
 
 TEST(ObsSnapshot, JsonRoundTrip) {

@@ -478,7 +478,6 @@ TEST(SelfHealServe, HedgedPipelinedLoadStaysBitIdentical) {
   opts.hedge.enabled = true;
   opts.hedge.min_delay_s = 0.0;      // Hedge anything that queues at all.
   opts.hedge.poll_interval_s = 0.0005;
-  opts.solver_batch_width = 1;
   opts.coalesce_window = 1;          // Keep the queue visibly nonempty.
   opts.collapse_duplicates = false;
   serve::Server server(opts);

@@ -396,7 +396,6 @@ TEST(ServeLoopback, TenantQuotaRejectsPipelinedSecondRequest) {
   serve::ServeOptions opts;
   opts.accelerator.backend = core::Backend::FullSpice;
   opts.tenant_inflight_quota = 1;
-  opts.solver_batch_width = 1;
   serve::Server server(opts);
   server.start();
   serve::Client client;
@@ -426,7 +425,6 @@ TEST(ServeLoopback, FullQueueAnswersOverloaded) {
   opts.accelerator.backend = core::Backend::FullSpice;
   opts.shard_queue_depth = 1;
   opts.coalesce_window = 1;
-  opts.solver_batch_width = 1;
   serve::Server server(opts);
   server.start();
   serve::Client client;

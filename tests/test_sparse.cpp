@@ -6,7 +6,6 @@
 
 #include "spice/dense.hpp"
 #include "spice/sparse.hpp"
-#include "util/cpu_dispatch.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -235,7 +234,7 @@ bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
 // Two factorisations of one A pattern are bitwise the same: same pivots and
 // L/U pattern, same L/U bits, and the same bits out of a solve.
 void expect_same_factors(SparseLu& x, SparseLu& y, const char* what) {
-  ASSERT_TRUE(BatchedSparseLu::structure_equal(x, y)) << what;
+  ASSERT_TRUE(SparseLu::structure_equal(x, y)) << what;
   EXPECT_TRUE(same_bits(x.l_values(), y.l_values())) << what;
   EXPECT_TRUE(same_bits(x.u_values(), y.u_values())) << what;
   std::vector<double> bx(static_cast<std::size_t>(x.dimension()));
@@ -271,7 +270,7 @@ TEST(SparseLuRefactor, ColdExactMatchesColdFactorOnTies) {
     steer[static_cast<std::size_t>(p)] = 8.0;  // make row p the clear winner
     SparseLu lu;
     ASSERT_TRUE(lu.factor(first_column_system(steer)));
-    const bool same_pivots = BatchedSparseLu::structure_equal(lu, cold);
+    const bool same_pivots = SparseLu::structure_equal(lu, cold);
     EXPECT_EQ(same_pivots, p == 1) << "inherited pivot row " << p;
     ASSERT_EQ(lu.refactor_cold_exact(tie), same_pivots)
         << "inherited pivot row " << p;
@@ -334,7 +333,7 @@ TEST(SparseLuRefactor, FuzzedPatternsAcceptExactlyWhenFactorAgrees) {
       SparseLu warm = before;  // same pivot memory
       const bool warm_ok = warm.factor(a);
       const bool ok = lu.refactor(a);
-      EXPECT_EQ(ok, warm_ok && BatchedSparseLu::structure_equal(before, warm))
+      EXPECT_EQ(ok, warm_ok && SparseLu::structure_equal(before, warm))
           << "trial " << trial << " round " << round;
       if (ok) {
         expect_same_factors(lu, warm, "bit-exact refactor");
@@ -349,7 +348,7 @@ TEST(SparseLuRefactor, FuzzedPatternsAcceptExactlyWhenFactorAgrees) {
       const bool cold_ok = cold.factor(a);
       const bool cold_exact = reentry.refactor_cold_exact(a);
       EXPECT_EQ(cold_exact,
-                cold_ok && BatchedSparseLu::structure_equal(before, cold))
+                cold_ok && SparseLu::structure_equal(before, cold))
           << "trial " << trial << " round " << round;
       if (cold_exact) {
         expect_same_factors(reentry, cold, "cold-exact refactor");
@@ -365,68 +364,6 @@ TEST(SparseLuRefactor, FuzzedPatternsAcceptExactlyWhenFactorAgrees) {
   EXPECT_GT(refused, 50);
   EXPECT_GT(cold_accepted, 50);
   EXPECT_GT(cold_refused, 50);
-}
-
-// Every BatchedSparseLu kernel — portable scalar, AVX2 (stride 4) and
-// AVX-512 (stride 8) where the CPU has them — must reproduce scalar
-// SparseLu per lane on fuzzed patterns: the same refactor verdict and, for
-// accepted lanes, the same solution bits.
-TEST(SparseLuRefactor, FuzzedPatternsEveryBatchedKernelMatchesScalar) {
-  mda::util::Rng rng(77);
-  const bool prev_force = mda::util::force_scalar();
-  int lanes_checked = 0, lanes_refused = 0;
-  for (int trial = 0; trial < 120; ++trial) {
-    const int n = 1 + static_cast<int>(rng.index(24));
-    CscMatrix a = fuzz_pattern(n, rng);
-    fuzz_values(a, rng);
-    SparseLu ref;
-    ref.set_bit_exact(trial % 2 == 0);
-    if (!ref.factor(a)) continue;
-    for (const std::size_t lanes : {3u, 8u}) {
-      std::vector<CscMatrix> lane_a(lanes, a);
-      std::vector<std::vector<double>> rhs(lanes);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        // Lane 0 keeps the factored values; the others get fresh ones.
-        if (l > 0) fuzz_values(lane_a[l], rng);
-        rhs[l].resize(static_cast<std::size_t>(n));
-        for (double& v : rhs[l]) v = rng.uniform(-2.0, 2.0);
-      }
-      for (const bool force_scalar : {true, false}) {
-        mda::util::set_force_scalar(force_scalar);
-        BatchedSparseLu batched;
-        ASSERT_TRUE(batched.adopt(ref, a, lanes));
-        for (std::size_t l = 0; l < lanes; ++l) {
-          batched.load_lane_values(l, lane_a[l]);
-          batched.load_lane_rhs(l, rhs[l]);
-        }
-        std::vector<unsigned char> ok(lanes, 1);
-        batched.refactor(ok.data());
-        batched.solve();
-        for (std::size_t l = 0; l < lanes; ++l) {
-          SparseLu scalar = ref;
-          const bool want_ok = scalar.refactor(lane_a[l]);
-          ASSERT_EQ(want_ok, ok[l] != 0)
-              << "trial " << trial << " lanes " << lanes << " lane " << l
-              << " forced scalar " << force_scalar;
-          ++lanes_checked;
-          if (!want_ok) {
-            ++lanes_refused;
-            continue;
-          }
-          std::vector<double> want = rhs[l];
-          scalar.solve(want);
-          std::vector<double> got;
-          batched.store_lane_solution(l, got);
-          EXPECT_TRUE(same_bits(want, got))
-              << "trial " << trial << " lanes " << lanes << " lane " << l
-              << " forced scalar " << force_scalar;
-        }
-      }
-    }
-  }
-  mda::util::set_force_scalar(prev_force);
-  EXPECT_GT(lanes_refused, 0);
-  EXPECT_GT(lanes_checked - lanes_refused, 100);
 }
 
 TEST(DenseLu, SingularDetected) {

@@ -536,8 +536,6 @@ int cmd_serve(int argc, char** argv) {
   opts.accelerator.backend = *backend;
   opts.accelerator.cache_capacity =
       static_cast<std::size_t>(flag_num(argc, argv, "cache", 8));
-  opts.solver_batch_width =
-      static_cast<std::size_t>(flag_num(argc, argv, "width", 8));
   opts.coalesce_window =
       static_cast<std::size_t>(flag_num(argc, argv, "window", 64));
   opts.shard_queue_depth =
@@ -576,12 +574,11 @@ int cmd_serve(int argc, char** argv) {
 
   serve::Server server(opts);
   server.start();
-  std::printf("mda serve listening on %s:%u (width=%zu window=%zu "
-              "queue-depth=%zu quota=%zu collapse=%d replicas=%zu hedge=%d "
-              "auto-scrub=%d)\n",
+  std::printf("mda serve listening on %s:%u (window=%zu queue-depth=%zu "
+              "quota=%zu collapse=%d replicas=%zu hedge=%d auto-scrub=%d)\n",
               opts.host.c_str(), static_cast<unsigned>(server.port()),
-              opts.solver_batch_width, opts.coalesce_window,
-              opts.shard_queue_depth, opts.tenant_inflight_quota,
+              opts.coalesce_window, opts.shard_queue_depth,
+              opts.tenant_inflight_quota,
               opts.collapse_duplicates ? 1 : 0, opts.replicas,
               opts.hedge.enabled ? 1 : 0, opts.selfheal.auto_scrub ? 1 : 0);
   std::fflush(stdout);
@@ -695,8 +692,8 @@ void usage() {
                "            [--capacity=0 streaming sliding window]\n"
                "            matrix profile -> motif + top-k discords\n"
                "  serve     [--host=127.0.0.1] [--port=0 (ephemeral)]\n"
-               "            [--backend=...] [--width=8 lockstep width, 1=off]\n"
-               "            [--window=64 coalesce window] [--queue-depth=256]\n"
+               "            [--backend=...] [--window=64 coalesce window]\n"
+               "            [--queue-depth=256]\n"
                "            [--max-shards=16] [--quota=0 per-tenant inflight]\n"
                "            [--max-retries=8 per-request retry ceiling]\n"
                "            [--collapse=0|1] [--cache=N] [--kind=... default "
