@@ -279,8 +279,8 @@ ComputeOutcome Accelerator::try_compute_with(Backend backend,
   return r;
 }
 
-void Accelerator::set_health(std::shared_ptr<fault::HealthScoreboard> board) {
-  config_.health = std::move(board);
+void Accelerator::set_health(std::shared_ptr<fault::HealthSink> sink) {
+  config_.health = std::move(sink);
 }
 
 void Accelerator::set_fault_plan(

@@ -49,9 +49,9 @@ class Accelerator {
   // Self-healing interface (DESIGN.md §14).  All three require the caller
   // to guarantee no query is in flight on this accelerator — the scrub
   // scheduler drains/parks the owning shard replica first.
-  /// Install (or clear, with nullptr) the device-health scoreboard that
-  /// solve-time detectors report into.
-  void set_health(std::shared_ptr<fault::HealthScoreboard> board);
+  /// Install (or clear, with nullptr) the device-health sink (scoreboard or
+  /// journal) that solve-time detectors report into.
+  void set_health(std::shared_ptr<fault::HealthSink> sink);
   /// Swap the active fault plan (chaos injection / healed-plan swap) and
   /// invalidate the instance cache.
   void set_fault_plan(std::shared_ptr<const fault::FaultPlan> plan);

@@ -26,6 +26,8 @@ struct BatchEngine::Job {
   double submit_s = 0.0;
 
   std::atomic<std::size_t> next{0};
+  /// Pool workers currently running this job's chunks (under mutex_).
+  std::size_t helpers = 0;
 
   std::mutex error_mutex;
   std::vector<std::pair<std::size_t, std::exception_ptr>> errors;
@@ -79,26 +81,26 @@ void BatchEngine::run_chunks(Job& job) {
 void BatchEngine::worker_loop() {
   static const obs::Histogram queue_wait("mda.batch.queue_wait_s");
   t_inside_worker = true;
-  std::uint64_t seen_generation = 0;
+  std::unique_lock<std::mutex> lk(mutex_);
   for (;;) {
-    Job* job = nullptr;
-    {
-      std::unique_lock<std::mutex> lk(mutex_);
-      cv_worker_.wait(lk, [&] {
-        return stop_ || (job_ != nullptr && generation_ != seen_generation);
-      });
-      if (stop_) return;
-      seen_generation = generation_;
-      job = job_;
+    cv_worker_.wait(lk, [&] { return stop_ || !jobs_.empty(); });
+    if (stop_) return;
+    // Help the oldest job that still has unclaimed tasks; a fully claimed
+    // one leaves the FIFO (its submitter waits for its helpers, not for
+    // the FIFO slot).
+    Job* job = jobs_.front();
+    if (job->next.load() >= job->count) {
+      jobs_.pop_front();
+      continue;
     }
+    ++job->helpers;
+    lk.unlock();
     if (job->submit_s != 0.0) {
       queue_wait.observe(obs::detail::monotonic_seconds() - job->submit_s);
     }
     run_chunks(*job);
-    {
-      std::lock_guard<std::mutex> lk(mutex_);
-      if (--workers_active_ == 0) cv_done_.notify_all();
-    }
+    lk.lock();
+    if (--job->helpers == 0) cv_done_.notify_all();
   }
 }
 
@@ -135,7 +137,6 @@ void BatchEngine::parallel_for(
   jobs.add();
   threads_gauge.set(static_cast<double>(num_threads_));
 
-  std::lock_guard<std::mutex> submit(submit_mutex_);
   Job job;
   job.count = count;
   job.chunk = opts_.chunk_size != 0
@@ -145,21 +146,23 @@ void BatchEngine::parallel_for(
   if (obs::enabled()) job.submit_s = obs::detail::monotonic_seconds();
   {
     std::lock_guard<std::mutex> lk(mutex_);
-    job_ = &job;
-    ++generation_;
-    workers_active_ = threads_.size();
+    jobs_.push_back(&job);
   }
   cv_worker_.notify_all();
 
-  // The submitting thread is worker 0.
+  // The submitting thread works through its own job, so the job finishes
+  // even if every pool worker is busy with older jobs.
   t_inside_worker = true;
   run_chunks(job);
   t_inside_worker = false;
 
+  // Every task is claimed now.  Once the job is off the FIFO no worker can
+  // join it, so waiting for its helpers to leave waits for the last task.
   {
     std::unique_lock<std::mutex> lk(mutex_);
-    cv_done_.wait(lk, [&] { return workers_active_ == 0; });
-    job_ = nullptr;
+    const auto it = std::find(jobs_.begin(), jobs_.end(), &job);
+    if (it != jobs_.end()) jobs_.erase(it);
+    cv_done_.wait(lk, [&] { return job.helpers == 0; });
   }
 
   if (!job.errors.empty()) {

@@ -12,14 +12,26 @@
 // story (Sec. 4.3): the digital front end batches queries, the analog
 // fabric (or its simulation backends here) absorbs the per-pair work.
 //
+// Several threads may submit at once (one engine serves every `mda serve`
+// shard): each parallel_for is a job on a FIFO of active jobs, pool workers
+// take chunks from the oldest job that still has unclaimed tasks, and the
+// submitting thread works through its own job's chunks alongside them, so
+// a job always makes progress even when every worker is busy elsewhere.
+// Jobs are independent — each has its own tasks, chunk size and error
+// record — and nothing about a job's results depends on which thread ran
+// which chunk.
+//
 // The pool is re-entrant by degradation: a parallel_for issued from inside
-// a worker thread executes inline on that worker, so nested consumers
-// (e.g. KnnClassifier::evaluate parallelised over queries, each query
-// parallelised over the training set) compose without deadlock.
+// a task (on a worker or on a submitter running its own job) executes
+// inline on that thread, so nested consumers (e.g. KnnClassifier::evaluate
+// parallelised over queries, each query parallelised over the training
+// set) compose without deadlock.  A 1-thread engine and a count of 1 run
+// inline too.
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -93,7 +105,8 @@ class BatchEngine {
   /// dynamically claimed chunks.  Blocks until all tasks finish.  A
   /// throwing task is isolated: its exception is recorded, the remaining
   /// tasks still run, and the recorded exception with the lowest task index
-  /// is rethrown on the caller once the batch completes.
+  /// is rethrown on the caller once the batch completes.  Safe to call from
+  /// several threads at once; concurrent jobs share the workers.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& task) const;
 
@@ -143,15 +156,14 @@ class BatchEngine {
   BatchOptions opts_;
   std::size_t num_threads_ = 1;
 
-  // Pool state: one job at a time (submissions serialise on submit_mutex_);
-  // workers rendezvous on generation_ under mutex_.
-  mutable std::mutex submit_mutex_;
+  // Pool state, all under mutex_: the FIFO of jobs whose tasks are not all
+  // claimed yet (each job lives on its submitter's stack), and the stop
+  // flag.  cv_worker_ wakes workers for new jobs; cv_done_ wakes
+  // submitters whose job's last helper has left.
   mutable std::mutex mutex_;
   mutable std::condition_variable cv_worker_;
   mutable std::condition_variable cv_done_;
-  mutable Job* job_ = nullptr;
-  mutable std::uint64_t generation_ = 0;
-  mutable std::size_t workers_active_ = 0;
+  mutable std::deque<Job*> jobs_;
   bool stop_ = false;
   std::vector<std::thread> threads_;
 };

@@ -18,7 +18,7 @@
 
 namespace mda::fault {
 class FaultPlan;
-class HealthScoreboard;
+class HealthSink;
 }  // namespace mda::fault
 
 namespace mda::core {
@@ -101,11 +101,12 @@ struct AcceleratorConfig {
   std::shared_ptr<const fault::FaultPlan> faults;
   /// Detection and recovery policy for compute()/try_compute().
   FaultHandling fault_handling{};
-  /// Optional device-health scoreboard (DESIGN.md §14): solve-time detector
+  /// Optional device-health sink (DESIGN.md §14): solve-time detector
   /// signals (quarantines, watchdog/envelope trips, per-query error) are
-  /// recorded into it so a scrub scheduler can decide when to re-tune.
-  /// nullptr (the default) records nothing and costs nothing.
-  std::shared_ptr<fault::HealthScoreboard> health;
+  /// recorded into it — a fault::HealthScoreboard a scrub scheduler reads,
+  /// or a fault::HealthJournal replayed into one later.  nullptr (the
+  /// default) records nothing and costs nothing.
+  std::shared_ptr<fault::HealthSink> health;
   /// Internal: recovery attempt index of the current evaluation.  Attempts
   /// > 0 re-tune tunable faults when fault_handling.retune_on_retry is set.
   int fault_attempt = 0;

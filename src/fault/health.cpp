@@ -100,4 +100,54 @@ HealthSnapshot HealthScoreboard::snapshot() const {
   return s;
 }
 
+void HealthJournal::record_quarantine(std::size_t i, std::size_t j,
+                                      double residual_v) {
+  events_.push_back({.kind = Kind::Quarantine, .i = i, .j = j,
+                     .value = residual_v});
+}
+
+void HealthJournal::record_query(double relative_error, bool fault_detected,
+                                 int fallbacks, long newton_iterations) {
+  events_.push_back({.kind = Kind::Query,
+                     .fault_detected = fault_detected,
+                     .fallbacks = fallbacks,
+                     .value = relative_error,
+                     .newton_iterations = newton_iterations});
+}
+
+void HealthJournal::record_watchdog_trip() {
+  events_.push_back({.kind = Kind::WatchdogTrip});
+}
+
+void HealthJournal::record_envelope_trip() {
+  events_.push_back({.kind = Kind::EnvelopeTrip});
+}
+
+void HealthJournal::record_backend_failure() {
+  events_.push_back({.kind = Kind::BackendFailure});
+}
+
+void HealthJournal::replay(HealthSink& sink) const {
+  for (const Event& e : events_) {
+    switch (e.kind) {
+      case Kind::Quarantine:
+        sink.record_quarantine(e.i, e.j, e.value);
+        break;
+      case Kind::Query:
+        sink.record_query(e.value, e.fault_detected, e.fallbacks,
+                          e.newton_iterations);
+        break;
+      case Kind::WatchdogTrip:
+        sink.record_watchdog_trip();
+        break;
+      case Kind::EnvelopeTrip:
+        sink.record_envelope_trip();
+        break;
+      case Kind::BackendFailure:
+        sink.record_backend_failure();
+        break;
+    }
+  }
+}
+
 }  // namespace mda::fault

@@ -19,11 +19,18 @@
 // Concurrency: all recorders take one short mutex; recorders fire at most a
 // few times per query (quarantines are rare by construction), so the board
 // is never on a per-cell hot path.
+//
+// Order: the EWMAs make the board a function of the order its events
+// arrive in.  Solves that run in parallel (serve's windows on the shared
+// batch engine) therefore record into a per-solve HealthJournal and the
+// owner replays the journals into the board in a fixed order, which keeps
+// the board byte-identical to a sequential run.
 
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 namespace mda::fault {
 
@@ -64,7 +71,64 @@ struct HealthSnapshot {
   std::uint64_t generation = 0;  ///< Bumped by every reset() (scrub count).
 };
 
-class HealthScoreboard {
+/// Where solve-time detectors report (AcceleratorConfig::health): the
+/// scoreboard itself, or a journal that defers the events.
+class HealthSink {
+ public:
+  virtual ~HealthSink() = default;
+  HealthSink() = default;
+  HealthSink(const HealthSink&) = delete;
+  HealthSink& operator=(const HealthSink&) = delete;
+  HealthSink(HealthSink&&) = delete;
+  HealthSink& operator=(HealthSink&&) = delete;
+
+  /// Cell (i, j) was quarantined (output replaced by the prediction).
+  virtual void record_quarantine(std::size_t i, std::size_t j,
+                                 double residual_v) = 0;
+  /// One finished query: observed relative error + detector provenance.
+  virtual void record_query(double relative_error, bool fault_detected,
+                            int fallbacks, long newton_iterations) = 0;
+  virtual void record_watchdog_trip() = 0;
+  virtual void record_envelope_trip() = 0;
+  virtual void record_backend_failure() = 0;
+};
+
+/// The events of one solve, kept in arrival order for a later replay.  Not
+/// thread-safe: each concurrent solve gets its own journal.
+class HealthJournal final : public HealthSink {
+ public:
+  void record_quarantine(std::size_t i, std::size_t j,
+                         double residual_v) override;
+  void record_query(double relative_error, bool fault_detected,
+                    int fallbacks, long newton_iterations) override;
+  void record_watchdog_trip() override;
+  void record_envelope_trip() override;
+  void record_backend_failure() override;
+
+  /// Feed every recorded event to `sink`, in the order it was recorded.
+  void replay(HealthSink& sink) const;
+
+ private:
+  enum class Kind : std::uint8_t {
+    Quarantine,
+    Query,
+    WatchdogTrip,
+    EnvelopeTrip,
+    BackendFailure,
+  };
+  struct Event {
+    Kind kind;
+    bool fault_detected = false;
+    int fallbacks = 0;
+    std::size_t i = 0;
+    std::size_t j = 0;
+    double value = 0.0;  ///< Quarantine residual [V] or relative error.
+    long newton_iterations = 0;
+  };
+  std::vector<Event> events_;
+};
+
+class HealthScoreboard final : public HealthSink {
  public:
   explicit HealthScoreboard(HealthConfig cfg = {}) : cfg_(cfg) {}
 
@@ -74,14 +138,13 @@ class HealthScoreboard {
   /// Per-cell residual-predictor deviation (wavefront): cell (i, j) solved
   /// `residual_v` volts away from its ideal-recurrence prediction.
   void record_cell_residual(std::size_t i, std::size_t j, double residual_v);
-  /// Cell (i, j) was quarantined (output replaced by the prediction).
-  void record_quarantine(std::size_t i, std::size_t j, double residual_v);
-  /// One finished query: observed relative error + detector provenance.
+  void record_quarantine(std::size_t i, std::size_t j,
+                         double residual_v) override;
   void record_query(double relative_error, bool fault_detected,
-                    int fallbacks, long newton_iterations);
-  void record_watchdog_trip();
-  void record_envelope_trip();
-  void record_backend_failure();
+                    int fallbacks, long newton_iterations) override;
+  void record_watchdog_trip() override;
+  void record_envelope_trip() override;
+  void record_backend_failure() override;
   /// One probe query (the cheap periodic health check).
   void record_probe(double relative_error, bool ok);
 

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "core/accelerator.hpp"
+#include "core/batch_engine.hpp"
 #include "core/scrub.hpp"
 #include "obs/metrics.hpp"
 
@@ -262,6 +263,9 @@ struct Server::Impl {
   };
 
   ServeOptions opts_;
+  /// The one pool every replica worker solves its window on (default
+  /// size: hardware_concurrency), so idle cores go to the hot shard.
+  core::BatchEngine engine_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
   int listen_fd_ = -1;
@@ -1067,6 +1071,13 @@ struct Server::Impl {
     return do_scrub(*s, *r);
   }
 
+  std::optional<fault::HealthSnapshot> scoreboard(std::size_t shard_index,
+                                                  std::uint32_t replica) {
+    const Replica* r = addr(shard_index, replica).second;
+    if (r == nullptr) return std::nullopt;
+    return r->board->snapshot();
+  }
+
   [[nodiscard]] HealthReport health_report() {
     HealthReport rep;
     rep.hedges_launched = n_hedges_launched_.load();
@@ -1195,27 +1206,37 @@ struct Server::Impl {
       }
     }
 
-    // 3. Solve each unique request through the same try_compute entry point
-    //    BatchEngine uses, so served ≡ direct is structural.
+    // 3. Solve the unique requests on the shared engine, through the same
+    //    try_compute entry point BatchEngine's batch APIs use, so served ≡
+    //    direct is structural.  Each solve runs on a copy of the replica's
+    //    accelerator (same config, same instance cache) whose health sink is
+    //    that request's journal; replaying the journals in window order
+    //    leaves the scoreboard exactly as a one-by-one loop would.
     solves.add(static_cast<std::uint64_t>(unique.size()));
     n_solves_.fetch_add(unique.size());
-    std::vector<core::ComputeOutcome> outcomes;
-    outcomes.reserve(unique.size());
-    for (const QueryRequest* req : unique) {
-      outcomes.push_back(apply_retries(r, *req, r.acc.try_compute(*req)));
-    }
+    std::vector<std::optional<core::ComputeOutcome>> outcomes(unique.size());
+    std::vector<std::shared_ptr<fault::HealthJournal>> journals(unique.size());
+    engine_.parallel_for(unique.size(), [&](std::size_t i) {
+      journals[i] = std::make_shared<fault::HealthJournal>();
+      core::Accelerator acc = r.acc;
+      acc.set_health(journals[i]);
+      outcomes[i].emplace(
+          apply_retries(acc, *unique[i], acc.try_compute(*unique[i])));
+    });
+    for (const auto& journal : journals) journal->replay(*r.board);
 
     // 4. Fan responses out to their sockets (through the hedge gate).
     for (std::size_t i = 0; i < live.size(); ++i) {
       Pending& p = *live[i];
       QueryResponse resp =
-          QueryResponse::from(p.id, p.request.tenant, outcomes[slot_of[i]]);
+          QueryResponse::from(p.id, p.request.tenant, *outcomes[slot_of[i]]);
       resp.replica = r.index;
       deliver(shard, p, std::move(resp));
     }
   }
 
-  core::ComputeOutcome apply_retries(Replica& r, const QueryRequest& req,
+  core::ComputeOutcome apply_retries(const core::Accelerator& acc,
+                                     const QueryRequest& req,
                                      core::ComputeOutcome outcome) {
     // retry_budget was saturated to opts_.max_retry_budget at admission; the
     // stopping_ check keeps a failing-solve retry run from delaying stop().
@@ -1226,7 +1247,7 @@ struct Server::Impl {
       static const obs::Counter retries("mda.serve.retries");
       retries.add();
       n_solves_.fetch_add(1);
-      outcome = r.acc.try_compute(req);
+      outcome = acc.try_compute(req);
     }
     return outcome;
   }
@@ -1345,6 +1366,10 @@ bool Server::inject_fault_plan(std::size_t shard_index, std::uint32_t replica,
 }
 bool Server::scrub_replica(std::size_t shard_index, std::uint32_t replica) {
   return impl_->scrub_replica(shard_index, replica);
+}
+std::optional<fault::HealthSnapshot> Server::scoreboard(
+    std::size_t shard_index, std::uint32_t replica) const {
+  return impl_->scoreboard(shard_index, replica);
 }
 
 }  // namespace mda::serve

@@ -2,7 +2,8 @@
 // `mda serve` (DESIGN.md §13, §14): a sharded multi-tenant streaming query
 // service over the wire protocol in serve/protocol.hpp.
 //
-// Architecture — one epoll IO thread, one worker thread per shard replica:
+// Architecture — one epoll IO thread, one worker thread per shard replica,
+// one batch engine shared by every worker:
 //
 //   IO thread      accept / read / decode / admit / route / enqueue
 //   shard          (kind, threshold, band, backend-override) -> replicas
@@ -10,8 +11,15 @@
 //                  bounded request queue + worker
 //   worker         drain up to coalesce_window requests, drop expired
 //                  deadlines, collapse bitwise-identical duplicates, solve
-//                  the unique rest one by one, fan responses back out to
-//                  their sockets
+//                  the unique rest as one parallel_for job on the shared
+//                  engine (the worker works through its own job; idle
+//                  engine threads help whichever shard is hot), replay the
+//                  solves' health journals into the scoreboard in window
+//                  order, fan responses back out to their sockets
+//   engine         core::BatchEngine, hardware_concurrency threads, a FIFO
+//                  of the workers' jobs.  It has no size knob: `replicas`
+//                  means fault isolation, not parallelism, and the pool is
+//                  sized to the host.
 //
 // Admission control happens before a request ever reaches a worker: a full
 // replica queue (or a shard table at max_shards) answers Overloaded with a
@@ -37,11 +45,14 @@
 // calls the exact same try_compute entry point BatchEngine uses, every
 // solve is deterministic, and duplicate collapse keys on exact payload+knob
 // bit equality, so a fanned-out (or hedged) response equals the response
-// of a dedicated solve.
+// of a dedicated solve.  The scoreboard is deterministic too: at the end of
+// every window it is byte-identical to feeding the window's unique requests
+// through try_compute one by one, in window order.
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/config.hpp"
@@ -173,6 +184,10 @@ class Server {
   /// threshold check + scrub).  Deterministic alternative to auto_scrub for
   /// tests and the chaos harness; returns the number of scrubs performed.
   std::size_t force_scrub_scan();
+  /// Full scoreboard snapshot of one replica (nullopt when the address does
+  /// not exist).  The Health frame carries a summary of the same board.
+  [[nodiscard]] std::optional<fault::HealthSnapshot> scoreboard(
+      std::size_t shard_index, std::uint32_t replica) const;
 
   // ---- chaos controls (tests + `mda chaos`) ----
   // All return false when the (shard, replica) address does not exist or

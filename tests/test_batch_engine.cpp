@@ -7,8 +7,11 @@
 
 #include <atomic>
 #include <cmath>
+#include <latch>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/accelerator.hpp"
@@ -366,6 +369,60 @@ TEST(BatchEngine, NestedParallelForRunsInline) {
     });
   });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(BatchEngine, ConcurrentSubmittersInterleave) {
+  // Four threads submit jobs of different sizes to one 4-thread engine at
+  // the same moment, for several rounds: the jobs share the pool through
+  // its FIFO, yet each one keeps its own coverage, its own lowest-index
+  // exception and the inline rule for nested calls.
+  const BatchEngine engine = make_engine(4, Backend::Behavioral);
+  constexpr std::size_t kSubmitters = 4;
+  constexpr std::size_t kCounts[kSubmitters] = {37, 250, 513, 1000};
+  for (int round = 0; round < 8; ++round) {
+    std::vector<std::vector<std::atomic<int>>> hits;
+    for (const std::size_t c : kCounts) hits.emplace_back(c);
+    std::vector<std::string> caught(kSubmitters);
+    std::vector<int> nested_off_thread(kSubmitters, 0);
+    std::latch go(kSubmitters);
+    std::vector<std::thread> submitters;
+    for (std::size_t t = 0; t < kSubmitters; ++t) {
+      submitters.emplace_back([&, t] {
+        std::atomic<int> off_thread{0};
+        go.arrive_and_wait();
+        try {
+          engine.parallel_for(kCounts[t], [&](std::size_t i) {
+            hits[t][i].fetch_add(1, std::memory_order_relaxed);
+            if (i % 29 == 3) {
+              // A nested call runs inline, on the thread running task i.
+              const std::thread::id self = std::this_thread::get_id();
+              engine.parallel_for(3, [&](std::size_t) {
+                if (std::this_thread::get_id() != self) off_thread.fetch_add(1);
+              });
+            }
+            // Job t fails at tasks t + 7 and t + 20; the lower one wins.
+            if (i == t + 20 || i == t + 7) {
+              throw std::runtime_error("job " + std::to_string(t) + " task " +
+                                       std::to_string(i));
+            }
+          });
+        } catch (const std::runtime_error& e) {
+          caught[t] = e.what();
+        }
+        nested_off_thread[t] = off_thread.load();
+      });
+    }
+    for (std::thread& th : submitters) th.join();
+    for (std::size_t t = 0; t < kSubmitters; ++t) {
+      for (std::size_t i = 0; i < kCounts[t]; ++i) {
+        ASSERT_EQ(hits[t][i].load(), 1)
+            << "round " << round << " job " << t << " task " << i;
+      }
+      EXPECT_EQ(caught[t], "job " + std::to_string(t) + " task " +
+                               std::to_string(t + 7));
+      EXPECT_EQ(nested_off_thread[t], 0) << "job " << t;
+    }
+  }
 }
 
 TEST(BatchEngine, ReusableAcrossBatches) {

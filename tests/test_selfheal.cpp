@@ -13,7 +13,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +28,8 @@
 #include "distance/registry.hpp"
 #include "fault/health.hpp"
 #include "fault/plan.hpp"
+#include "obs/metrics.hpp"
+#include "obs/snapshot.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -552,6 +556,94 @@ TEST(SelfHealServe, ForceScrubScanHealsUnhealthyReplica) {
   const serve::ReplicaHealth healed = server.health_report().shards[0].replicas[0];
   EXPECT_LT(healed.expected_error, 0.02);
   EXPECT_EQ(healed.state, serve::ReplicaState::Healthy);
+  server.stop();
+}
+
+TEST(SelfHealServe, ParallelWindowKeepsScoreboardSequential) {
+  // A faulty replica's window of many unique requests is solved in
+  // parallel on the server's batch engine.  Responses must still equal
+  // direct solves bit for bit, and the scoreboard must end byte-identical
+  // to feeding the same requests through try_compute one by one in window
+  // order (its EWMAs depend on event order; completion order must not leak
+  // into it).
+  fault::FaultConfig fc;
+  fc.seed = 0x5EC0;
+  fc.cell_rate = 0.3;  // Stuck-low, stuck-high and drift cells.
+  serve::ServeOptions opts = heal_options(1);
+  opts.accelerator.faults = std::make_shared<const fault::FaultPlan>(fc);
+  opts.coalesce_window = 64;
+  serve::Server server(opts);
+  server.start();
+  serve::Client client;
+  client.connect("127.0.0.1", server.port());
+
+  // A long blocker occupies the worker while the rest queue up behind it,
+  // so the second window holds all of them.  Lengths vary so the parallel
+  // solves finish out of submission order.
+  auto series = [](std::size_t len, std::size_t salt) {
+    std::vector<double> v(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      v[i] = 0.13 * static_cast<double>((i * 7 + salt * 3) % 11) - 0.6;
+    }
+    return v;
+  };
+  constexpr std::size_t kUnique = 16;
+  std::vector<std::pair<std::vector<double>, std::vector<double>>> pairs;
+  pairs.emplace_back(series(32, 1), series(32, 2));
+  for (std::size_t k = 0; k < kUnique; ++k) {
+    const std::size_t len = 3 + (kUnique - k) % 6;
+    pairs.emplace_back(series(len, k + 3), series(len + k % 2, k + 5));
+  }
+#if !defined(MDA_OBS_DISABLED)
+  static const obs::Counter windows_probe("mda.serve.windows");
+  (void)windows_probe;
+  const auto windows_now = [] {
+    const obs::MetricsSnapshot snap = obs::MetricsSnapshot::capture();
+    const obs::MetricValue* v = snap.find("mda.serve.windows");
+    return v != nullptr ? v->count : 0;
+  };
+  const std::uint64_t windows_before = windows_now();
+#endif
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    client.send(QueryRequest{pairs[k].first, pairs[k].second}, k);
+  }
+  std::vector<std::optional<QueryResponse>> got(pairs.size());
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    auto r = client.recv(/*timeout_ms=*/60000);
+    ASSERT_TRUE(r.has_value());
+    ASSERT_LT(r->id, pairs.size());
+    got[r->id] = std::move(*r);
+  }
+#if !defined(MDA_OBS_DISABLED)
+  // 17 requests in at most two windows: the second held >= 8 of them.
+  EXPECT_LE(windows_now() - windows_before, 2u);
+#endif
+
+  core::Accelerator direct(opts.accelerator);
+  direct.configure(opts.default_spec);
+  auto board = std::make_shared<fault::HealthScoreboard>(opts.selfheal.health);
+  direct.set_health(board);
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    const core::ComputeOutcome want =
+        direct.try_compute(QueryRequest{pairs[k].first, pairs[k].second});
+    ASSERT_TRUE(got[k].has_value());
+    ASSERT_TRUE(want.ok()) << want.error().message;
+    ASSERT_TRUE(got[k]->ok()) << got[k]->message;
+    EXPECT_TRUE(core::bitwise_equal(got[k]->result, want.value())) << k;
+  }
+
+  const fault::HealthSnapshot want = board->snapshot();
+  const std::optional<fault::HealthSnapshot> served = server.scoreboard(0, 0);
+  ASSERT_TRUE(served.has_value());
+  // Health events fired, so the comparison has order-sensitive content.
+  EXPECT_GT(want.quarantines, 0u);
+  EXPECT_NE(want.query_ewma, 0.0);
+  EXPECT_EQ(want.queries, pairs.size());
+  EXPECT_EQ(std::memcmp(&*served, &want, sizeof want), 0)
+      << "served expected_error " << served->expected_error << " vs "
+      << want.expected_error << ", query_ewma " << served->query_ewma
+      << " vs " << want.query_ewma;
+  EXPECT_FALSE(server.scoreboard(0, 1).has_value());
   server.stop();
 }
 
