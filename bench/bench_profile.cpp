@@ -15,10 +15,14 @@
 //  * accelerator-backed DTW (Behavioral backend) identical across engine
 //    thread counts.
 //
-// Exit code 2 on ANY mismatch, else 0.  Timings (median of 3 runs) compare
-// the brute oracle, the serial scan (scalar kernels, live-best pruning) and
-// the engine at 1, 4 and 8 threads (lane-parallel kernels, block barriers)
-// per kind; the report carries the host fingerprint they were taken on.
+// Exit code 2 on ANY mismatch, else 0.  Timings (median, min and max of
+// kRepeats runs) compare the brute oracle, the serial scan (scalar kernels,
+// live-best pruning), the engine at 1, 4 and 8 threads (lane-parallel
+// kernels, block barriers) and the streaming replay, unweighted and with
+// every pair and element weight 2 (checked against the weighted serial
+// scan), per kind, next to the bounds each kind ran
+// (mining::profile_bounds); the report carries the host fingerprint they
+// were taken on.
 // Without --json it runs the google-benchmark microbenchmarks below.
 
 #include <benchmark/benchmark.h>
@@ -32,6 +36,7 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -80,17 +85,27 @@ double now_s() {
       .count();
 }
 
-/// Median wall seconds of three calls of `run`, and the last call's result.
+/// Wall seconds of repeated calls: the median and the run-to-run spread.
+struct Timing {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+/// Calls per timing.
+constexpr std::size_t kRepeats = 5;
+
+/// Times kRepeats calls of `run`; `out` keeps the last call's result.
 template <typename Run>
-double median3_s(Run&& run, mining::ProfileResult& out) {
-  double t[3];
+Timing time_runs(Run&& run, mining::ProfileResult& out) {
+  std::vector<double> t(kRepeats);
   for (double& ti : t) {
     const double t0 = now_s();
     out = run();
     ti = now_s() - t0;
   }
-  std::sort(std::begin(t), std::end(t));
-  return t[1];
+  std::sort(t.begin(), t.end());
+  return {t[t.size() / 2], t.front(), t.back()};
 }
 
 /// Independent oracle: all ordered pairs, no bounds, no abandoning, the
@@ -169,6 +184,7 @@ int run_json_bench(const std::string& path, int argc, char** argv) {
       .field("n", n)
       .field("window", window)
       .field("k", k)
+      .field("repeats", kRepeats)
       .end();
   json.raw("host", bench::host_fingerprint_json());
 
@@ -204,23 +220,41 @@ int run_json_bench(const std::string& path, int argc, char** argv) {
     const auto timed = [&](const core::BatchEngine* engine,
                            mining::ProfileResult& out) {
       cfg.engine = engine;
-      return median3_s([&] { return mining::matrix_profile(series, cfg); },
+      return time_runs([&] { return mining::matrix_profile(series, cfg); },
                        out);
     };
     mining::ProfileResult serial, r1, r2, r4, r8;
-    const double t_serial = timed(nullptr, serial);
-    const double t_engine1 = timed(engine1.get(), r1);
-    const double t_engine4 = timed(engine4.get(), r4);
-    const double t_engine8 = timed(engine8.get(), r8);
+    const Timing t_serial = timed(nullptr, serial);
+    const Timing t_engine1 = timed(engine1.get(), r1);
+    const Timing t_engine4 = timed(engine4.get(), r4);
+    const Timing t_engine8 = timed(engine8.get(), r8);
     cfg.engine = engine2.get();
     r2 = mining::matrix_profile(series, cfg);
     cfg.engine = nullptr;
 
     // Streaming replay (plus a sliding-window run with evictions, checked
-    // against a batch recompute of the retained series).
-    mining::StreamingProfile stream(cfg);
-    stream.append(series);
-    const bool stream_ok = same_profile(stream.profile(), serial);
+    // against a batch recompute of the retained series), unweighted and
+    // weighted: the weights keep every bound on and make the per-pair cost
+    // of the bound setup visible.
+    const auto timed_stream = [&](const mining::ProfileConfig& c,
+                                  mining::ProfileResult& out) {
+      return time_runs(
+          [&] {
+            mining::StreamingProfile s(c);
+            s.append(series);
+            return s.profile();
+          },
+          out);
+    };
+    mining::ProfileResult streamed, wstreamed;
+    const Timing t_stream = timed_stream(cfg, streamed);
+    const bool stream_ok = same_profile(streamed, serial);
+    mining::ProfileConfig wcfg = cfg;
+    wcfg.params.pair_weights = std::vector<double>(window * window, 2.0);
+    wcfg.params.elem_weights = std::vector<double>(window, 2.0);
+    const Timing t_stream_weighted = timed_stream(wcfg, wstreamed);
+    const bool wstream_ok =
+        same_profile(wstreamed, mining::matrix_profile(series, wcfg));
     mining::ProfileConfig ccfg = cfg;
     ccfg.stream_capacity = (3 * n) / 4;
     mining::StreamingProfile capped(ccfg);
@@ -241,7 +275,7 @@ int run_json_bench(const std::string& path, int argc, char** argv) {
                             same_profile(r2, brute) &&
                             same_profile(r4, brute) && same_profile(r8, brute);
     const bool ok = brute_ok && threads_ok && motif_ok && discords_ok &&
-                    stream_ok && capped_ok;
+                    stream_ok && wstream_ok && capped_ok;
     all_ok = all_ok && ok;
 
     const auto rate = [&](std::size_t c) {
@@ -249,10 +283,15 @@ int run_json_bench(const std::string& path, int argc, char** argv) {
                                           static_cast<double>(serial.stats.pairs)
                                     : 0.0;
     };
+    const mining::ProfileBounds bounds = mining::profile_bounds(cfg);
+    const auto ratio = [](double a, double b) { return b > 0.0 ? a / b : 0.0; };
     json.begin_object("", true)
         .field("kind", dist::kind_name(kind))
         .field("windows", serial.profile.size())
         .field("pairs", serial.stats.pairs)
+        .field("bound_lb_kim", bounds.lb_kim)
+        .field("bound_lb_keogh", bounds.lb_keogh)
+        .field("bound_early_abandon", bounds.early_abandon)
         .field("pruned_lb_kim_rate", rate(serial.stats.pruned_lb_kim))
         .field("pruned_lb_keogh_rate", rate(serial.stats.pruned_lb_keogh))
         .field("abandoned_rate", rate(serial.stats.abandoned))
@@ -260,21 +299,26 @@ int run_json_bench(const std::string& path, int argc, char** argv) {
         .field("motif_first", motif.first)
         .field("motif_second", motif.second)
         .field("top_discord", mining::profile_discords(serial, k)[0].position)
-        .field("t_brute_s", t_brute)
-        .field("t_serial_s", t_serial)
-        .field("t_engine1_s", t_engine1)
-        .field("t_engine4_s", t_engine4)
-        .field("t_engine8_s", t_engine8)
-        .field("engine1_vs_serial",
-               t_engine1 > 0.0 ? t_serial / t_engine1 : 0.0)
-        .field("engine4_vs_engine1",
-               t_engine4 > 0.0 ? t_engine1 / t_engine4 : 0.0)
-        .field("speedup_vs_brute", t_engine8 > 0.0 ? t_brute / t_engine8 : 0.0)
+        .field("t_brute_s", t_brute);
+    for (const auto& [name, t] :
+         {std::pair{"serial", t_serial}, std::pair{"engine1", t_engine1},
+          std::pair{"engine4", t_engine4}, std::pair{"engine8", t_engine8},
+          std::pair{"stream", t_stream},
+          std::pair{"stream_weighted", t_stream_weighted}}) {
+      const std::string key = std::string("t_") + name;
+      json.field(key + "_s", t.median)
+          .field(key + "_min_s", t.min)
+          .field(key + "_max_s", t.max);
+    }
+    json.field("engine1_vs_serial", ratio(t_serial.median, t_engine1.median))
+        .field("engine4_vs_engine1", ratio(t_engine1.median, t_engine4.median))
+        .field("speedup_vs_brute", ratio(t_brute, t_engine8.median))
         .field("brute_match", brute_ok)
         .field("threads_match", threads_ok)
         .field("motif_match", motif_ok)
         .field("discords_match", discords_ok)
         .field("stream_match", stream_ok)
+        .field("weighted_stream_match", wstream_ok)
         .field("capacity_stream_match", capped_ok)
         .end();
     std::printf("%-5s %4zu windows  prune %.1f%%  brute %s  threads %s  "
@@ -285,7 +329,7 @@ int run_json_bench(const std::string& path, int argc, char** argv) {
                          rate(serial.stats.abandoned)),
                 brute_ok ? "ok" : "MISMATCH",
                 threads_ok ? "ok" : "MISMATCH",
-                (stream_ok && capped_ok) ? "ok" : "MISMATCH");
+                (stream_ok && wstream_ok && capped_ok) ? "ok" : "MISMATCH");
   }
   json.end();  // kinds
 

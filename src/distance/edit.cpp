@@ -2,11 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace mda::dist {
 
 double edit_distance(std::span<const double> p, std::span<const double> q,
                      const DistanceParams& params) {
+  return edit_distance(p, q, params, params.abandon_above);
+}
+
+double edit_distance(std::span<const double> p, std::span<const double> q,
+                     const DistanceParams& params, double abandon_above) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::size_t m = p.size();
   const std::size_t n = q.size();
   // Two rolling rows, reused across calls; every row rewrites all cells.
@@ -29,6 +36,13 @@ double edit_distance(std::span<const double> p, std::span<const double> q,
       const bool equal = std::abs(pi - q[j - 1]) <= params.threshold;
       const double sub = prev[j - 1] + (equal ? 0.0 : wij);
       cur[j] = std::min({del, ins, sub});
+    }
+    if (abandon_above < kInf) {
+      // Every path crosses row i (column 0 included) and no step lowers
+      // its cost, so the row minimum bounds the final distance from below.
+      double row_min = cur[0];
+      for (std::size_t j = 1; j <= n; ++j) row_min = std::min(row_min, cur[j]);
+      if (row_min > abandon_above) return kInf;
     }
     std::swap(prev, cur);
   }

@@ -20,6 +20,12 @@ namespace mda::dist {
 double edit_distance(std::span<const double> p, std::span<const double> q,
                      const DistanceParams& params = {});
 
+/// edit_distance() under the early-abandon cutoff `abandon_above` in place
+/// of params.abandon_above: +inf once a completed DP row's minimum exceeds
+/// it.
+double edit_distance(std::span<const double> p, std::span<const double> q,
+                     const DistanceParams& params, double abandon_above);
+
 /// Full DP matrix ((m+1) x (n+1), row-major).
 std::vector<double> edit_matrix(std::span<const double> p,
                                 std::span<const double> q,

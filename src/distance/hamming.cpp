@@ -1,12 +1,18 @@
 #include "distance/hamming.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace mda::dist {
 
 double hamming(std::span<const double> p, std::span<const double> q,
                const DistanceParams& params) {
+  return hamming(p, q, params, params.abandon_above);
+}
+
+double hamming(std::span<const double> p, std::span<const double> q,
+               const DistanceParams& params, double abandon_above) {
   if (p.size() != q.size()) {
     throw std::invalid_argument("hamming: sequences must have equal length");
   }
@@ -15,6 +21,7 @@ double hamming(std::span<const double> p, std::span<const double> q,
     if (std::abs(p[i] - q[i]) > params.threshold) {
       h += params.w(i) * params.vstep;
     }
+    if (h > abandon_above) return std::numeric_limits<double>::infinity();
   }
   return h;
 }

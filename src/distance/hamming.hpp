@@ -14,6 +14,11 @@ namespace mda::dist {
 double hamming(std::span<const double> p, std::span<const double> q,
                const DistanceParams& params = {});
 
+/// hamming() under the early-abandon cutoff `abandon_above` in place of
+/// params.abandon_above: +inf once the running sum exceeds it.
+double hamming(std::span<const double> p, std::span<const double> q,
+               const DistanceParams& params, double abandon_above);
+
 /// Bit-string Hamming distance (iris-code style), for the authentication
 /// example: fraction of differing bits is distance / size.
 /// (Takes vectors: std::vector<bool> is bit-packed and has no span view.)

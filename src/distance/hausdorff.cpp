@@ -10,6 +10,11 @@ namespace mda::dist {
 
 double hausdorff_directed(std::span<const double> p, std::span<const double> q,
                           const DistanceParams& params) {
+  return hausdorff_directed(p, q, params, params.abandon_above);
+}
+
+double hausdorff_directed(std::span<const double> p, std::span<const double> q,
+                          const DistanceParams& params, double abandon_above) {
   if (p.empty() || q.empty()) {
     throw std::invalid_argument("hausdorff: empty sequence");
   }
@@ -21,6 +26,7 @@ double hausdorff_directed(std::span<const double> p, std::span<const double> q,
       best = std::min(best, params.w(i, j, n) * std::abs(p[i] - q[j]));
     }
     worst = std::max(worst, best);
+    if (worst > abandon_above) return std::numeric_limits<double>::infinity();
   }
   return worst;
 }

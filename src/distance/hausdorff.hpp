@@ -17,6 +17,12 @@ namespace mda::dist {
 double hausdorff_directed(std::span<const double> p, std::span<const double> q,
                           const DistanceParams& params = {});
 
+/// hausdorff_directed() under the early-abandon cutoff `abandon_above` in
+/// place of params.abandon_above: +inf once the running max over columns
+/// exceeds it.
+double hausdorff_directed(std::span<const double> p, std::span<const double> q,
+                          const DistanceParams& params, double abandon_above);
+
 /// Symmetric Hausdorff distance max(h(P,Q), h(Q,P)).
 double hausdorff(std::span<const double> p, std::span<const double> q,
                  const DistanceParams& params = {});

@@ -15,13 +15,6 @@ namespace {
 // behind the transpose into lanes (DESIGN.md §15).
 bool vector_kind(DistanceKind kind) { return kind != DistanceKind::Manhattan; }
 
-double eval_scalar(DistanceKind kind, const LanePair& pair,
-                   const DistanceParams& params) {
-  return kind == DistanceKind::Dtw
-             ? dtw(pair.p, pair.q, params, pair.abandon_above)
-             : compute(kind, pair.p, pair.q, params);
-}
-
 }  // namespace
 
 namespace lanes {
@@ -103,7 +96,8 @@ void compute_lanes(DistanceKind kind, std::span<const LanePair> pairs,
     return;
   }
   for (std::size_t l = 0; l < pairs.size(); ++l) {
-    out[l] = eval_scalar(kind, pairs[l], params);
+    out[l] = compute(kind, pairs[l].p, pairs[l].q, params,
+                     pairs[l].abandon_above);
   }
 }
 

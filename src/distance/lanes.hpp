@@ -13,8 +13,11 @@
 // compare-and-select with the scalar semantics (NaN and tie cases
 // included), there is no FMA contraction, weights are broadcast into the
 // same w(i,j)·|p−q| product, DTW's band (a function of the shape only) is
-// shared by all lanes, and HamD adds under a mask, never +0.0.  MD runs the
-// scalar kernel per lane (DESIGN.md §15).
+// shared by all lanes, and HamD adds under a mask, never +0.0.  Each lane
+// tests its cutoff at the scalar kernel's check points (every DP row for
+// DTW and EdD, every column for HauD, every element for HamD) and keeps the
+// verdict, so a lane abandons exactly when its scalar call does.  MD runs
+// the scalar kernel per lane (DESIGN.md §15).
 
 #include <cstddef>
 #include <limits>
@@ -32,8 +35,8 @@ struct LanePair {
   std::span<const double> p;
   std::span<const double> q;
   /// This lane's early-abandon cutoff, with DistanceParams::abandon_above's
-  /// meaning (DTW only): a DTW lane whose completed row minimum exceeds it
-  /// returns +inf.
+  /// meaning for every kind but LCS: the lane returns +inf once its running
+  /// bound exceeds it, checked at the same points as the scalar kernel.
   double abandon_above = std::numeric_limits<double>::infinity();
 };
 

@@ -204,9 +204,11 @@ V lcs_lanes(const Job& job, const double* P, const double* Q, double* rows) {
 }
 
 /// Edit distance, rows in pairs as in dtw_lanes (row i + 1 one column
-/// behind row i).
+/// behind row i), with edit_distance()'s row-minimum abandon (column 0
+/// included).
 template <class V>
-V edit_lanes(const Job& job, const double* P, const double* Q, double* rows) {
+V edit_lanes(const Job& job, const double* P, const double* Q, double* rows,
+             V cut) {
   constexpr std::size_t L = V::kLanes;
   const std::size_t m = job.m;
   const std::size_t n = job.n;
@@ -222,13 +224,14 @@ V edit_lanes(const Job& job, const double* P, const double* Q, double* rows) {
     V pi;
     const double* wrow;
     V left;
+    V row_min;
   };
   const auto start = [&](std::size_t i, const double* above, double* cur) {
     const V first = V::splat(static_cast<double>(i) * job.vstep);
     first.store(cur);
     return Row{above, cur, V::load(P + (i - 1) * L),
                job.pair_w != nullptr ? job.pair_w + (i - 1) * n : nullptr,
-               first};
+               first, first};
   };
   const auto step = [&](Row& r, std::size_t j) {
     const V w =
@@ -242,12 +245,17 @@ V edit_lanes(const Job& job, const double* P, const double* Q, double* rows) {
     // std::min({del, ins, sub})
     r.left = min3(del, ins, sub);
     r.left.store(r.cur + j * L);
+    // row_min = std::min(row_min, cur[j])
+    r.row_min = V::min(r.left, r.row_min);
   };
+  // row_min > abandon_above, per row as in dtw_lanes.
+  typename V::Mask dead = V::none();
   std::size_t top = 0;  // buffer holding row i - 1
   for (std::size_t i = 1; i <= m;) {
     Row a = start(i, buf[top], buf[(top + 1) % 3]);
     if (i == m) {
       for (std::size_t j = 1; j <= n; ++j) step(a, j);
+      dead = V::either(dead, V::gt(a.row_min, cut));
       top = (top + 1) % 3;
       i += 1;
     } else {
@@ -258,18 +266,21 @@ V edit_lanes(const Job& job, const double* P, const double* Q, double* rows) {
         step(b, j - 1);
       }
       step(b, n);
+      dead = V::either(dead, V::either(V::gt(a.row_min, cut),
+                                       V::gt(b.row_min, cut)));
       top = (top + 2) % 3;
       i += 2;
     }
+    if (V::all(dead)) return V::splat(kInf);
   }
-  return V::load(buf[top] + n * L);
+  return V::select(dead, V::splat(kInf), V::load(buf[top] + n * L));
 }
 
 /// Directed Hausdorff, p's elements as rows: kCols column minima folded over
 /// i side by side (as hausdorff_directed does), then into `worst` in column
-/// order.
+/// order, testing the cutoff after each column's fold.
 template <class V>
-V hausdorff_lanes(const Job& job, const double* P, const double* Q) {
+V hausdorff_lanes(const Job& job, const double* P, const double* Q, V cut) {
   constexpr std::size_t L = V::kLanes;
   constexpr std::size_t kCols = 4;
   const std::size_t m = job.m;
@@ -280,8 +291,11 @@ V hausdorff_lanes(const Job& job, const double* P, const double* Q) {
     return V::mul(w, V::abs(V::sub(pi, V::load(Q + j * L))));
   };
   V worst = V::splat(0.0);
+  typename V::Mask dead = V::none();
   const auto fold = [&](V best) {  // worst = std::max(worst, best)
     worst = V::max(best, worst);
+    // worst > abandon_above
+    dead = V::either(dead, V::gt(worst, cut));
   };
   std::size_t j = 0;
   for (; j + kCols <= n; j += kCols) {
@@ -298,6 +312,7 @@ V hausdorff_lanes(const Job& job, const double* P, const double* Q) {
     }
 #pragma GCC unroll 4
     for (const V& b : best) fold(b);
+    if (V::all(dead)) return V::splat(kInf);
   }
   for (; j < n; ++j) {
     V best = V::splat(kInf);
@@ -306,22 +321,27 @@ V hausdorff_lanes(const Job& job, const double* P, const double* Q) {
     }
     fold(best);
   }
-  return worst;
+  return V::select(dead, V::splat(kInf), worst);
 }
 
+/// Hamming distance, testing the cutoff after every element.
 template <class V>
-V hamming_lanes(const Job& job, const double* P, const double* Q) {
+V hamming_lanes(const Job& job, const double* P, const double* Q, V cut) {
   constexpr std::size_t L = V::kLanes;
   const V thr = V::splat(job.threshold);
   V h = V::splat(0.0);
+  typename V::Mask dead = V::none();
   for (std::size_t i = 0; i < job.m; ++i) {
     // if (std::abs(p[i] - q[i]) > threshold) h += w_i * vstep
     const V d = V::abs(V::sub(V::load(P + i * L), V::load(Q + i * L)));
     const double wv =
         (job.elem_w != nullptr ? job.elem_w[i] : 1.0) * job.vstep;
     h = V::add_if(V::gt(d, thr), h, V::splat(wv));
+    // h > abandon_above
+    dead = V::either(dead, V::gt(h, cut));
+    if (V::all(dead)) return V::splat(kInf);
   }
-  return h;
+  return V::select(dead, V::splat(kInf), h);
 }
 
 /// Every lane group of `job`, V::kLanes pairs at a time.
@@ -336,18 +356,19 @@ void run(const Job& job) {
     transpose<L>(job.p + base, live, job.m, P);
     transpose<L>(job.q + base, live, job.n, Q);
     double lane[L];
+    for (std::size_t l = 0; l < L; ++l) {
+      lane[l] = job.cutoff[base + (l < live ? l : 0)];
+    }
+    const V cut = V::load(lane);
     V r = V::splat(0.0);
     switch (job.kind) {
-      case DistanceKind::Dtw:
-        for (std::size_t l = 0; l < L; ++l) {
-          lane[l] = job.cutoff[base + (l < live ? l : 0)];
-        }
-        r = dtw_lanes<V>(job, P, Q, rows, V::load(lane));
-        break;
+      case DistanceKind::Dtw: r = dtw_lanes<V>(job, P, Q, rows, cut); break;
       case DistanceKind::Lcs: r = lcs_lanes<V>(job, P, Q, rows); break;
-      case DistanceKind::Edit: r = edit_lanes<V>(job, P, Q, rows); break;
-      case DistanceKind::Hausdorff: r = hausdorff_lanes<V>(job, P, Q); break;
-      case DistanceKind::Hamming: r = hamming_lanes<V>(job, P, Q); break;
+      case DistanceKind::Edit: r = edit_lanes<V>(job, P, Q, rows, cut); break;
+      case DistanceKind::Hausdorff:
+        r = hausdorff_lanes<V>(job, P, Q, cut);
+        break;
+      case DistanceKind::Hamming: r = hamming_lanes<V>(job, P, Q, cut); break;
       case DistanceKind::Manhattan: break;  // no lane kernel (run_group)
     }
     r.store(lane);

@@ -34,12 +34,14 @@ struct DistanceParams {
   /// Optional per-element weights w_i (length = series length).  Owned.
   std::optional<std::vector<double>> elem_weights;
 
-  /// Early-abandon cutoff for DTW (matrix-profile front end, DESIGN.md §15):
-  /// when finite, dtw() returns +inf as soon as the minimum of a completed
-  /// DP row exceeds this value.  Admissible — every warping path passes
-  /// through every row, so a row minimum above the cutoff proves the final
-  /// distance exceeds it.  The default (+inf) never triggers and leaves
-  /// results bit-identical to the unconditional computation.
+  /// Early-abandon cutoff (matrix-profile front end, DESIGN.md §15): when
+  /// finite, a kernel returns +inf as soon as its running bound exceeds this
+  /// value — DTW and EdD the minimum of a completed DP row, HauD its running
+  /// max over columns, HamD and MD their running sum.  Each bound never
+  /// falls while every weight (and vstep) is >= 0, so it then proves the
+  /// final distance exceeds the cutoff.  LCS, a similarity, ignores it.  The
+  /// default (+inf) never triggers and leaves results bit-identical to the
+  /// unconditional computation.
   double abandon_above = std::numeric_limits<double>::infinity();
 
   [[nodiscard]] double w(std::size_t i, std::size_t j, std::size_t cols) const {

@@ -64,13 +64,22 @@ int complexity_order(DistanceKind kind) {
 
 double compute(DistanceKind kind, std::span<const double> p,
                std::span<const double> q, const DistanceParams& params) {
+  return compute(kind, p, q, params, params.abandon_above);
+}
+
+double compute(DistanceKind kind, std::span<const double> p,
+               std::span<const double> q, const DistanceParams& params,
+               double abandon_above) {
   switch (kind) {
-    case DistanceKind::Dtw: return dtw(p, q, params);
+    case DistanceKind::Dtw: return dtw(p, q, params, abandon_above);
     case DistanceKind::Lcs: return lcs(p, q, params);
-    case DistanceKind::Edit: return edit_distance(p, q, params);
-    case DistanceKind::Hausdorff: return hausdorff_directed(p, q, params);
-    case DistanceKind::Hamming: return hamming(p, q, params);
-    case DistanceKind::Manhattan: return manhattan(p, q, params);
+    case DistanceKind::Edit:
+      return edit_distance(p, q, params, abandon_above);
+    case DistanceKind::Hausdorff:
+      return hausdorff_directed(p, q, params, abandon_above);
+    case DistanceKind::Hamming: return hamming(p, q, params, abandon_above);
+    case DistanceKind::Manhattan:
+      return manhattan(p, q, params, abandon_above);
   }
   throw std::logic_error("unreachable");
 }

@@ -41,4 +41,11 @@ int complexity_order(DistanceKind kind);
 double compute(DistanceKind kind, std::span<const double> p,
                std::span<const double> q, const DistanceParams& params = {});
 
+/// compute() under the early-abandon cutoff `abandon_above` in place of
+/// params.abandon_above (per-pair cutoffs without copying the params, which
+/// own their weights).  LCS ignores it.
+double compute(DistanceKind kind, std::span<const double> p,
+               std::span<const double> q, const DistanceParams& params,
+               double abandon_above);
+
 }  // namespace mda::dist

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -18,6 +19,13 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Sakoe-Chiba radius of the LB_Keogh envelopes: the DTW band, or the whole
+/// window without one.
+int envelope_radius(const ProfileConfig& cfg) {
+  return cfg.params.band >= 0 ? cfg.params.band
+                              : static_cast<int>(cfg.window);
+}
+
 /// Kernel properties resolved once per run (header precedence: fn >
 /// accelerator > digital reference).
 struct KernelTraits {
@@ -25,11 +33,40 @@ struct KernelTraits {
   bool accel = false;
   bool similarity = false;  ///< Larger values mean nearer (LCS).
   bool symmetric = true;    ///< d(p,q) == d(q,p); false for directed HauD.
-  bool cascade = false;     ///< LB_Kim/LB_Keogh admissible (DTW kernels).
-  bool abandon = false;     ///< Early-abandoning digital DTW.
+  ProfileBounds bounds;
 };
 
-KernelTraits resolve_traits(const ProfileConfig& cfg) {
+/// True when `weights` is absent (unit weights) or every entry is >= floor
+/// (false on NaN).
+bool weights_at_least(const std::optional<std::vector<double>>& weights,
+                      double floor) {
+  return !weights || std::all_of(weights->begin(), weights->end(),
+                                 [floor](double w) { return w >= floor; });
+}
+
+/// True when the digital kernel's running bound never falls under
+/// cfg.params (DESIGN.md §15): only the parameters a kind reads are checked.
+bool abandon_admissible(const ProfileConfig& cfg) {
+  const dist::DistanceParams& p = cfg.params;
+  switch (cfg.kind) {
+    case dist::DistanceKind::Dtw:
+      return weights_at_least(p.pair_weights, 0.0);
+    case dist::DistanceKind::Edit:
+      return p.vstep >= 0.0 && weights_at_least(p.pair_weights, 0.0);
+    case dist::DistanceKind::Hausdorff:
+      return true;  // a running max never falls, whatever the weights
+    case dist::DistanceKind::Hamming:
+      return p.vstep >= 0.0 && weights_at_least(p.elem_weights, 0.0);
+    case dist::DistanceKind::Manhattan:
+      return weights_at_least(p.elem_weights, 0.0);
+    case dist::DistanceKind::Lcs:
+      return false;  // a similarity: no bound
+  }
+  return false;
+}
+
+/// O(1) given `bounds` (profile_bounds(cfg), which scans the weights).
+KernelTraits resolve_traits(const ProfileConfig& cfg, ProfileBounds bounds) {
   KernelTraits t;
   t.custom = static_cast<bool>(cfg.fn);
   t.accel = !t.custom && cfg.accelerator != nullptr;
@@ -38,9 +75,7 @@ KernelTraits resolve_traits(const ProfileConfig& cfg) {
   // must evaluate both orientations of every pair.  Custom callables are
   // assumed symmetric (documented in ProfileConfig::fn).
   t.symmetric = t.custom || cfg.kind != dist::DistanceKind::Hausdorff;
-  const bool dtw = !t.custom && cfg.kind == dist::DistanceKind::Dtw;
-  t.cascade = cfg.use_lower_bounds && dtw;
-  t.abandon = cfg.early_abandon && dtw && !t.accel;
+  t.bounds = bounds;
   return t;
 }
 
@@ -68,11 +103,6 @@ std::vector<data::Series> build_windows(const data::Series& s,
     windows[i] = make_window({s.data() + i, cfg.window}, cfg.znormalize);
   });
   return windows;
-}
-
-int envelope_radius(const ProfileConfig& cfg) {
-  return cfg.params.band >= 0 ? cfg.params.band
-                              : static_cast<int>(cfg.window);
 }
 
 std::vector<dist::Envelope> build_envelopes(
@@ -118,7 +148,9 @@ core::QueryRequest make_request(const ProfileConfig& cfg,
 /// cutoff is `cutoff`.
 double lane_cutoff(const ProfileConfig& cfg, const KernelTraits& traits,
                    double cutoff) {
-  return traits.abandon && cutoff < kInf ? cutoff : cfg.params.abandon_above;
+  return traits.bounds.early_abandon && cutoff < kInf
+             ? cutoff
+             : cfg.params.abandon_above;
 }
 
 /// Digital/custom kernel evaluation under an (optional) abandon cutoff.
@@ -158,10 +190,13 @@ struct Ctx {
 
 /// LB cascade for one pair against `threshold` (already margin-widened).
 Outcome lb_check(const Ctx& c, const PairTask& t, double threshold) {
-  if (!c.traits.cascade || !(threshold < kInf)) return Outcome::Survive;
+  if (!c.traits.bounds.lb_kim || !(threshold < kInf)) {
+    return Outcome::Survive;
+  }
   if (dist::lb_kim(c.wa[t.i], c.wb[t.j]) > threshold) {
     return Outcome::KimPruned;
   }
+  if (!c.traits.bounds.lb_keogh) return Outcome::Survive;
   double lk = dist::lb_keogh(c.wa[t.i], c.eb[t.j]);
   if (c.self) lk = std::max(lk, dist::lb_keogh(c.wb[t.j], c.ea[t.i]));
   if (lk > threshold) return Outcome::KeoghPruned;
@@ -198,7 +233,7 @@ void run_pairs(const Ctx& c, const std::vector<PairTask>& pairs,
     }
   };
   auto abandoned = [&](double cutoff, double d) {
-    return c.traits.abandon && cutoff < kInf && d == kInf;
+    return c.traits.bounds.early_abandon && cutoff < kInf && d == kInf;
   };
 
   if (c.cfg.engine != nullptr) {
@@ -350,16 +385,34 @@ ProfileResult make_result(std::size_t count, const ProfileConfig& cfg,
 
 }  // namespace
 
+ProfileBounds profile_bounds(const ProfileConfig& cfg) {
+  const bool custom = static_cast<bool>(cfg.fn);
+  const bool accel = !custom && cfg.accelerator != nullptr;
+  ProfileBounds b;
+  // LB_Kim and LB_Keogh bound UNWEIGHTED DTW; with every pair weight >= 1
+  // each weighted term is at least its unweighted one, rounding included.
+  b.lb_kim = cfg.use_lower_bounds && !custom &&
+             cfg.kind == dist::DistanceKind::Dtw &&
+             weights_at_least(cfg.params.pair_weights, 1.0);
+  // Without a band narrower than the window every envelope is the window's
+  // global min/max, and LB_Keogh all but never prunes (DESIGN.md §15).
+  b.lb_keogh = b.lb_kim &&
+               static_cast<std::size_t>(envelope_radius(cfg)) + 1 < cfg.window;
+  b.early_abandon =
+      cfg.early_abandon && !custom && !accel && abandon_admissible(cfg);
+  return b;
+}
+
 ProfileResult matrix_profile(const data::Series& series, ProfileConfig cfg) {
   static const obs::Counter runs("mda.mining.profile.runs");
   validate(cfg);
   if (cfg.exclusion == 0) cfg.exclusion = cfg.window;
   runs.add();
-  const KernelTraits traits = resolve_traits(cfg);
+  const KernelTraits traits = resolve_traits(cfg, profile_bounds(cfg));
   const std::vector<data::Series> windows = build_windows(series, cfg);
   const std::vector<dist::Envelope> envelopes =
-      traits.cascade ? build_envelopes(windows, cfg)
-                     : std::vector<dist::Envelope>{};
+      traits.bounds.lb_keogh ? build_envelopes(windows, cfg)
+                             : std::vector<dist::Envelope>{};
   const std::size_t count = windows.size();
 
   // STOMP-style diagonal-major pair order: diagonal k holds the pairs at
@@ -392,11 +445,12 @@ ProfileResult matrix_profile_join(const data::Series& a, const data::Series& b,
   static const obs::Counter runs("mda.mining.profile.runs");
   validate(cfg);
   runs.add();
-  const KernelTraits traits = resolve_traits(cfg);
+  const KernelTraits traits = resolve_traits(cfg, profile_bounds(cfg));
   const std::vector<data::Series> wa = build_windows(a, cfg);
   const std::vector<data::Series> wb = build_windows(b, cfg);
   const std::vector<dist::Envelope> eb =
-      traits.cascade ? build_envelopes(wb, cfg) : std::vector<dist::Envelope>{};
+      traits.bounds.lb_keogh ? build_envelopes(wb, cfg)
+                             : std::vector<dist::Envelope>{};
   const std::vector<dist::Envelope> none;
 
   std::vector<PairTask> pairs;
@@ -475,6 +529,7 @@ StreamingProfile::StreamingProfile(ProfileConfig cfg) : cfg_(std::move(cfg)) {
     throw std::invalid_argument(
         "profile: stream_capacity must hold at least one window");
   }
+  bounds_ = profile_bounds(cfg_);
 }
 
 void StreamingProfile::append(double value) {
@@ -495,7 +550,7 @@ void StreamingProfile::append(std::span<const double> values) {
 
 ProfileResult StreamingProfile::profile() const {
   ProfileResult r = make_result(windows_.size(), cfg_, cfg_.exclusion,
-                                resolve_traits(cfg_).similarity);
+                                resolve_traits(cfg_, bounds_).similarity);
   r.profile = best_;
   r.neighbor = nn_;
   r.stats = stats_;
@@ -503,11 +558,11 @@ ProfileResult StreamingProfile::profile() const {
 }
 
 void StreamingProfile::add_window() {
-  const KernelTraits traits = resolve_traits(cfg_);
+  const KernelTraits traits = resolve_traits(cfg_, bounds_);
   const std::span<const double> raw{raw_.data() + raw_.size() - cfg_.window,
                                     cfg_.window};
   windows_.push_back(make_window(raw, cfg_.znormalize));
-  if (traits.cascade) {
+  if (traits.bounds.lb_keogh) {
     envelopes_.push_back(
         dist::make_envelope(windows_.back(), envelope_radius(cfg_)));
   }
@@ -581,7 +636,7 @@ void StreamingProfile::evict_front() {
 }
 
 void StreamingProfile::rebuild_row(std::size_t i) {
-  const KernelTraits traits = resolve_traits(cfg_);
+  const KernelTraits traits = resolve_traits(cfg_, bounds_);
   best_[i] = traits.similarity ? -kInf : kInf;
   nn_[i] = kNoNeighbor;
   for (std::size_t j = 0; j < windows_.size(); ++j) {
@@ -600,7 +655,7 @@ void StreamingProfile::rebuild_row(std::size_t i) {
 StreamingProfile::Scan StreamingProfile::scan_pair(std::size_t i,
                                                    std::size_t j,
                                                    double cutoff) {
-  const KernelTraits traits = resolve_traits(cfg_);
+  const KernelTraits traits = resolve_traits(cfg_, bounds_);
   const Ctx c{cfg_,      traits,     windows_,
               windows_,  envelopes_, envelopes_,
               traits.symmetric};
@@ -619,7 +674,7 @@ StreamingProfile::Scan StreamingProfile::scan_pair(std::size_t i,
                 .unwrap()
                 .value
           : kernel_eval(cfg_, traits, windows_[i], windows_[j], cutoff);
-  if (traits.abandon && cutoff < kInf && d == kInf) {
+  if (traits.bounds.early_abandon && cutoff < kInf && d == kInf) {
     ++stats_.abandoned;
     return {};
   }

@@ -7,10 +7,11 @@
 // (anomalies) the maxima, so one profile opens motif/discord/anomaly
 // detection as first-class scenarios.
 //
-// The engine is the paper's deployment shape: a digital front end (LB_Kim ->
-// LB_Keogh cascade plus early-abandoning DTW) filters candidate pairs
-// cheaply, and the surviving distance evaluations are absorbed either by the
-// digital reference kernels or by the accelerator through the unified
+// The engine is the paper's deployment shape: a digital front end (the
+// LB_Kim -> LB_Keogh cascade for DTW, and an exact early abandon for every
+// kind with a running bound) filters candidate pairs cheaply, and the
+// surviving distance evaluations are absorbed either by the digital
+// reference kernels or by the accelerator through the unified
 // core::QueryRequest path — batched through BatchEngine::try_compute_batch.
 //
 // Determinism contracts (pinned by tests/test_matrix_profile.cpp):
@@ -65,15 +66,21 @@ struct ProfileConfig {
   dist::DistanceParams params;
   const core::Accelerator* accelerator = nullptr;  ///< Not owned.
 
-  /// LB_Kim -> LB_Keogh cascade.  Applied only when the kernel is DTW (the
-  /// bounds are admissible for our absolute-difference DTW); self-joins use
-  /// max(LB(p, env_q), LB(q, env_p)) per pair.
+  /// LB_Kim -> LB_Keogh cascade.  Applied only when the kernel is DTW and no
+  /// pair weight is below 1 (the bounds are admissible for our
+  /// absolute-difference DTW, and weights >= 1 only raise it); LB_Keogh runs
+  /// only when the band makes the envelope narrower than the window
+  /// (profile_bounds).  Self-joins use max(LB(p, env_q), LB(q, env_p)) per
+  /// pair.
   bool use_lower_bounds = true;
   /// Prune safety margin for analog kernels (>= 1.0): a candidate is
   /// dropped only when lb > best * lb_margin.
   double lb_margin = 1.0;
-  /// Early-abandoning DTW for the digital kernel (DistanceParams::
-  /// abandon_above); never applied to custom or accelerator kernels.
+  /// Early abandon for the digital kernel (DistanceParams::abandon_above):
+  /// DTW, EdD, HauD, HamD and MD stop once their running bound exceeds the
+  /// pair's cutoff.  Applied only while the weights and vstep the kind
+  /// reads are nonnegative (HauD: always — a running max never falls);
+  /// never to LCS, custom or accelerator kernels.
   bool early_abandon = true;
 
   /// Optional batch engine.  Pairs run in fixed-size blocks: within a block
@@ -92,8 +99,18 @@ struct ProfileConfig {
   std::size_t stream_capacity = 0;
 };
 
+/// The pruning stages a profile under a given config runs (DESIGN.md §15).
+struct ProfileBounds {
+  bool lb_kim = false;
+  bool lb_keogh = false;
+  bool early_abandon = false;
+};
+
+/// Which of the configured bounds apply to `cfg`'s kernel.
+ProfileBounds profile_bounds(const ProfileConfig& cfg);
+
 /// Cascade statistics.  Every admissible pair lands in exactly one bucket:
-/// pruned by a bound, abandoned mid-DTW, or fully evaluated.
+/// pruned by a bound, abandoned mid-kernel, or fully evaluated.
 struct ProfileStats {
   std::size_t pairs = 0;
   std::size_t pruned_lb_kim = 0;
@@ -174,6 +191,7 @@ class StreamingProfile {
   [[nodiscard]] Scan scan_pair(std::size_t i, std::size_t j, double cutoff);
 
   ProfileConfig cfg_;
+  ProfileBounds bounds_;      ///< profile_bounds(cfg_), resolved once.
   data::Series raw_;          ///< Retained points.
   std::size_t evicted_ = 0;   ///< Points dropped off the front.
   // Per retained window (index base: first retained window).

@@ -38,6 +38,7 @@ struct Group {
   std::vector<std::vector<double>> p;
   std::vector<std::vector<double>> q;
   std::vector<double> cutoff;
+  std::vector<double> full;  ///< Each lane's distance without a cutoff.
 
   [[nodiscard]] std::vector<LanePair> lanes() const {
     std::vector<LanePair> out;
@@ -83,14 +84,18 @@ Group random_group(util::Rng& rng, std::size_t iter) {
   if (g.kind == DistanceKind::Dtw && rng.uniform() < 0.4) {
     g.params.band = static_cast<int>(rng.index(std::max(m, n) / 2 + 2));
   }
+  // Weights are mostly positive; some groups also draw negative ones, under
+  // which the abandon bounds may fall, so that a lane must test its cutoff
+  // at exactly the scalar kernel's check points to match it.
+  const double w_lo = rng.uniform() < 0.2 ? -1.0 : 0.25;
   if (rng.uniform() < 0.3) {
     std::vector<double> w(m * n);
-    for (double& v : w) v = rng.uniform(0.25, 2.0);
+    for (double& v : w) v = rng.uniform(w_lo, 2.0);
     g.params.pair_weights = std::move(w);
   }
   if (rng.uniform() < 0.3) {
     std::vector<double> w(m);
-    for (double& v : w) v = rng.uniform(0.25, 2.0);
+    for (double& v : w) v = rng.uniform(w_lo, 2.0);
     g.params.elem_weights = std::move(w);
   }
   // Correlated lanes, so counting kinds see matches and DTW near cutoffs.
@@ -106,11 +111,12 @@ Group random_group(util::Rng& rng, std::size_t iter) {
   // Cutoffs: infinite, or around the lane's own distance so that some
   // lanes abandon and others finish.
   for (std::size_t l = 0; l < lanes; ++l) {
+    const double d = compute(g.kind, g.p[l], g.q[l], g.params);
     double cut = kInf;
     if (rng.uniform() < 0.6) {
-      const double d = compute(g.kind, g.p[l], g.q[l], g.params);
       cut = std::isfinite(d) ? d * rng.uniform(0.3, 1.5) : rng.uniform(0, 50);
     }
+    g.full.push_back(d);
     g.cutoff.push_back(cut);
   }
   return g;
@@ -139,11 +145,21 @@ TEST(DistanceLanes, FuzzMatchesPerLaneComputeBitwise) {
   util::Rng rng(20261017);
   const bool prev_force = util::force_scalar();
   std::size_t vector_groups = 0;
+  // Per kind: groups in which some lane abandons and another finishes
+  // under a finite cutoff.
+  std::size_t mixed[std::size(kAllKinds)] = {};
   for (std::size_t iter = 0; iter < 900; ++iter) {
     const Group g = random_group(rng, iter);
     const std::vector<LanePair> lanes = g.lanes();
     const std::vector<double> want = expected(g);
     std::vector<double> got(lanes.size(), -1.0);
+    bool abandons = false;
+    bool finishes = false;
+    for (std::size_t l = 0; l < want.size(); ++l) {
+      abandons = abandons || (want[l] == kInf && g.full[l] != kInf);
+      finishes = finishes || (g.cutoff[l] < kInf && std::isfinite(want[l]));
+    }
+    if (abandons && finishes) ++mixed[static_cast<std::size_t>(g.kind)];
 
     compute_lanes(g.kind, lanes, g.params, got);
     expect_same(g, want, got, "dispatched");
@@ -171,6 +187,10 @@ TEST(DistanceLanes, FuzzMatchesPerLaneComputeBitwise) {
   }
   if (util::avx2_available()) {
     EXPECT_GT(vector_groups, 900u);
+  }
+  for (const DistanceKind kind : kAllKinds) {
+    if (kind == DistanceKind::Lcs) continue;  // ignores the cutoff
+    EXPECT_GT(mixed[static_cast<std::size_t>(kind)], 0u) << kind_name(kind);
   }
 }
 

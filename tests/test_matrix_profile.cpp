@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "core/accelerator.hpp"
 #include "core/batch_engine.hpp"
@@ -67,20 +70,128 @@ TEST(MatrixProfile, FindsPlantedMotif) {
 
 TEST(MatrixProfile, CascadeAndAbandonDoNotChangeTheAnswer) {
   const data::Series s = with_planted_motif(160, 12, 20, 120, 5);
+  for (const dist::DistanceKind kind : dist::kAllKinds) {
+    SCOPED_TRACE(dist::kind_name(kind));
+    ProfileConfig cfg;
+    cfg.window = 12;
+    cfg.kind = kind;
+    cfg.params.threshold = 0.25;
+    cfg.use_lower_bounds = false;
+    cfg.early_abandon = false;
+    const ProfileResult plain = matrix_profile(s, cfg);
+    EXPECT_EQ(plain.stats.evaluated, plain.stats.pairs);
+    cfg.use_lower_bounds = true;
+    cfg.early_abandon = true;
+    const ProfileResult cascaded = matrix_profile(s, cfg);
+    expect_same(plain, cascaded);
+    // Every bound must actually fire, not match vacuously.  LCS has none;
+    // LB_Keogh is skipped without a band.
+    const ProfileBounds bounds = profile_bounds(cfg);
+    const bool lcs = kind == dist::DistanceKind::Lcs;
+    EXPECT_EQ(bounds.early_abandon, !lcs);
+    EXPECT_FALSE(bounds.lb_keogh);
+    EXPECT_EQ(cascaded.stats.pruned_lb_keogh, 0u);
+    if (lcs) {
+      EXPECT_EQ(cascaded.stats.abandoned, 0u);
+      EXPECT_EQ(cascaded.stats.evaluated, cascaded.stats.pairs);
+    } else {
+      EXPECT_GT(cascaded.stats.abandoned, 0u);
+      EXPECT_LT(cascaded.stats.evaluated, plain.stats.evaluated);
+    }
+    EXPECT_EQ(cascaded.stats.pruned_lb_kim > 0,
+              kind == dist::DistanceKind::Dtw);
+  }
+  // Banded DTW: the envelopes are narrower than the window, and LB_Keogh
+  // must fire there.
   ProfileConfig cfg;
   cfg.window = 12;
+  cfg.params.band = 2;
   cfg.use_lower_bounds = false;
   cfg.early_abandon = false;
   const ProfileResult plain = matrix_profile(s, cfg);
   cfg.use_lower_bounds = true;
   cfg.early_abandon = true;
-  const ProfileResult cascaded = matrix_profile(s, cfg);
-  expect_same(plain, cascaded);
-  // The cascade must actually fire on this input, not match vacuously.
-  EXPECT_GT(cascaded.stats.pruned_lb_kim + cascaded.stats.pruned_lb_keogh +
-                cascaded.stats.abandoned,
-            0u);
-  EXPECT_LT(cascaded.stats.evaluated, plain.stats.evaluated);
+  ASSERT_TRUE(profile_bounds(cfg).lb_keogh);
+  const ProfileResult banded = matrix_profile(s, cfg);
+  expect_same(plain, banded);
+  EXPECT_GT(banded.stats.pruned_lb_keogh, 0u);
+  // A band as wide as the window makes every envelope the global min/max.
+  cfg.params.band = static_cast<int>(cfg.window) - 1;
+  EXPECT_FALSE(profile_bounds(cfg).lb_keogh);
+}
+
+TEST(MatrixProfile, WeightedDtwCascadeStaysExact) {
+  // LB_Kim and LB_Keogh bound unweighted DTW: with pair weights below 1 the
+  // weighted distance can fall under them, so the cascade must stand down.
+  const data::Series s = noisy_series(300, 41);
+  for (const double w : {0.25, 0.5, 2.0}) {
+    SCOPED_TRACE(w);
+    ProfileConfig cfg;
+    cfg.window = 16;
+    cfg.params.pair_weights = std::vector<double>(16 * 16, w);
+    cfg.use_lower_bounds = false;
+    cfg.early_abandon = false;
+    const ProfileResult plain = matrix_profile(s, cfg);
+    cfg.use_lower_bounds = true;
+    cfg.early_abandon = true;
+    const ProfileResult cascaded = matrix_profile(s, cfg);
+    expect_same(plain, cascaded);
+    EXPECT_EQ(profile_bounds(cfg).lb_kim, w >= 1.0);
+    EXPECT_GT(cascaded.stats.abandoned, 0u);
+    core::BatchOptions opts;
+    opts.num_threads = 2;
+    const core::BatchEngine engine(opts);
+    cfg.engine = &engine;
+    expect_same(plain, matrix_profile(s, cfg));
+  }
+}
+
+TEST(MatrixProfile, AbandonGateChecksOnlyWhatTheKindReads) {
+  // A negative parameter turns the abandon off only for the kinds whose
+  // running bound it can lower; the others keep abandoning, exactly.
+  using K = dist::DistanceKind;
+  const data::Series s = noisy_series(120, 29);
+  const std::size_t window = 10;
+  struct Gate {
+    const char* what;
+    void (*set)(dist::DistanceParams&, std::size_t);
+    std::vector<K> still_on;
+  };
+  const Gate gates[] = {
+      {"vstep", [](dist::DistanceParams& p, std::size_t) { p.vstep = -1.0; },
+       {K::Dtw, K::Hausdorff, K::Manhattan}},
+      {"elem_weights",
+       [](dist::DistanceParams& p, std::size_t w) {
+         p.elem_weights = std::vector<double>(w, 1.0);
+         (*p.elem_weights)[w / 2] = -0.5;
+       },
+       {K::Dtw, K::Edit, K::Hausdorff}},
+      {"pair_weights",
+       [](dist::DistanceParams& p, std::size_t w) {
+         p.pair_weights = std::vector<double>(w * w, 1.0);
+         (*p.pair_weights)[w + 3] = -0.5;
+       },
+       {K::Hausdorff, K::Hamming, K::Manhattan}},
+  };
+  for (const Gate& g : gates) {
+    for (const K kind : dist::kAllKinds) {
+      SCOPED_TRACE(std::string(g.what) + " " + dist::kind_name(kind));
+      ProfileConfig cfg;
+      cfg.window = window;
+      cfg.kind = kind;
+      cfg.params.threshold = 0.25;
+      g.set(cfg.params, window);
+      const bool on = std::find(g.still_on.begin(), g.still_on.end(),
+                                kind) != g.still_on.end();
+      EXPECT_EQ(profile_bounds(cfg).early_abandon, on);
+      if (!on) continue;
+      const ProfileResult bounded = matrix_profile(s, cfg);
+      EXPECT_GT(bounded.stats.abandoned, 0u);
+      cfg.use_lower_bounds = false;
+      cfg.early_abandon = false;
+      expect_same(matrix_profile(s, cfg), bounded);
+    }
+  }
 }
 
 void expect_same_stats(const ProfileStats& x, const ProfileStats& y) {
@@ -133,15 +244,24 @@ TEST(MatrixProfile, BitIdenticalAcrossThreadCounts) {
 TEST(MatrixProfile, StreamingEqualsBatchBitwise) {
   const data::Series s = with_planted_motif(150, 10, 20, 110, 11);
   for (const dist::DistanceKind kind :
-       {dist::DistanceKind::Dtw, dist::DistanceKind::Hausdorff}) {
-    ProfileConfig cfg;
-    cfg.window = 10;
-    cfg.kind = kind;
-    const ProfileResult batch = matrix_profile(s, cfg);
-    StreamingProfile stream(cfg);
-    for (const double v : s) stream.append(v);
-    expect_same(batch, stream.profile());
-    EXPECT_EQ(stream.offset(), 0u);
+       {dist::DistanceKind::Dtw, dist::DistanceKind::Hausdorff,
+        dist::DistanceKind::Manhattan}) {
+    for (const bool weighted : {false, true}) {
+      SCOPED_TRACE(dist::kind_name(kind) + (weighted ? " weighted" : ""));
+      ProfileConfig cfg;
+      cfg.window = 10;
+      cfg.kind = kind;
+      if (weighted) {
+        cfg.params.pair_weights = std::vector<double>(10 * 10, 0.5);
+        cfg.params.elem_weights = std::vector<double>(10, 0.5);
+      }
+      const ProfileResult batch = matrix_profile(s, cfg);
+      StreamingProfile stream(cfg);
+      for (const double v : s) stream.append(v);
+      expect_same(batch, stream.profile());
+      EXPECT_EQ(stream.offset(), 0u);
+      EXPECT_GT(stream.profile().stats.abandoned, 0u);
+    }
   }
 }
 
