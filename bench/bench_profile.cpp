@@ -6,8 +6,9 @@
 // brute-force oracle — an independent all-ordered-pairs double loop applying
 // the documented (value, lowest-index) merge rule:
 //
-//  * full profile + neighbour indices bitwise, for the serial scan and for
-//    BatchEngine runs at 1, 2, 4 and 8 threads (the determinism contract);
+//  * full profile + neighbour indices bitwise, for the run without an
+//    engine and for BatchEngine runs at 1, 2, 4 and 8 threads, and the five
+//    cascade statistics equal across those runs (the determinism contract);
 //  * profile_motif / profile_discords against the oracle's motif and
 //    discords (recall is exact by construction — any drop is a mismatch);
 //  * StreamingProfile replay ≡ batch bitwise, including a sliding-window
@@ -16,11 +17,11 @@
 //    thread counts.
 //
 // Exit code 2 on ANY mismatch, else 0.  Timings (median, min and max of
-// kRepeats runs) compare the brute oracle, the serial scan (scalar kernels,
-// live-best pruning), the engine at 1, 4 and 8 threads (lane-parallel
-// kernels, block barriers) and the streaming replay, unweighted and with
-// every pair and element weight 2 (checked against the weighted serial
-// scan), per kind, next to the bounds each kind ran
+// kRepeats runs) compare the brute oracle, the serial row (the same
+// diagonal-stripe pair loop as the engine, its stripes run inline), the
+// engine at 1, 4 and 8 threads and the streaming replay, unweighted and
+// with every pair and element weight 2 (checked against the weighted batch
+// run), per kind, next to the bounds each kind ran
 // (mining::profile_bounds); the report carries the host fingerprint they
 // were taken on.
 // Without --json it runs the google-benchmark microbenchmarks below.
@@ -150,6 +151,12 @@ bool same_profile(const mining::ProfileResult& a,
                      a.profile.size() * sizeof(double)) == 0;
 }
 
+bool same_stats(const mining::ProfileStats& a, const mining::ProfileStats& b) {
+  return a.pairs == b.pairs && a.pruned_lb_kim == b.pruned_lb_kim &&
+         a.pruned_lb_keogh == b.pruned_lb_keogh &&
+         a.abandoned == b.abandoned && a.evaluated == b.evaluated;
+}
+
 bool same_discords(const std::vector<mining::Discord>& a,
                    const std::vector<mining::Discord>& b) {
   if (a.size() != b.size()) return false;
@@ -271,9 +278,11 @@ int run_json_bench(const std::string& path, int argc, char** argv) {
     const bool discords_ok = same_discords(mining::profile_discords(serial, k),
                                            mining::profile_discords(brute, k));
     const bool brute_ok = same_profile(serial, brute);
-    const bool threads_ok = same_profile(r1, brute) &&
-                            same_profile(r2, brute) &&
-                            same_profile(r4, brute) && same_profile(r8, brute);
+    bool threads_ok = true;
+    for (const mining::ProfileResult* r : {&r1, &r2, &r4, &r8}) {
+      threads_ok = threads_ok && same_profile(*r, brute) &&
+                   same_stats(r->stats, serial.stats);
+    }
     const bool ok = brute_ok && threads_ok && motif_ok && discords_ok &&
                     stream_ok && wstream_ok && capped_ok;
     all_ok = all_ok && ok;
@@ -335,7 +344,7 @@ int run_json_bench(const std::string& path, int argc, char** argv) {
 
   // Accelerator-backed DTW (Behavioral backend) through the unified
   // QueryRequest path: engine runs at 2 and 8 threads must agree with the
-  // serial accelerator scan bitwise.
+  // run without an engine bitwise, statistics included.
   {
     const std::size_t an = std::min<std::size_t>(n, 128);
     const std::size_t aw = std::min<std::size_t>(window, 16);
@@ -356,7 +365,9 @@ int run_json_bench(const std::string& path, int argc, char** argv) {
     const mining::ProfileResult r2 = mining::matrix_profile(aseries, cfg);
     cfg.engine = engine8.get();
     const mining::ProfileResult r8 = mining::matrix_profile(aseries, cfg);
-    const bool accel_ok = same_profile(r2, r8) && same_profile(r2, serial);
+    const bool accel_ok = same_profile(r2, r8) && same_profile(r2, serial) &&
+                          same_stats(r2.stats, serial.stats) &&
+                          same_stats(r8.stats, serial.stats);
     all_ok = all_ok && accel_ok;
     json.begin_object("accelerator", true)
         .field("backend", "behavioral")

@@ -68,10 +68,6 @@ bool run_group(DistanceKind kind, std::span<const LanePair> pairs,
 
 }  // namespace lanes
 
-bool has_lane_kernel(DistanceKind kind) {
-  return vector_kind(kind) && (util::use_avx512() || util::use_avx2());
-}
-
 void compute_lanes(DistanceKind kind, std::span<const LanePair> pairs,
                    const DistanceParams& params, std::span<double> out) {
   if (pairs.size() > kMaxLanes) {

@@ -40,12 +40,6 @@ struct LanePair {
   double abandon_above = std::numeric_limits<double>::infinity();
 };
 
-/// True when compute_lanes runs `kind` on vector kernels on this CPU: not
-/// for MD, and not without AVX2 or under util::force_scalar().  Otherwise
-/// it calls the scalar kernel per lane, and callers lose nothing by
-/// evaluating pairs one at a time.
-[[nodiscard]] bool has_lane_kernel(DistanceKind kind);
-
 /// Evaluates pairs.size() <= kMaxLanes pairs into out[0 .. pairs.size()).
 /// All pairs must share one shape (every p one length, every q one length);
 /// params.abandon_above is ignored in favour of each lane's cutoff.  Throws

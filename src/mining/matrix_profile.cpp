@@ -144,40 +144,16 @@ core::QueryRequest make_request(const ProfileConfig& cfg,
   return req;
 }
 
-/// The abandon cutoff a digital kernel runs under for a pair whose frozen
-/// cutoff is `cutoff`.
-double lane_cutoff(const ProfileConfig& cfg, const KernelTraits& traits,
-                   double cutoff) {
-  return traits.bounds.early_abandon && cutoff < kInf
-             ? cutoff
-             : cfg.params.abandon_above;
-}
-
-/// Digital/custom kernel evaluation under an (optional) abandon cutoff.
-double kernel_eval(const ProfileConfig& cfg, const KernelTraits& traits,
-                   std::span<const double> a, std::span<const double> b,
-                   double cutoff) {
-  if (traits.custom) return cfg.fn(a, b);
-  const dist::LanePair pair{a, b, lane_cutoff(cfg, traits, cutoff)};
-  double d = 0.0;
-  dist::compute_lanes(cfg.kind, {&pair, 1}, cfg.params, {&d, 1});
-  return d;
-}
-
-enum class Outcome : std::uint8_t {
-  Survive,    ///< Passed the cascade; evaluation still owed.
-  KimPruned,
-  KeoghPruned,
-  Abandoned,
-  Evaluated,
-};
+enum class Outcome : std::uint8_t { Survive, KimPruned, KeoghPruned };
 
 struct PairTask {
   std::uint32_t i;
   std::uint32_t j;
 };
 
-/// Everything run_pairs needs; wa/wb (and ea/eb) alias for self-joins.
+/// Everything run_stripe needs; wa/wb (and ea/eb) alias for self-joins.
+/// With `self`, a pair updates both rows (symmetric self-joins); without,
+/// only row i.
 struct Ctx {
   const ProfileConfig& cfg;
   KernelTraits traits;
@@ -203,25 +179,25 @@ Outcome lb_check(const Ctx& c, const PairTask& t, double threshold) {
   return Outcome::Survive;
 }
 
-/// Evaluate the admissible pairs, maintaining per-window bests/neighbours.
-/// Engine mode runs fixed blocks with bests frozen at each barrier (the
-/// subsequence_search pattern — thread-count invariant by construction);
-/// serial mode prunes against live bests.  Both produce the same profile
-/// bits: pruning is strict (only provably-worse candidates drop) and the
-/// merge rule is order-independent.
-void run_pairs(const Ctx& c, const std::vector<PairTask>& pairs,
-               std::vector<double>& best, std::vector<std::size_t>& nn,
-               ProfileStats& stats) {
+/// The one pair loop (DESIGN.md §15): walks `pairs` in order, pruning each
+/// against the live bests it updates.  Digital survivors are buffered
+/// dist::kMaxLanes at a time into one compute_lanes call (a scalar loop
+/// where no vector kernel runs), so the statistics depend on the pair list
+/// alone, never on the ISA; custom and accelerator kernels evaluate one
+/// pair at a time.  A buffered pair prunes against the bests of its
+/// cascade step, which only over-estimates its cutoff.
+void run_stripe(const Ctx& c, std::span<const PairTask> pairs,
+                std::vector<double>& best, std::vector<std::size_t>& nn,
+                ProfileStats& stats) {
   const bool sim = c.traits.similarity;
+  const bool abandon = c.traits.bounds.early_abandon;
   stats.pairs += pairs.size();
 
-  // Cutoff above which the pair can change nothing: for self-joins it must
-  // beat BOTH rows, so the prune/abandon bar is the larger of the two.
-  auto cutoff_of = [&](const PairTask& t, const std::vector<double>& b) {
-    if (sim) return kInf;  // no admissible bounds for similarity kernels
-    return c.self ? std::max(b[t.i], b[t.j]) : b[t.i];
-  };
-  auto merge = [&](const PairTask& t, double d) {
+  auto merge = [&](const PairTask& t, double cutoff, double d) {
+    if (abandon && cutoff < kInf && d == kInf) {
+      ++stats.abandoned;
+      return;
+    }
     ++stats.evaluated;
     if (improves(d, t.j, best[t.i], nn[t.i], sim)) {
       best[t.i] = d;
@@ -232,122 +208,84 @@ void run_pairs(const Ctx& c, const std::vector<PairTask>& pairs,
       nn[t.j] = t.i;
     }
   };
-  auto abandoned = [&](double cutoff, double d) {
-    return c.traits.bounds.early_abandon && cutoff < kInf && d == kInf;
+
+  PairTask held[dist::kMaxLanes];
+  double held_cutoff[dist::kMaxLanes];
+  dist::LanePair lanes[dist::kMaxLanes];
+  std::size_t n = 0;
+  auto flush = [&] {
+    double d[dist::kMaxLanes];
+    dist::compute_lanes(c.cfg.kind, {lanes, n}, c.cfg.params, {d, n});
+    for (std::size_t l = 0; l < n; ++l) merge(held[l], held_cutoff[l], d[l]);
+    n = 0;
   };
 
-  if (c.cfg.engine != nullptr) {
-    // Three stages per block: the LB cascade per pair, evaluation of the
-    // survivors, and the in-order merge.  Kinds with a lane kernel evaluate
-    // dist::kMaxLanes survivors per compute_lanes call, each lane
-    // bit-identical to its scalar call, so the profile and the cascade
-    // statistics do not depend on the grouping; custom callables and the
-    // other kinds evaluate within the cascade stage.
-    struct Eval {
-      Outcome outcome;
-      double d;
-      double cutoff;
-    };
-    const std::size_t block = std::max<std::size_t>(1, c.cfg.engine_block);
-    const bool lanes = !c.traits.custom && !c.traits.accel &&
-                       dist::has_lane_kernel(c.cfg.kind);
-    std::vector<Eval> evals(block);
-    std::vector<double> frozen;
-    std::vector<std::size_t> pending;
-    std::vector<core::QueryRequest> requests;
-    for (std::size_t base = 0; base < pairs.size(); base += block) {
-      const std::size_t count = std::min(block, pairs.size() - base);
-      frozen = best;
-      c.cfg.engine->parallel_for(count, [&](std::size_t k) {
-        const PairTask& t = pairs[base + k];
-        const double cutoff = cutoff_of(t, frozen);
-        const Outcome lb = lb_check(c, t, cutoff * c.cfg.lb_margin);
-        if (lb != Outcome::Survive || c.traits.accel || lanes) {
-          evals[k] = {lb, 0.0, cutoff};  // survivors evaluated below
-          return;
-        }
-        const double d =
-            kernel_eval(c.cfg, c.traits, c.wa[t.i], c.wb[t.j], cutoff);
-        evals[k] = {abandoned(cutoff, d) ? Outcome::Abandoned
-                                         : Outcome::Evaluated,
-                    d, cutoff};
-      });
-      pending.clear();
-      for (std::size_t k = 0; k < count; ++k) {
-        if (evals[k].outcome == Outcome::Survive) pending.push_back(k);
-      }
-      if (c.traits.accel) {
-        // Survivors of the digital front end, absorbed as one QueryRequest
-        // batch through BatchEngine.
-        requests.clear();
-        for (const std::size_t k : pending) {
-          const PairTask& t = pairs[base + k];
-          requests.push_back(make_request(c.cfg, c.wa[t.i], c.wb[t.j]));
-        }
-        if (!requests.empty()) {
-          const std::vector<core::ComputeOutcome> outcomes =
-              c.cfg.engine->try_compute_batch(*c.cfg.accelerator, requests);
-          for (std::size_t k = 0; k < outcomes.size(); ++k) {
-            evals[pending[k]] = {Outcome::Evaluated,
-                                 outcomes[k].unwrap().value, 0.0};
-          }
-        }
-      } else if (lanes) {
-        const std::size_t groups =
-            (pending.size() + dist::kMaxLanes - 1) / dist::kMaxLanes;
-        c.cfg.engine->parallel_for(groups, [&](std::size_t g) {
-          const std::size_t first = g * dist::kMaxLanes;
-          const std::size_t n =
-              std::min(dist::kMaxLanes, pending.size() - first);
-          dist::LanePair lane[dist::kMaxLanes];
-          double d[dist::kMaxLanes];
-          for (std::size_t l = 0; l < n; ++l) {
-            const Eval& e = evals[pending[first + l]];
-            const PairTask& t = pairs[base + pending[first + l]];
-            lane[l] = {c.wa[t.i], c.wb[t.j],
-                       lane_cutoff(c.cfg, c.traits, e.cutoff)};
-          }
-          dist::compute_lanes(c.cfg.kind, {lane, n}, c.cfg.params, {d, n});
-          for (std::size_t l = 0; l < n; ++l) {
-            Eval& e = evals[pending[first + l]];
-            e = {abandoned(e.cutoff, d[l]) ? Outcome::Abandoned
-                                           : Outcome::Evaluated,
-                 d[l], e.cutoff};
-          }
-        });
-      }
-      for (std::size_t k = 0; k < count; ++k) {
-        switch (evals[k].outcome) {
-          case Outcome::KimPruned: ++stats.pruned_lb_kim; break;
-          case Outcome::KeoghPruned: ++stats.pruned_lb_keogh; break;
-          case Outcome::Abandoned: ++stats.abandoned; break;
-          case Outcome::Evaluated: merge(pairs[base + k], evals[k].d); break;
-          case Outcome::Survive: break;  // unreachable
-        }
-      }
-    }
-    return;
-  }
-
   for (const PairTask& t : pairs) {
-    const double cutoff = cutoff_of(t, best);
+    // Cutoff above which the pair can change nothing: for self-joins it
+    // must beat BOTH rows, so the prune/abandon bar is the larger of the
+    // two.  Similarity kernels have no admissible bounds.
+    const double cutoff = sim      ? kInf
+                          : c.self ? std::max(best[t.i], best[t.j])
+                                   : best[t.i];
     switch (lb_check(c, t, cutoff * c.cfg.lb_margin)) {
       case Outcome::KimPruned: ++stats.pruned_lb_kim; continue;
       case Outcome::KeoghPruned: ++stats.pruned_lb_keogh; continue;
-      default: break;
+      case Outcome::Survive: break;
     }
-    const double d =
-        c.traits.accel
-            ? c.cfg.accelerator
-                  ->try_compute(make_request(c.cfg, c.wa[t.i], c.wb[t.j]))
-                  .unwrap()
-                  .value
-            : kernel_eval(c.cfg, c.traits, c.wa[t.i], c.wb[t.j], cutoff);
-    if (abandoned(cutoff, d)) {
-      ++stats.abandoned;
-      continue;
+    const std::span<const double> a = c.wa[t.i];
+    const std::span<const double> b = c.wb[t.j];
+    if (c.traits.custom) {
+      merge(t, cutoff, c.cfg.fn(a, b));
+    } else if (c.traits.accel) {
+      merge(t, cutoff,
+            c.cfg.accelerator->try_compute(make_request(c.cfg, a, b))
+                .unwrap()
+                .value);
+    } else {
+      held[n] = t;
+      held_cutoff[n] = cutoff;
+      lanes[n] = {a, b,
+                  abandon && cutoff < kInf ? cutoff
+                                           : c.cfg.params.abandon_above};
+      if (++n == dist::kMaxLanes) flush();
     }
-    merge(t, d);
+  }
+  if (n > 0) flush();
+}
+
+/// Runs the kStripes stripes of a join — stripe s evaluates
+/// `list(s)`, a pair list, against private bests — through cfg.engine
+/// (inline without one), then folds them into `r` in stripe order.  The
+/// fold is the lexicographic merge, so the profile does not depend on
+/// which stripe found a neighbour; the statistics depend on kStripes alone.
+template <typename ListPairs>
+void run_stripes(const Ctx& c, const ListPairs& list, ProfileResult& r) {
+  struct Stripe {
+    std::vector<double> best;
+    std::vector<std::size_t> nn;
+    ProfileStats stats;
+  };
+  std::vector<Stripe> stripes(kStripes);
+  core::run_indexed(c.cfg.engine, kStripes, [&](std::size_t s) {
+    // Built on this task's stack and moved out at the end: stripes that
+    // shared cache lines while counting would slow each other down.
+    Stripe st{r.profile, r.neighbor, {}};
+    run_stripe(c, list(s), st.best, st.nn, st.stats);
+    stripes[s] = std::move(st);
+  });
+  for (const Stripe& st : stripes) {
+    for (std::size_t i = 0; i < r.profile.size(); ++i) {
+      if (improves(st.best[i], st.nn[i], r.profile[i], r.neighbor[i],
+                   r.similarity)) {
+        r.profile[i] = st.best[i];
+        r.neighbor[i] = st.nn[i];
+      }
+    }
+    r.stats.pairs += st.stats.pairs;
+    r.stats.pruned_lb_kim += st.stats.pruned_lb_kim;
+    r.stats.pruned_lb_keogh += st.stats.pruned_lb_keogh;
+    r.stats.abandoned += st.stats.abandoned;
+    r.stats.evaluated += st.stats.evaluated;
   }
 }
 
@@ -415,27 +353,30 @@ ProfileResult matrix_profile(const data::Series& series, ProfileConfig cfg) {
                              : std::vector<dist::Envelope>{};
   const std::size_t count = windows.size();
 
-  // STOMP-style diagonal-major pair order: diagonal k holds the pairs at
-  // start-offset distance k.  Symmetric kernels evaluate each unordered
-  // pair once and update both rows; the directed (asymmetric) Hausdorff
-  // evaluates both orientations, each updating its own row.
-  std::vector<PairTask> pairs;
-  for (std::size_t k = cfg.exclusion; k < count; ++k) {
-    for (std::size_t i = 0; i + k < count; ++i) {
-      pairs.push_back({static_cast<std::uint32_t>(i),
-                       static_cast<std::uint32_t>(i + k)});
-      if (!traits.symmetric) {
-        pairs.push_back({static_cast<std::uint32_t>(i + k),
-                         static_cast<std::uint32_t>(i)});
-      }
-    }
-  }
-
+  // Stripe s holds the diagonals k = j - i with k mod kStripes == s, each
+  // walked STOMP-style, diagonal-major.  Symmetric kernels evaluate each
+  // unordered pair once and update both rows; the directed (asymmetric)
+  // Hausdorff evaluates both orientations, in the same stripe, each
+  // updating its own row.
   ProfileResult r = make_result(count, cfg, cfg.exclusion, traits.similarity);
   const Ctx c{cfg,       traits,    windows,
               windows,   envelopes, envelopes,
               traits.symmetric};
-  run_pairs(c, pairs, r.profile, r.neighbor, r.stats);
+  run_stripes(c, [&](std::size_t s) {
+    std::vector<PairTask> pairs;
+    for (std::size_t k = cfg.exclusion; k < count; ++k) {
+      if (k % kStripes != s) continue;
+      for (std::size_t i = 0; i + k < count; ++i) {
+        pairs.push_back({static_cast<std::uint32_t>(i),
+                         static_cast<std::uint32_t>(i + k)});
+        if (!traits.symmetric) {
+          pairs.push_back({static_cast<std::uint32_t>(i + k),
+                           static_cast<std::uint32_t>(i)});
+        }
+      }
+    }
+    return pairs;
+  }, r);
   bump_pair_metrics(r.stats);
   return r;
 }
@@ -453,18 +394,19 @@ ProfileResult matrix_profile_join(const data::Series& a, const data::Series& b,
                              : std::vector<dist::Envelope>{};
   const std::vector<dist::Envelope> none;
 
-  std::vector<PairTask> pairs;
-  pairs.reserve(wa.size() * wb.size());
-  for (std::size_t i = 0; i < wa.size(); ++i) {
-    for (std::size_t j = 0; j < wb.size(); ++j) {
-      pairs.push_back({static_cast<std::uint32_t>(i),
-                       static_cast<std::uint32_t>(j)});
-    }
-  }
-
+  // Stripe s holds the pairs with (j - i) mod kStripes == s, row-major.
   ProfileResult r = make_result(wa.size(), cfg, 0, traits.similarity);
   const Ctx c{cfg, traits, wa, wb, none, eb, false};
-  run_pairs(c, pairs, r.profile, r.neighbor, r.stats);
+  run_stripes(c, [&](std::size_t s) {
+    std::vector<PairTask> pairs;
+    for (std::size_t i = 0; i < wa.size(); ++i) {
+      for (std::size_t j = (i + s) % kStripes; j < wb.size(); j += kStripes) {
+        pairs.push_back({static_cast<std::uint32_t>(i),
+                         static_cast<std::uint32_t>(j)});
+      }
+    }
+    return pairs;
+  }, r);
   bump_pair_metrics(r.stats);
   return r;
 }
@@ -569,44 +511,25 @@ void StreamingProfile::add_window() {
   best_.push_back(traits.similarity ? -kInf : kInf);
   nn_.push_back(kNoNeighbor);
 
-  // Scan the admissible candidates of the new window in ascending index
-  // order; each evaluation may also improve the candidate's own row (the
-  // new window's index is the largest, so ties never displace old rows).
+  // The admissible candidates of the new window w in ascending index
+  // order; each evaluation may also improve the candidate's own row.
   // Asymmetric kernels (directed Hausdorff) evaluate each orientation
   // separately under its own row's cutoff.
   const std::size_t w = windows_.size() - 1;
   if (w < cfg_.exclusion) return;
+  std::vector<PairTask> pairs;
   for (std::size_t j = 0; j + cfg_.exclusion <= w; ++j) {
-    if (traits.symmetric) {
-      const double cutoff =
-          traits.similarity ? kInf : std::max(best_[w], best_[j]);
-      const Scan s = scan_pair(w, j, cutoff);
-      if (!s.evaluated) continue;
-      if (improves(s.d, j, best_[w], nn_[w], traits.similarity)) {
-        best_[w] = s.d;
-        nn_[w] = j;
-      }
-      if (improves(s.d, w, best_[j], nn_[j], traits.similarity)) {
-        best_[j] = s.d;
-        nn_[j] = w;
-      }
-    } else {
-      const Scan fwd =
-          scan_pair(w, j, traits.similarity ? kInf : best_[w]);
-      if (fwd.evaluated &&
-          improves(fwd.d, j, best_[w], nn_[w], traits.similarity)) {
-        best_[w] = fwd.d;
-        nn_[w] = j;
-      }
-      const Scan rev =
-          scan_pair(j, w, traits.similarity ? kInf : best_[j]);
-      if (rev.evaluated &&
-          improves(rev.d, w, best_[j], nn_[j], traits.similarity)) {
-        best_[j] = rev.d;
-        nn_[j] = w;
-      }
+    pairs.push_back({static_cast<std::uint32_t>(w),
+                     static_cast<std::uint32_t>(j)});
+    if (!traits.symmetric) {
+      pairs.push_back({static_cast<std::uint32_t>(j),
+                       static_cast<std::uint32_t>(w)});
     }
   }
+  const Ctx c{cfg_,      traits,     windows_,
+              windows_,  envelopes_, envelopes_,
+              traits.symmetric};
+  run_stripe(c, pairs, best_, nn_, stats_);
 }
 
 void StreamingProfile::evict_front() {
@@ -639,47 +562,16 @@ void StreamingProfile::rebuild_row(std::size_t i) {
   const KernelTraits traits = resolve_traits(cfg_, bounds_);
   best_[i] = traits.similarity ? -kInf : kInf;
   nn_[i] = kNoNeighbor;
+  std::vector<PairTask> pairs;
   for (std::size_t j = 0; j < windows_.size(); ++j) {
     const std::size_t gap = i > j ? i - j : j - i;
     if (gap < cfg_.exclusion) continue;
-    const Scan s =
-        scan_pair(i, j, traits.similarity ? kInf : best_[i]);
-    if (!s.evaluated) continue;
-    if (improves(s.d, j, best_[i], nn_[i], traits.similarity)) {
-      best_[i] = s.d;
-      nn_[i] = j;
-    }
+    pairs.push_back({static_cast<std::uint32_t>(i),
+                     static_cast<std::uint32_t>(j)});
   }
-}
-
-StreamingProfile::Scan StreamingProfile::scan_pair(std::size_t i,
-                                                   std::size_t j,
-                                                   double cutoff) {
-  const KernelTraits traits = resolve_traits(cfg_, bounds_);
-  const Ctx c{cfg_,      traits,     windows_,
-              windows_,  envelopes_, envelopes_,
-              traits.symmetric};
-  const PairTask t{static_cast<std::uint32_t>(i),
-                   static_cast<std::uint32_t>(j)};
-  ++stats_.pairs;
-  switch (lb_check(c, t, cutoff * cfg_.lb_margin)) {
-    case Outcome::KimPruned: ++stats_.pruned_lb_kim; return {};
-    case Outcome::KeoghPruned: ++stats_.pruned_lb_keogh; return {};
-    default: break;
-  }
-  const double d =
-      traits.accel
-          ? cfg_.accelerator
-                ->try_compute(make_request(cfg_, windows_[i], windows_[j]))
-                .unwrap()
-                .value
-          : kernel_eval(cfg_, traits, windows_[i], windows_[j], cutoff);
-  if (traits.bounds.early_abandon && cutoff < kInf && d == kInf) {
-    ++stats_.abandoned;
-    return {};
-  }
-  ++stats_.evaluated;
-  return {true, d};
+  // self = false: only row i is rebuilt.
+  const Ctx c{cfg_, traits, windows_, windows_, envelopes_, envelopes_, false};
+  run_stripe(c, pairs, best_, nn_, stats_);
 }
 
 }  // namespace mda::mining

@@ -12,20 +12,23 @@
 // kind with a running bound) filters candidate pairs cheaply, and the
 // surviving distance evaluations are absorbed either by the digital
 // reference kernels or by the accelerator through the unified
-// core::QueryRequest path — batched through BatchEngine::try_compute_batch.
+// core::QueryRequest path (Accelerator::try_compute, one pair at a time).
+// A join is split into kStripes fixed diagonal stripes, each pruning
+// against its own live bests, merged at the end.
 //
 // Determinism contracts (pinned by tests/test_matrix_profile.cpp):
 //  * profile values and neighbour indices are BIT-identical for any
-//    BatchEngine thread count (frozen-threshold block barriers, the
-//    subsequence_search pattern) and identical to the serial scan;
+//    BatchEngine thread count and without an engine, and so are the
+//    cascade statistics: the same stripes run either way;
 //  * nearest-neighbour ties break to the LOWEST window index, so results
 //    are independent of pair enumeration order and stdlib internals;
 //  * StreamingProfile (incremental, per-appended-point updates) produces
 //    the profile matrix_profile() would compute on the same series, bitwise
 //    (streaming ≡ batch).
 // Pruning preserves these contracts because it is strict: a candidate is
-// dropped only when a bound proves its distance STRICTLY exceeds the frozen
-// best, so no dropped candidate could have improved or tied the profile.
+// dropped only when a bound proves its distance STRICTLY exceeds a best
+// its row already holds, so no dropped candidate could have improved or
+// tied the profile.
 // With an accelerator kernel the bounds hold for the digital reference, not
 // the analog value; lb_margin widens the prune threshold to cover the
 // analog error, exactly as in SearchConfig.
@@ -46,6 +49,12 @@ namespace mda::mining {
 inline constexpr std::size_t kNoNeighbor =
     std::numeric_limits<std::size_t>::max();
 
+/// Diagonal stripes of a join (DESIGN.md §15): pair (i, j) belongs to stripe
+/// (j - i) mod kStripes, and dtw_subsequence_search's window at position
+/// pos to stripe pos mod kStripes.  Fixed, never derived from a thread
+/// count, so the cascade statistics depend on it alone.
+inline constexpr std::size_t kStripes = 8;
+
 struct ProfileConfig {
   std::size_t window = 32;
   /// Self-join trivial-match exclusion zone (start-offset distance below
@@ -58,8 +67,8 @@ struct ProfileConfig {
   ///  1. `fn` when set — any callable (assumed symmetric for self-joins);
   ///  2. `accelerator` when set — every surviving pair becomes a
   ///     core::QueryRequest pinned to (kind, params.threshold, params.band),
-  ///     evaluated through Accelerator::try_compute or, with an engine,
-  ///     BatchEngine::try_compute_batch;
+  ///     evaluated through Accelerator::try_compute, concurrently from the
+  ///     engine's threads when there is one;
   ///  3. the digital reference dist::compute(kind, ...) otherwise.
   DistanceFn fn;
   dist::DistanceKind kind = dist::DistanceKind::Dtw;
@@ -83,19 +92,15 @@ struct ProfileConfig {
   /// never to LCS, custom or accelerator kernels.
   bool early_abandon = true;
 
-  /// Optional batch engine.  Pairs run in fixed-size blocks: within a block
-  /// every pair prunes against per-window bests frozen at the block
-  /// boundary, and the survivors evaluate in parallel — digital kernels
-  /// dist::kMaxLanes pairs per dist::compute_lanes call, one pair per SIMD
-  /// lane; bests advance at each barrier.
-  /// Profile values/indices equal the serial scan; the cascade *statistics*
-  /// depend only on the block structure, never on the thread count.
+  /// Optional batch engine: the kStripes stripes run as its tasks, and
+  /// inline without one.  Within a stripe every pair prunes against the
+  /// stripe's live bests, and digital survivors evaluate dist::kMaxLanes
+  /// pairs per dist::compute_lanes call, one pair per SIMD lane.  Profile
+  /// and statistics are the same with and without an engine.
   const core::BatchEngine* engine = nullptr;
-  /// Pairs per block (fixed, NOT derived from num_threads).
-  std::size_t engine_block = 256;
 
   /// StreamingProfile only: maximum points retained (sliding window over
-  /// the stream); 0 = unbounded.  Must be > window when set.
+  /// the stream); 0 = unbounded.  Must be >= window when set.
   std::size_t stream_capacity = 0;
 };
 
@@ -133,14 +138,16 @@ struct ProfileResult {
   ProfileStats stats;
 };
 
-/// Self-join matrix profile of `series` (STOMP-style diagonal-major pair
-/// order; symmetric kernels evaluate each unordered pair once and update
-/// both rows, while the directed Hausdorff evaluates both orientations).
+/// Self-join matrix profile of `series` (kStripes diagonal stripes, each
+/// walked STOMP-style, diagonal-major; symmetric kernels evaluate each
+/// unordered pair once and update both rows, while the directed Hausdorff
+/// evaluates both orientations).
 ProfileResult matrix_profile(const data::Series& series,
                              ProfileConfig cfg = {});
 
 /// AB-join: profile of `a`'s windows over nearest neighbours among `b`'s
-/// windows (no exclusion zone — cross-series matches are never trivial).
+/// windows (no exclusion zone — cross-series matches are never trivial);
+/// stripe s holds the pairs with (j - i) mod kStripes == s, row-major.
 ProfileResult matrix_profile_join(const data::Series& a, const data::Series& b,
                                   ProfileConfig cfg = {});
 
@@ -162,7 +169,8 @@ std::vector<Discord> profile_discords(const ProfileResult& r, std::size_t k);
 /// overflowing append; rows whose nearest neighbour retired are rebuilt by
 /// a fresh scan.  Contract: profile() equals matrix_profile(series(), cfg)
 /// bitwise (values, neighbours, starts — statistics are trajectory-bound
-/// and exempt).  The candidate scan runs serially; cfg.engine is ignored.
+/// and exempt).  Each candidate scan is one run of the join's pair loop,
+/// serial and against the live profile; cfg.engine is ignored.
 class StreamingProfile {
  public:
   explicit StreamingProfile(ProfileConfig cfg);
@@ -178,17 +186,9 @@ class StreamingProfile {
   [[nodiscard]] ProfileResult profile() const;
 
  private:
-  struct Scan {
-    bool evaluated = false;
-    double d = 0.0;
-  };
-
   void add_window();
   void evict_front();
   void rebuild_row(std::size_t i);
-  /// Cascade + kernel for window i vs window j (retained indices) under
-  /// `cutoff`; updates stats_.  evaluated == false when pruned/abandoned.
-  [[nodiscard]] Scan scan_pair(std::size_t i, std::size_t j, double cutoff);
 
   ProfileConfig cfg_;
   ProfileBounds bounds_;      ///< profile_bounds(cfg_), resolved once.

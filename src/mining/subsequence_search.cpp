@@ -1,13 +1,14 @@
 #include "mining/subsequence_search.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <vector>
 
+#include "core/batch_engine.hpp"
 #include "data/normalize.hpp"
 #include "distance/dtw.hpp"
 #include "distance/lower_bounds.hpp"
+#include "mining/matrix_profile.hpp"
 #include "obs/metrics.hpp"
 
 namespace mda::mining {
@@ -37,71 +38,55 @@ SearchResult dtw_subsequence_search(std::span<const double> haystack,
 
   SearchResult result;
   result.windows = haystack.size() - m + 1;
-  double best = std::numeric_limits<double>::infinity();
 
-  // Evaluate one window against the best-so-far it is allowed to prune
-  // with; returns {outcome, distance}.
-  enum class Outcome { KimPruned, KeoghPruned, Evaluated };
-  struct WindowEval {
-    Outcome outcome;
-    double distance;
-  };
-  auto eval_window = [&](std::size_t pos, double prune_best) -> WindowEval {
-    const std::span<const double> raw = haystack.subspan(pos, m);
-    const data::Series window =
-        cfg.znormalize ? data::znormalize(raw)
-                       : data::Series(raw.begin(), raw.end());
-    if (cfg.use_lower_bounds) {
-      if (dist::lb_kim(window, query) >= prune_best * cfg.lb_margin) {
-        return {Outcome::KimPruned, 0.0};
-      }
-      if (dist::lb_keogh(window, env) >= prune_best * cfg.lb_margin) {
-        return {Outcome::KeoghPruned, 0.0};
-      }
-    }
-    const double d = cfg.dtw_override ? cfg.dtw_override(window, query)
-                                      : dist::dtw(window, query, params);
-    return {Outcome::Evaluated, d};
-  };
-  // Merge one window's outcome into the running result, advancing the
-  // best-so-far.  Shared between the serial scan and the block barriers.
-  auto merge = [&](std::size_t pos, const WindowEval& e) {
-    switch (e.outcome) {
-      case Outcome::KimPruned:
-        ++result.pruned_lb_kim;
-        return;
-      case Outcome::KeoghPruned:
-        ++result.pruned_lb_keogh;
-        return;
-      case Outcome::Evaluated:
-        ++result.full_dtw_evals;
-        if (e.distance < best) {
-          best = e.distance;
-          result.position = pos;
+  // Stripe s scans positions s, s + kStripes, ... in ascending order
+  // against its own live best, so a window is pruned only by an earlier
+  // window of its stripe, and `>=` pruning never drops a lexicographically
+  // better (distance, position).  The stripes run through cfg.engine
+  // (inline without one) and merge by (distance, lowest position), so the
+  // result and the statistics are the same at any thread count.
+  std::vector<SearchResult> stripes(kStripes);
+  core::run_indexed(cfg.engine, kStripes, [&](std::size_t s) {
+    SearchResult st;  // on this task's stack: no cache line shared
+    st.distance = std::numeric_limits<double>::infinity();
+    for (std::size_t pos = s; pos < result.windows; pos += kStripes) {
+      const std::span<const double> raw = haystack.subspan(pos, m);
+      const data::Series window =
+          cfg.znormalize ? data::znormalize(raw)
+                         : data::Series(raw.begin(), raw.end());
+      if (cfg.use_lower_bounds) {
+        if (dist::lb_kim(window, query) >= st.distance * cfg.lb_margin) {
+          ++st.pruned_lb_kim;
+          continue;
         }
+        if (dist::lb_keogh(window, env) >= st.distance * cfg.lb_margin) {
+          ++st.pruned_lb_keogh;
+          continue;
+        }
+      }
+      const double d = cfg.dtw_override ? cfg.dtw_override(window, query)
+                                        : dist::dtw(window, query, params);
+      ++st.full_dtw_evals;
+      if (d < st.distance) {
+        st.distance = d;
+        st.position = pos;
+      }
     }
-  };
-
-  if (cfg.engine != nullptr && cfg.engine->num_threads() > 1) {
-    // Block-synchronous scan (see SearchConfig::engine): within a block
-    // the pruning threshold is frozen, so every window is an independent
-    // task; the threshold advances at each barrier.
-    const std::size_t block = std::max<std::size_t>(1, cfg.engine_block);
-    std::vector<WindowEval> evals(block);
-    for (std::size_t base = 0; base < result.windows; base += block) {
-      const std::size_t count = std::min(block, result.windows - base);
-      const double frozen_best = best;
-      cfg.engine->parallel_for(count, [&](std::size_t t) {
-        evals[t] = eval_window(base + t, frozen_best);
-      });
-      for (std::size_t t = 0; t < count; ++t) merge(base + t, evals[t]);
+    stripes[s] = st;
+  });
+  // A stripe that never improved keeps +inf and cannot win the merge, so
+  // with no finite distance anywhere the result stays at position 0.
+  result.distance = std::numeric_limits<double>::infinity();
+  for (const SearchResult& st : stripes) {
+    if (st.distance < result.distance ||
+        (st.distance == result.distance && st.position < result.position)) {
+      result.distance = st.distance;
+      result.position = st.position;
     }
-  } else {
-    for (std::size_t pos = 0; pos < result.windows; ++pos) {
-      merge(pos, eval_window(pos, best));
-    }
+    result.pruned_lb_kim += st.pruned_lb_kim;
+    result.pruned_lb_keogh += st.pruned_lb_keogh;
+    result.full_dtw_evals += st.full_dtw_evals;
   }
-  result.distance = best;
 
   // Prune-rate accounting (DESIGN.md §8): the lower-bound cascade is the
   // whole point of the digital front end, so its hit rates are first-class.

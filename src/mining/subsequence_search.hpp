@@ -3,7 +3,11 @@
 // Rakthanmanon et al. (the paper's reference [24], whose measurement that
 // "the distance function takes more than 99% of the runtime" motivates the
 // whole accelerator).  Cascade: LB_Kim -> LB_Keogh -> banded DTW with a
-// running best-so-far.
+// running best-so-far per stripe — the matrix profile's diagonal-stripe
+// rule applied to window positions.  The windows are built on the fly,
+// one per position: routing the search through matrix_profile_join would
+// need an O(n·m) window table plus haystack envelopes, and would turn
+// dtw_override into a custom kernel, which switches the cascade off.
 
 #include <cstddef>
 #include <span>
@@ -26,18 +30,13 @@ struct SearchConfig {
   /// a window is pruned only when lb >= best * lb_margin (>= 1.0).
   double lb_margin = 1.0;
 
-  /// Optional batch engine.  Windows are processed in fixed-size blocks:
-  /// within a block every window prunes against the best-so-far frozen at
-  /// the block boundary and evaluates in parallel; the best is advanced at
-  /// each barrier.  The best window found is identical to the serial scan
-  /// (admissible bounds never prune the optimum) and independent of
-  /// num_threads; the cascade *statistics* depend on the block structure,
-  /// because stale-best pruning within a block prunes less than a serial
-  /// scan would.
+  /// Optional batch engine.  Window positions split into kStripes fixed
+  /// stripes (pos mod kStripes, matrix_profile.hpp), each scanned in
+  /// ascending order against its own live best-so-far; the stripes run as
+  /// the engine's tasks, inline without one, and merge by (distance, lowest
+  /// position).  Result and cascade statistics are the same with and
+  /// without an engine, at any num_threads.
   const core::BatchEngine* engine = nullptr;
-  /// Block size for the barrier schedule above (fixed, NOT derived from
-  /// num_threads, so stats are reproducible across pool sizes).
-  std::size_t engine_block = 128;
 };
 
 struct SearchResult {

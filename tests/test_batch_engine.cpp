@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/accelerator.hpp"
@@ -571,27 +572,35 @@ TEST(BatchMining, SubsequenceSearchSameOptimumAndThreadInvariantStats) {
   for (std::size_t i = 0; i < needle.size(); ++i) {
     needle[i] = haystack[200 + i];
   }
+  // A second exact copy at 300 (300 mod 8 = 4, 200 mod 8 = 0): the two
+  // zero-distance windows fall in different stripes, and the lower
+  // position must win however the stripes are scheduled.
+  std::vector<double> twice = haystack;
+  for (std::size_t i = 0; i < needle.size(); ++i) twice[300 + i] = needle[i];
   mining::SearchConfig cfg;
   cfg.band = 4;
   const auto serial = mining::dtw_subsequence_search(haystack, needle, cfg);
+  const auto serial_twice = mining::dtw_subsequence_search(twice, needle, cfg);
+  EXPECT_EQ(serial.position, 200u);
+  EXPECT_EQ(serial_twice.position, 200u);
+  EXPECT_EQ(serial_twice.distance, 0.0);
 
-  mining::SearchResult prev{};
-  for (std::size_t threads : {2u, 8u}) {
+  for (std::size_t threads : {1u, 2u, 8u}) {
     const BatchEngine engine = make_engine(threads, Backend::Behavioral);
     mining::SearchConfig par_cfg = cfg;
     par_cfg.engine = &engine;
-    const auto par = mining::dtw_subsequence_search(haystack, needle, par_cfg);
-    // The optimum matches the serial scan (admissible pruning).
-    EXPECT_EQ(par.position, serial.position);
-    EXPECT_EQ(par.distance, serial.distance);
-    EXPECT_EQ(par.windows, serial.windows);
-    // Cascade stats depend on the block structure, not the pool size.
-    if (threads > 2) {
-      EXPECT_EQ(par.pruned_lb_kim, prev.pruned_lb_kim);
-      EXPECT_EQ(par.pruned_lb_keogh, prev.pruned_lb_keogh);
-      EXPECT_EQ(par.full_dtw_evals, prev.full_dtw_evals);
+    for (const auto& [hay, ref] :
+         {std::pair{&haystack, &serial}, std::pair{&twice, &serial_twice}}) {
+      const auto par = mining::dtw_subsequence_search(*hay, needle, par_cfg);
+      // The optimum matches the serial scan (admissible pruning), and the
+      // serial scan runs the same stripes, so the cascade stats match too.
+      EXPECT_EQ(par.position, ref->position);
+      EXPECT_EQ(par.distance, ref->distance);
+      EXPECT_EQ(par.windows, ref->windows);
+      EXPECT_EQ(par.pruned_lb_kim, ref->pruned_lb_kim);
+      EXPECT_EQ(par.pruned_lb_keogh, ref->pruned_lb_keogh);
+      EXPECT_EQ(par.full_dtw_evals, ref->full_dtw_evals);
     }
-    prev = par;
   }
 }
 

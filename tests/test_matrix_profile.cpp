@@ -212,27 +212,68 @@ TEST(MatrixProfile, BitIdenticalAcrossThreadCounts) {
     cfg.kind = kind;
     cfg.params.threshold = 0.25;
     const ProfileResult serial = matrix_profile(s, cfg);
-    ProfileResult first_engine;
-    bool have_first = false;
     for (const std::size_t threads : {1u, 2u, 8u}) {
       core::BatchOptions opts;
       opts.num_threads = threads;
       const core::BatchEngine engine(opts);
       cfg.engine = &engine;
       const ProfileResult r = matrix_profile(s, cfg);
+      // The serial scan runs the same stripes inline, so even the cascade
+      // statistics match it at every thread count.
       expect_same(serial, r);
-      if (!have_first) {
-        first_engine = r;
-        have_first = true;
-      } else {
-        // Engine runs share the block structure, so even the cascade
-        // statistics are thread-count invariant.
-        expect_same_stats(first_engine.stats, r.stats);
-      }
-      // The lane stage against the forced-scalar engine, which evaluates
-      // pairs one by one: same profile bits and the same five statistics.
+      expect_same_stats(serial.stats, r.stats);
+      // The lane stage against the forced-scalar kernels, which evaluate
+      // the same groups pair by pair: same bits and the same statistics.
       util::set_force_scalar(true);
       const ProfileResult scalar = matrix_profile(s, cfg);
+      util::set_force_scalar(prev_force);
+      expect_same(r, scalar);
+      expect_same_stats(r.stats, scalar.stats);
+    }
+    cfg.engine = nullptr;
+  }
+}
+
+TEST(MatrixProfile, AbJoinBitIdenticalAcrossThreadCounts) {
+  const data::Series a = noisy_series(120, 29);
+  data::Series b = noisy_series(90, 31);
+  for (std::size_t i = 0; i < 10; ++i) b[50 + i] = a[17 + i];
+  const bool prev_force = util::force_scalar();
+  core::DistanceSpec spec;
+  spec.kind = dist::DistanceKind::Dtw;
+  spec.band = 3;
+  core::Accelerator acc;
+  acc.configure(spec, core::Backend::Behavioral);
+  std::vector<ProfileConfig> cfgs;
+  for (const dist::DistanceKind kind : dist::kAllKinds) {
+    ProfileConfig cfg;
+    cfg.window = 10;
+    cfg.kind = kind;
+    cfg.params.threshold = 0.25;
+    cfgs.push_back(cfg);
+  }
+  ProfileConfig accel_cfg;
+  accel_cfg.window = 10;
+  accel_cfg.kind = spec.kind;
+  accel_cfg.params.band = spec.band;
+  accel_cfg.accelerator = &acc;
+  accel_cfg.lb_margin = 1.5;
+  cfgs.push_back(accel_cfg);
+  for (ProfileConfig& cfg : cfgs) {
+    SCOPED_TRACE(dist::kind_name(cfg.kind) +
+                 (cfg.accelerator ? " accelerator" : ""));
+    const ProfileResult serial = matrix_profile_join(a, b, cfg);
+    EXPECT_EQ(serial.stats.pairs, 111u * 81u);
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      core::BatchOptions opts;
+      opts.num_threads = threads;
+      const core::BatchEngine engine(opts);
+      cfg.engine = &engine;
+      const ProfileResult r = matrix_profile_join(a, b, cfg);
+      expect_same(serial, r);
+      expect_same_stats(serial.stats, r.stats);
+      util::set_force_scalar(true);
+      const ProfileResult scalar = matrix_profile_join(a, b, cfg);
       util::set_force_scalar(prev_force);
       expect_same(r, scalar);
       expect_same_stats(r.stats, scalar.stats);

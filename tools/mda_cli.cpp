@@ -18,13 +18,17 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/accelerator.hpp"
@@ -61,6 +65,23 @@ double flag_num(int argc, char** argv, const std::string& name,
                 double fallback) {
   const auto s = flag_str(argc, argv, name);
   return s ? std::stod(*s) : fallback;
+}
+
+/// A count flag (window, k, threads, port, ...) as T.  Rejects negative,
+/// non-integral, non-finite and out-of-range values, whose cast to T would
+/// be undefined behaviour.
+template <typename T = std::size_t>
+T flag_count(int argc, char** argv, const std::string& name,
+             std::type_identity_t<T> fallback) {
+  const auto s = flag_str(argc, argv, name);
+  if (!s) return fallback;
+  const double v = std::stod(*s);
+  if (!(v >= 0.0) || v != std::floor(v) ||
+      v >= std::ldexp(1.0, std::numeric_limits<T>::digits)) {
+    throw std::invalid_argument("--" + name +
+                                " must be a non-negative integer");
+  }
+  return static_cast<T>(v);
 }
 
 std::vector<double> parse_values(const std::string& csv) {
@@ -168,13 +189,11 @@ int cmd_batch(int argc, char** argv) {
   const auto backend = parse_backend(argc, argv);
   if (!backend) return 1;
   opts.backend = *backend;
-  opts.num_threads =
-      static_cast<std::size_t>(flag_num(argc, argv, "threads", 0));
-  opts.chunk_size = static_cast<std::size_t>(flag_num(argc, argv, "chunk", 0));
+  opts.num_threads = flag_count(argc, argv, "threads", 0);
+  opts.chunk_size = flag_count(argc, argv, "chunk", 0);
 
   core::AcceleratorConfig acfg;
-  acfg.cache_capacity =
-      static_cast<std::size_t>(flag_num(argc, argv, "cache", 8));
+  acfg.cache_capacity = flag_count(argc, argv, "cache", 8);
   core::Accelerator acc(acfg);
   acc.configure(spec);
   core::BatchEngine engine(opts);
@@ -232,8 +251,7 @@ int cmd_compute(int argc, char** argv) {
   const auto backend = parse_backend(argc, argv);
   if (!backend) return 1;
   core::AcceleratorConfig acfg;
-  acfg.cache_capacity =
-      static_cast<std::size_t>(flag_num(argc, argv, "cache", 8));
+  acfg.cache_capacity = flag_count(argc, argv, "cache", 8);
   core::Accelerator acc(acfg);
   acc.configure(spec, *backend);
   const core::ComputeResult r = acc.try_compute(*p, *q).unwrap();
@@ -284,7 +302,7 @@ int cmd_export(int argc, char** argv) {
     std::fprintf(stderr, "export: --kind required\n");
     return 1;
   }
-  const auto n = static_cast<std::size_t>(flag_num(argc, argv, "n", 4));
+  const auto n = flag_count(argc, argv, "n", 4);
   core::AcceleratorConfig config;
   core::DistanceSpec spec;
   spec.kind = dist::kind_from_name(*kind_name);
@@ -347,9 +365,8 @@ int cmd_profile(int argc, char** argv) {
   if (const auto s = load_series(argc, argv, "series", "file")) {
     series = *s;
   } else {
-    const auto n = static_cast<std::size_t>(flag_num(argc, argv, "n", 512));
-    const auto seed =
-        static_cast<std::uint64_t>(flag_num(argc, argv, "seed", 42));
+    const auto n = flag_count(argc, argv, "n", 512);
+    const auto seed = flag_count<std::uint64_t>(argc, argv, "seed", 42);
     series = data::make_ecg(n, 1.2, false, seed);
     const data::Series bad = data::make_ecg(n, 1.2, true, seed + 1);
     const std::size_t len = std::min(series.size() / 8, bad.size());
@@ -360,9 +377,8 @@ int cmd_profile(int argc, char** argv) {
   }
 
   mining::ProfileConfig cfg;
-  cfg.window = static_cast<std::size_t>(flag_num(argc, argv, "window", 32));
-  cfg.exclusion =
-      static_cast<std::size_t>(flag_num(argc, argv, "exclusion", 0));
+  cfg.window = flag_count(argc, argv, "window", 32);
+  cfg.exclusion = flag_count(argc, argv, "exclusion", 0);
   cfg.kind = dist::kind_from_name(flag_str(argc, argv, "kind").value_or("dtw"));
   cfg.params.threshold = flag_num(argc, argv, "threshold", 0.0);
   cfg.params.band = static_cast<int>(flag_num(argc, argv, "band", -1));
@@ -370,8 +386,6 @@ int cmd_profile(int argc, char** argv) {
   cfg.use_lower_bounds = flag_num(argc, argv, "lb", 1) != 0;
   cfg.lb_margin = flag_num(argc, argv, "margin", 1.0);
   cfg.early_abandon = flag_num(argc, argv, "abandon", 1) != 0;
-  cfg.engine_block =
-      static_cast<std::size_t>(flag_num(argc, argv, "block", 256));
 
   std::optional<core::Accelerator> acc;
   if (flag_num(argc, argv, "accel", 0) != 0) {
@@ -386,8 +400,7 @@ int cmd_profile(int argc, char** argv) {
     cfg.accelerator = &*acc;
   }
   std::optional<core::BatchEngine> engine;
-  const auto threads =
-      static_cast<std::size_t>(flag_num(argc, argv, "threads", 0));
+  const auto threads = flag_count(argc, argv, "threads", 0);
   if (threads > 0) {
     core::BatchOptions opts;
     opts.num_threads = threads;
@@ -395,13 +408,13 @@ int cmd_profile(int argc, char** argv) {
     cfg.engine = &*engine;
   }
 
+  const auto k = flag_count(argc, argv, "k", 3);
   const auto t0 = std::chrono::steady_clock::now();
   const mining::ProfileResult r = mining::matrix_profile(series, cfg);
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 
-  const auto k = static_cast<std::size_t>(flag_num(argc, argv, "k", 3));
   const mining::MotifResult motif = mining::profile_motif(r);
   const std::vector<mining::Discord> discords = mining::profile_discords(r, k);
 
@@ -433,8 +446,7 @@ int cmd_profile(int argc, char** argv) {
     // streaming ≡ batch contract (exit 2 on any bit difference).
     mining::ProfileConfig scfg = cfg;
     scfg.engine = nullptr;
-    scfg.stream_capacity =
-        static_cast<std::size_t>(flag_num(argc, argv, "capacity", 0));
+    scfg.stream_capacity = flag_count(argc, argv, "capacity", 0);
     mining::StreamingProfile stream(scfg);
     stream.append(series);
     const mining::ProfileResult sr = stream.profile();
@@ -467,12 +479,11 @@ int cmd_faults(int argc, char** argv) {
   const auto backend = parse_backend(argc, argv);
   if (!backend) return 1;
   cfg.backend = *backend;
-  cfg.queries = static_cast<std::size_t>(flag_num(argc, argv, "queries", 32));
-  cfg.length = static_cast<std::size_t>(flag_num(argc, argv, "length", 8));
-  cfg.seed = static_cast<std::uint64_t>(flag_num(argc, argv, "seed", 42));
-  cfg.threads = static_cast<std::size_t>(flag_num(argc, argv, "threads", 1));
-  cfg.base.cache_capacity =
-      static_cast<std::size_t>(flag_num(argc, argv, "cache", 8));
+  cfg.queries = flag_count(argc, argv, "queries", 32);
+  cfg.length = flag_count(argc, argv, "length", 8);
+  cfg.seed = flag_count<std::uint64_t>(argc, argv, "seed", 42);
+  cfg.threads = flag_count(argc, argv, "threads", 1);
+  cfg.base.cache_capacity = flag_count(argc, argv, "cache", 8);
 
   // Fault rates (per-site probabilities; all default 0 = healthy hardware).
   cfg.faults.stuck_rate = flag_num(argc, argv, "stuck", 0.0);
@@ -487,15 +498,14 @@ int cmd_faults(int argc, char** argv) {
   cfg.faults.seed = cfg.seed;
 
   // Recovery policy knobs.
-  cfg.handling.max_retries =
-      static_cast<int>(flag_num(argc, argv, "retries", 1));
+  cfg.handling.max_retries = flag_count<int>(argc, argv, "retries", 1);
   cfg.handling.degrade = flag_num(argc, argv, "degrade", 1) != 0;
   cfg.handling.retune_on_retry = flag_num(argc, argv, "retune", 1) != 0;
   cfg.handling.envelope_check = flag_num(argc, argv, "envelope", 1) != 0;
   cfg.handling.cell_residual_check =
       flag_num(argc, argv, "residual", 1) != 0;
   cfg.handling.newton_budget =
-      static_cast<long>(flag_num(argc, argv, "newton-budget", 0));
+      flag_count<long>(argc, argv, "newton-budget", 0);
 
   const fault::CampaignReport report = fault::run_campaign(cfg);
   std::fputs(report.summary().c_str(), stdout);
@@ -529,25 +539,19 @@ void serve_signal_handler(int) { g_serve_stop.store(true); }
 int cmd_serve(int argc, char** argv) {
   serve::ServeOptions opts;
   opts.host = flag_str(argc, argv, "host").value_or("127.0.0.1");
-  opts.port =
-      static_cast<std::uint16_t>(flag_num(argc, argv, "port", 0));
+  opts.port = flag_count<std::uint16_t>(argc, argv, "port", 0);
   const auto backend = parse_backend(argc, argv);
   if (!backend) return 1;
   opts.accelerator.backend = *backend;
-  opts.accelerator.cache_capacity =
-      static_cast<std::size_t>(flag_num(argc, argv, "cache", 8));
-  opts.coalesce_window =
-      static_cast<std::size_t>(flag_num(argc, argv, "window", 64));
-  opts.shard_queue_depth =
-      static_cast<std::size_t>(flag_num(argc, argv, "queue-depth", 256));
-  opts.max_shards =
-      static_cast<std::size_t>(flag_num(argc, argv, "max-shards", 16));
-  opts.tenant_inflight_quota =
-      static_cast<std::size_t>(flag_num(argc, argv, "quota", 0));
-  opts.max_retry_budget = static_cast<std::uint32_t>(
-      flag_num(argc, argv, "max-retries", opts.max_retry_budget));
+  opts.accelerator.cache_capacity = flag_count(argc, argv, "cache", 8);
+  opts.coalesce_window = flag_count(argc, argv, "window", 64);
+  opts.shard_queue_depth = flag_count(argc, argv, "queue-depth", 256);
+  opts.max_shards = flag_count(argc, argv, "max-shards", 16);
+  opts.tenant_inflight_quota = flag_count(argc, argv, "quota", 0);
+  opts.max_retry_budget = flag_count<std::uint32_t>(
+      argc, argv, "max-retries", opts.max_retry_budget);
   opts.collapse_duplicates = flag_num(argc, argv, "collapse", 1) != 0;
-  opts.replicas = static_cast<std::size_t>(flag_num(argc, argv, "replicas", 1));
+  opts.replicas = flag_count(argc, argv, "replicas", 1);
   opts.hedge.enabled =
       flag_num(argc, argv, "hedge", opts.replicas > 1 ? 1 : 0) != 0;
   opts.hedge.percentile =
@@ -557,9 +561,8 @@ int cmd_serve(int argc, char** argv) {
   opts.selfheal.auto_scrub = flag_num(argc, argv, "auto-scrub", 1) != 0;
   opts.selfheal.scan_interval_s =
       flag_num(argc, argv, "scrub-interval", opts.selfheal.scan_interval_s);
-  opts.selfheal.probe_len = static_cast<std::size_t>(
-      flag_num(argc, argv, "probe-len",
-               static_cast<double>(opts.selfheal.probe_len)));
+  opts.selfheal.probe_len =
+      flag_count(argc, argv, "probe-len", opts.selfheal.probe_len);
   opts.selfheal.health.unhealthy_threshold =
       flag_num(argc, argv, "unhealthy",
                opts.selfheal.health.unhealthy_threshold);
@@ -610,20 +613,14 @@ int cmd_serve(int argc, char** argv) {
 
 int cmd_chaos(int argc, char** argv) {
   serve::ChaosOptions opts;
-  opts.seed = static_cast<std::uint64_t>(
-      flag_num(argc, argv, "seed", static_cast<double>(opts.seed)));
-  opts.phases = static_cast<std::size_t>(
-      flag_num(argc, argv, "phases", static_cast<double>(opts.phases)));
-  opts.queries_per_phase = static_cast<std::size_t>(flag_num(
-      argc, argv, "queries", static_cast<double>(opts.queries_per_phase)));
-  opts.clients = static_cast<std::size_t>(
-      flag_num(argc, argv, "clients", static_cast<double>(opts.clients)));
-  opts.replicas = static_cast<std::size_t>(
-      flag_num(argc, argv, "replicas", static_cast<double>(opts.replicas)));
-  opts.pairs = static_cast<std::size_t>(
-      flag_num(argc, argv, "pairs", static_cast<double>(opts.pairs)));
-  opts.length = static_cast<std::size_t>(
-      flag_num(argc, argv, "length", static_cast<double>(opts.length)));
+  opts.seed = flag_count<std::uint64_t>(argc, argv, "seed", opts.seed);
+  opts.phases = flag_count(argc, argv, "phases", opts.phases);
+  opts.queries_per_phase =
+      flag_count(argc, argv, "queries", opts.queries_per_phase);
+  opts.clients = flag_count(argc, argv, "clients", opts.clients);
+  opts.replicas = flag_count(argc, argv, "replicas", opts.replicas);
+  opts.pairs = flag_count(argc, argv, "pairs", opts.pairs);
+  opts.length = flag_count(argc, argv, "length", opts.length);
   const auto backend = parse_backend(argc, argv);
   if (!backend) return 1;
   opts.backend = *backend;
@@ -686,7 +683,7 @@ void usage() {
                "            [--window=32] [--exclusion=0 (0=window)] [--k=3]\n"
                "            [--kind=dtw] [--band=R] [--threshold=T]\n"
                "            [--znorm=0|1] [--lb=0|1] [--margin=1.0]\n"
-               "            [--abandon=0|1] [--threads=0] [--block=256]\n"
+               "            [--abandon=0|1] [--threads=0]\n"
                "            [--accel=0|1] [--backend=...]\n"
                "            [--stream=0|1 replay + verify streaming==batch]\n"
                "            [--capacity=0 streaming sliding window]\n"
