@@ -15,8 +15,8 @@
 //    below the healthy threshold after its scrub;
 //  * recovery: the fleet serves again within the deadline of a restart.
 //
-// --json=<path> writes the machine-readable report (committed baseline:
-// BENCH_chaos.json).  Knobs: --phases=N --queries=N --clients=N
+// --json=<path> writes the machine-readable report with the host
+// fingerprint (committed baseline: BENCH_chaos.json).  Knobs: --phases=N --queries=N --clients=N
 // --replicas=N --pairs=N --length=L --seed=S.
 
 #include <cstdint>
@@ -25,6 +25,7 @@
 #include <string>
 
 #include "bench_common.hpp"
+#include "host_fingerprint.hpp"
 #include "serve/chaos.hpp"
 
 using namespace mda;
@@ -45,8 +46,6 @@ void emit_fleet(bench::JsonWriter& w, const std::string& name,
   w.field("kills", r.kills);
   w.field("restarts", r.restarts);
   w.field("scrubs", r.scrubs);
-  w.field("hedges_launched", r.hedges_launched);
-  w.field("hedges_won", r.hedges_won);
   w.field("failovers", r.failovers);
   w.field("client_reconnects", r.client_reconnects);
   w.field("worst_expected_error", r.worst_expected_error);
@@ -146,6 +145,7 @@ int main(int argc, char** argv) {
     bench::JsonWriter w(out);
     w.begin_object();
     w.field("bench", "chaos");
+    w.raw("host", bench::host_fingerprint_json());
     w.begin_object("scenario");
     w.field("seed", opts.seed);
     w.field("phases", opts.phases);

@@ -7,10 +7,10 @@
 // per-cell residual predictors) plus periodic probe queries feed per-cell
 // health scores and an array-level MemSE-style expected-error estimate
 // (Zhou et al.: independent per-device error sources propagate to the
-// output in quadrature).  The scrub scheduler (core/scrub.hpp) reads the
-// estimate against hysteresis thresholds and triggers a re-tune when the
-// array degrades; serve routes traffic around replicas whose boards are
-// unhealthy.
+// output in quadrature).  The serve scrub scan (serve/server.cpp) reads
+// the estimate against hysteresis thresholds and re-tunes a replica whose
+// array degrades; admission routes traffic around replicas whose boards
+// are unhealthy.
 //
 // Layering: like detection.hpp this file is shared with layers *below*
 // core (backends report into it via AcceleratorConfig::health), so it uses

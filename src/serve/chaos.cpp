@@ -75,7 +75,6 @@ ChaosReport run_chaos(const ChaosOptions& o) {
   ServeOptions so;
   so.replicas = replicas;
   so.shard_queue_depth = 64;
-  so.hedge.enabled = replicas > 1;
   so.selfheal.auto_scrub = false;  // Deterministic boundary scans instead.
   so.selfheal.probe_len = o.length;
   so.accelerator.backend = o.backend;
@@ -228,7 +227,7 @@ ChaosReport run_chaos(const ChaosOptions& o) {
     }
 
     // 2. Boundary scrub scan (the deterministic stand-in for the background
-    //    scheduler thread): probe every replica, scrub the ones over
+    //    scan thread): probe every replica, scrub the ones over
     //    threshold.  Reconcile attempts before any identity check.
     server.force_scrub_scan();
     reconcile(std::nullopt);
@@ -378,8 +377,6 @@ ChaosReport run_chaos(const ChaosOptions& o) {
   server.stop();
 
   rep.scrubs = st.scrubs;
-  rep.hedges_launched = st.hedges_launched;
-  rep.hedges_won = st.hedges_won;
   rep.failovers = st.failovers;
   rep.availability =
       rep.queries ? static_cast<double>(rep.ok) / static_cast<double>(rep.queries)

@@ -84,8 +84,6 @@ struct ChaosReport {
   std::uint64_t kills = 0;
   std::uint64_t restarts = 0;
   std::uint64_t scrubs = 0;  ///< Manual + threshold-triggered.
-  std::uint64_t hedges_launched = 0;
-  std::uint64_t hedges_won = 0;
   std::uint64_t failovers = 0;
   std::uint64_t client_reconnects = 0;
 

@@ -342,17 +342,17 @@ std::vector<std::uint8_t> encode_health_poll_frame() {
 }
 
 // Health report payload:
-//   hedges_launched hedges_won hedges_lost failovers kills restarts : u64 x6
+//   failovers kills restarts : u64 x3
 //   shard_count:u32
 //   per shard: kind:u8 backend:u8 threshold:f64 band:i32 replica_count:u32
 //   per replica: index:u32 state:u8 expected_error:f64
 //                queries:u64 quarantines:u64 scrubs:u64 queue_depth:u32
+constexpr std::size_t kShardHealthBytes = 1 + 1 + 8 + 4 + 4;
+constexpr std::size_t kReplicaHealthBytes = 4 + 1 + 8 + 8 + 8 + 8 + 4;
+
 std::vector<std::uint8_t> encode_health_frame(const HealthReport& report) {
   std::vector<std::uint8_t> payload;
   payload.reserve(64 + 64 * report.shards.size());
-  put_u64(payload, report.hedges_launched);
-  put_u64(payload, report.hedges_won);
-  put_u64(payload, report.hedges_lost);
   put_u64(payload, report.failovers);
   put_u64(payload, report.kills);
   put_u64(payload, report.restarts);
@@ -388,16 +388,14 @@ std::optional<HealthReport> decode_health_payload(
   };
   Cursor c{payload};
   HealthReport report;
-  report.hedges_launched = c.u64();
-  report.hedges_won = c.u64();
-  report.hedges_lost = c.u64();
   report.failovers = c.u64();
   report.kills = c.u64();
   report.restarts = c.u64();
   const std::uint32_t shard_count = c.u32();
   if (!c.ok) return failh("health payload truncated");
-  // Each shard needs >= 18 bytes; cap before reserving.
-  if (shard_count > payload.size() / 18) {
+  // Counts are checked against the bytes left before anything is sized by
+  // them, so a lying count cannot allocate more than the payload carries.
+  if (shard_count > (payload.size() - c.pos) / kShardHealthBytes) {
     return failh("health payload: shard count exceeds payload");
   }
   report.shards.resize(shard_count);
@@ -412,7 +410,7 @@ std::optional<HealthReport> decode_health_payload(
     if (s.backend > kMaxBackend) {
       return failh("health payload: unknown backend");
     }
-    if (replica_count > payload.size() / 37) {
+    if (replica_count > (payload.size() - c.pos) / kReplicaHealthBytes) {
       return failh("health payload: replica count exceeds payload");
     }
     s.replicas.resize(replica_count);

@@ -5,7 +5,7 @@
 //   frame  := header payload
 //   header := magic:u32 version:u8 type:u8 flags:u16 payload_len:u32
 //
-// magic is the bytes "MDAQ" on the wire; version is 1; type distinguishes
+// magic is the bytes "MDAQ" on the wire; version is 2; type distinguishes
 // request and response frames; flags are reserved (must be 0).  The payload
 // serialises core::QueryRequest / core::QueryResponse field-for-field —
 // doubles travel as raw IEEE-754 bit patterns (memcpy, never printf), which
@@ -34,7 +34,9 @@ namespace mda::serve {
 
 /// "MDAQ" read as a little-endian u32 (bytes 4D 44 41 51 on the wire).
 inline constexpr std::uint32_t kMagic = 0x5141444Du;
-inline constexpr std::uint8_t kVersion = 1;
+/// Bumped whenever a payload layout changes, so a peer on the old layout
+/// gets a framing error instead of misreading the new one.
+inline constexpr std::uint8_t kVersion = 2;
 inline constexpr std::size_t kHeaderSize = 12;
 /// Default frame-size ceiling: 4 MiB ≈ 260k-sample sequences, far beyond a
 /// 128x128 fabric's useful tiling range.
@@ -79,9 +81,6 @@ struct ShardHealth {
 
 /// One consistent fleet snapshot answered to a Health poll.
 struct HealthReport {
-  std::uint64_t hedges_launched = 0;
-  std::uint64_t hedges_won = 0;
-  std::uint64_t hedges_lost = 0;
   std::uint64_t failovers = 0;
   std::uint64_t kills = 0;
   std::uint64_t restarts = 0;

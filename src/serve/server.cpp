@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
@@ -31,7 +30,6 @@
 
 #include "core/accelerator.hpp"
 #include "core/batch_engine.hpp"
-#include "core/scrub.hpp"
 #include "obs/metrics.hpp"
 
 namespace mda::serve {
@@ -113,18 +111,13 @@ struct ShardKey {
   }
 };
 
-/// An admitted request waiting in a replica queue.  `gate` appears once the
-/// request is hedged: whichever copy flips it first delivers the response,
-/// the other drops its result (first-wins cancellation).
+/// An admitted request waiting in a replica queue.
 struct Pending {
   std::shared_ptr<Connection> conn;
   std::uint64_t id = 0;
   QueryRequest request;
   double arrival_s = 0.0;
   bool counted_inflight = false;
-  std::shared_ptr<std::atomic<bool>> gate;
-  bool is_hedge = false;  ///< This entry is the hedge copy.
-  bool hedged = false;    ///< A hedge copy exists somewhere.
 };
 
 /// Collapse key: the exact bits that determine a solve's result within one
@@ -175,7 +168,7 @@ constexpr int kScrubProbes = 3;
 /// Worker write-wait ceiling [s]; the effective budget is min(this, the
 /// request's remaining deadline).
 constexpr double kWriteBoundS = 5.0;
-/// Latency ring size per shard (hedge-delay percentile source).
+/// Latency ring size per shard (retry-after hint source).
 constexpr std::size_t kLatencyRing = 64;
 
 const obs::Gauge& unhealthy_gauge() {
@@ -186,20 +179,12 @@ const obs::Gauge& unhealthy_gauge() {
 }  // namespace
 
 struct Server::Impl {
-  explicit Impl(ServeOptions opts)
-      : opts_(std::move(opts)), scheduler_(scrub_opts(opts_)) {
+  explicit Impl(ServeOptions opts) : opts_(std::move(opts)) {
     if (opts_.coalesce_window == 0) opts_.coalesce_window = 1;
     if (opts_.shard_queue_depth == 0) opts_.shard_queue_depth = 1;
     opts_.replicas = std::clamp<std::size_t>(opts_.replicas, 1, 255);
   }
   ~Impl() { stop(); }
-
-  static core::ScrubOptions scrub_opts(const ServeOptions& o) {
-    core::ScrubOptions s;
-    s.scan_interval_s =
-        o.selfheal.scan_interval_s > 0.0 ? o.selfheal.scan_interval_s : 0.05;
-    return s;
-  }
 
   /// One shard replica: its own accelerator (own instance cache — a scrub
   /// invalidation must never touch a sibling), its own health scoreboard,
@@ -274,11 +259,14 @@ struct Server::Impl {
   std::uint16_t bound_port_ = 0;
   std::thread io_thread_;
 
-  core::ScrubScheduler scheduler_;
-  std::thread hedge_thread_;
-  std::mutex hedge_mu_;
-  std::condition_variable hedge_cv_;
-  bool hedge_stop_ = false;
+  /// Background scrub scan (selfheal.auto_scrub).  scan_mu_ guards
+  /// scan_stop_; pass_mu_ serialises whole scan passes, and stop() holds it
+  /// while it destroys the shard table a pass walks without shard_mutex_.
+  std::mutex scan_mu_;
+  std::condition_variable scan_cv_;
+  bool scan_stop_ = false;
+  std::mutex pass_mu_;
+  std::thread scan_thread_;
 
   std::mutex conn_mutex_;
   std::unordered_map<int, std::shared_ptr<Connection>> conns_;
@@ -296,9 +284,6 @@ struct Server::Impl {
   std::atomic<std::uint64_t> n_collapsed_{0};
   std::atomic<std::uint64_t> n_solves_{0};
   std::atomic<std::uint64_t> n_shards_{0};  ///< Monotonic (survives stop()).
-  std::atomic<std::uint64_t> n_hedges_launched_{0};
-  std::atomic<std::uint64_t> n_hedges_won_{0};
-  std::atomic<std::uint64_t> n_hedges_lost_{0};
   std::atomic<std::uint64_t> n_failovers_{0};
   std::atomic<std::uint64_t> n_scrubs_{0};
   std::atomic<std::uint64_t> n_probes_{0};
@@ -350,32 +335,31 @@ struct Server::Impl {
 
     running_.store(true);
     io_thread_ = std::thread([this] { io_loop(); });
-    if (opts_.selfheal.auto_scrub) scheduler_.start();
-    if (opts_.hedge.enabled && opts_.replicas > 1) {
+    if (opts_.selfheal.auto_scrub) {
       {
-        std::lock_guard<std::mutex> lk(hedge_mu_);
-        hedge_stop_ = false;
+        std::lock_guard<std::mutex> lk(scan_mu_);
+        scan_stop_ = false;
       }
-      hedge_thread_ = std::thread([this] { hedge_loop(); });
+      scan_thread_ = std::thread([this] { scan_loop(); });
     }
   }
 
   void stop() {
     if (!running_.exchange(false)) return;
     stopping_.store(true);
-    // Background machinery first: no scrub may check a replica out and no
-    // hedge may enqueue once the workers start their final drain.
-    scheduler_.stop();
-    scheduler_.clear_targets();
-    if (hedge_thread_.joinable()) {
+    // The scan first: no scrub may check a replica out once the workers
+    // start their final drain, and a forced pass still in flight finishes
+    // before the shard table it walks is destroyed.
+    if (scan_thread_.joinable()) {
       {
-        std::lock_guard<std::mutex> lk(hedge_mu_);
-        hedge_stop_ = true;
+        std::lock_guard<std::mutex> lk(scan_mu_);
+        scan_stop_ = true;
       }
-      hedge_cv_.notify_all();
-      hedge_thread_.join();
-      hedge_thread_ = std::thread();
+      scan_cv_.notify_all();
+      scan_thread_.join();
+      scan_thread_ = std::thread();
     }
+    std::lock_guard<std::mutex> pass(pass_mu_);
     // Wake the IO thread, join it, then drain the shards: their workers see
     // stopping_ and answer anything still queued with ShuttingDown.
     std::uint64_t one = 1;
@@ -396,9 +380,7 @@ struct Server::Impl {
       for (auto& [key, shard] : shards_) {
         for (auto& r : shard->replicas) {
           for (Pending& p : r->queue) {
-            if (p.is_hedge) continue;  // Its primary answers (or answered).
             release_quota(p);
-            if (p.gate && p.gate->exchange(true)) continue;
             respond(p.conn,
                     reject_hint(p.id, p.request.tenant,
                                 QueryStatus::ShuttingDown, "server stopping",
@@ -575,8 +557,7 @@ struct Server::Impl {
               arrival, /*may_block=*/false);
       return;
     }
-    Pending pending{conn, dec->id, std::move(dec->request), arrival, false,
-                    nullptr, false, false};
+    Pending pending{conn, dec->id, std::move(dec->request), arrival, false};
     // Saturate the wire-controlled retry budget at admission (before the
     // collapse key is formed, so clamped duplicates still collapse): the
     // worker retry loop is bounded by configuration, not by the peer.
@@ -679,34 +660,12 @@ struct Server::Impl {
     for (auto& r : raw->replicas) {
       Replica* rp = r.get();
       rp->worker = std::thread([this, raw, rp] { worker_loop(*raw, *rp); });
-      register_scrub_target(raw, rp);
     }
     shards_.emplace(key, std::move(shard));
     n_shards_.fetch_add(1);
     static const obs::Gauge shard_gauge("mda.serve.shards");
     shard_gauge.set(static_cast<double>(shards_.size()));
     return raw;
-  }
-
-  void register_scrub_target(Shard* s, Replica* r) {
-    core::ScrubTarget t;
-    t.name = "shard" + std::to_string(n_shards_.load()) + "/r" +
-             std::to_string(r->index);
-    t.unhealthy_threshold = opts_.selfheal.health.unhealthy_threshold;
-    t.healthy_threshold = opts_.selfheal.health.healthy_threshold;
-    t.score = [r] { return r->board->expected_error(); };
-    t.idle = [r] {
-      {
-        std::lock_guard<std::mutex> lk(r->mutex);
-        if (!r->queue.empty()) return false;
-      }
-      return !r->solving.load();
-    };
-    t.scrub = [this, s, r] { return do_scrub(*s, *r); };
-    if (opts_.selfheal.probe_len > 0) {
-      t.probe = [this, r] { probe_replica(*r); };
-    }
-    scheduler_.add_target(std::move(t));
   }
 
   // ---- routing ----
@@ -748,7 +707,7 @@ struct Server::Impl {
     return order;
   }
 
-  /// First routable sibling of `self` (hedge target / failover home).
+  /// First routable sibling of `self` (failover home).
   Replica* pick_sibling(Shard& shard, const Replica* self) {
     for (const std::uint8_t want : {kHealthy, kDegraded}) {
       for (auto& r : shard.replicas) {
@@ -828,8 +787,8 @@ struct Server::Impl {
     n_probes_.fetch_add(1);
   }
 
-  /// The scheduler's per-scan probe hook: only when the replica is serving
-  /// and idle (try_lock — a probe must never delay traffic).
+  /// The scan's per-replica probe: only when the replica is serving and
+  /// idle (try_lock — a probe must never delay traffic).
   void probe_replica(Replica& r) {
     if (opts_.selfheal.probe_len == 0) return;
     const std::uint8_t st = r.state.load();
@@ -851,8 +810,7 @@ struct Server::Impl {
   /// here the moment the state flips, requests already queued wait on
   /// solve_mutex, and retune() bumps the instance-cache generation so any
   /// lease handed out earlier is dropped on give-back instead of reused.
-  bool do_scrub(Shard& shard, Replica& r) {
-    (void)shard;
+  bool do_scrub(Replica& r) {
     {
       std::lock_guard<std::mutex> lk(r.admin_mu);
       const std::uint8_t st = r.state.load();
@@ -877,92 +835,71 @@ struct Server::Impl {
     return true;
   }
 
-  // ---- hedging ----
-
-  void hedge_won() {
-    static const obs::Counter wins("mda.serve.hedge.wins");
-    wins.add();
-    n_hedges_won_.fetch_add(1);
-  }
-  void hedge_lost() {
-    static const obs::Counter losses("mda.serve.hedge.losses");
-    losses.add();
-    n_hedges_lost_.fetch_add(1);
-  }
-
-  double hedge_delay(Shard& shard) {
-    std::lock_guard<std::mutex> lk(shard.lat_mu);
-    if (shard.latencies.size() < 16) return opts_.hedge.min_delay_s;
-    std::vector<double> v = shard.latencies;
-    const double pct = std::clamp(opts_.hedge.percentile, 0.0, 1.0);
-    const std::size_t idx = std::min(
-        v.size() - 1,
-        static_cast<std::size_t>(pct * static_cast<double>(v.size() - 1)));
-    std::nth_element(v.begin(),
-                     v.begin() + static_cast<std::ptrdiff_t>(idx), v.end());
-    return std::max(opts_.hedge.min_delay_s, v[idx]);
-  }
-
-  void hedge_loop() {
-    std::unique_lock<std::mutex> lk(hedge_mu_);
-    for (;;) {
-      hedge_cv_.wait_for(
-          lk, std::chrono::duration<double>(opts_.hedge.poll_interval_s),
-          [this] { return hedge_stop_; });
-      if (hedge_stop_) return;
-      lk.unlock();
-      hedge_scan();
-      lk.lock();
+  /// An idle window: nothing queued and no window being solved.
+  static bool idle(Replica& r) {
+    {
+      std::lock_guard<std::mutex> lk(r.mutex);
+      if (!r.queue.empty()) return false;
     }
+    return !r.solving.load();
   }
 
-  /// Scan every replica queue for requests older than the shard's hedge
-  /// delay and enqueue a first-wins copy on a sibling.  The copy shares the
-  /// primary's cancellation gate and never carries quota (counted once).
-  void hedge_scan() {
-    static const obs::Counter launched("mda.serve.hedge.launched");
-    std::vector<Shard*> shards;
+  /// One scan pass over a snapshot of every replica, in shard-key order:
+  /// probe it, and scrub it when its expected error is above the unhealthy
+  /// threshold and it has an idle window (a busy replica is re-examined on
+  /// the next pass).  Returns the number of scrubs run, failed ones
+  /// included.
+  std::size_t scrub_scan() {
+    static const obs::Counter runs("mda.fault.scrub.runs");
+    static const obs::Counter heals("mda.fault.scrub.heals");
+    static const obs::Counter skipped_busy("mda.fault.scrub.skipped_busy");
+    static const obs::Counter failures("mda.fault.scrub.failures");
+    static const obs::Histogram duration("mda.fault.scrub.duration_s");
+    std::lock_guard<std::mutex> pass(pass_mu_);
+    std::vector<Replica*> replicas;
     {
       std::lock_guard<std::mutex> lk(shard_mutex_);
       for (auto& [key, s] : shards_) {
-        if (s->replicas.size() > 1) shards.push_back(s.get());
+        for (auto& r : s->replicas) replicas.push_back(r.get());
       }
     }
-    const double now = now_s();
-    for (Shard* s : shards) {
-      const double delay = hedge_delay(*s);
-      for (auto& rp : s->replicas) {
-        Replica* r = rp.get();
-        std::vector<Pending> copies;
-        {
-          std::lock_guard<std::mutex> lk(r->mutex);
-          for (Pending& p : r->queue) {
-            if (p.is_hedge || p.hedged) continue;
-            if (p.gate && p.gate->load()) continue;
-            if (now - p.arrival_s < delay) continue;
-            p.hedged = true;
-            if (!p.gate) p.gate = std::make_shared<std::atomic<bool>>(false);
-            Pending copy;
-            copy.conn = p.conn;
-            copy.id = p.id;
-            copy.request = p.request;  // Shares owned payload buffers.
-            copy.arrival_s = p.arrival_s;
-            copy.counted_inflight = false;
-            copy.gate = p.gate;
-            copy.is_hedge = true;
-            copy.hedged = true;
-            copies.push_back(std::move(copy));
-          }
-        }
-        for (Pending& copy : copies) {
-          Replica* sibling = pick_sibling(*s, r);
-          if (sibling == nullptr) continue;  // Primary still answers.
-          if (try_enqueue(*sibling, copy) == Enq::Ok) {
-            launched.add();
-            n_hedges_launched_.fetch_add(1);
-          }
-        }
+    const fault::HealthConfig& hc = opts_.selfheal.health;
+    std::size_t scrubbed = 0;
+    for (Replica* r : replicas) {
+      probe_replica(*r);
+      if (r->board->expected_error() <= hc.unhealthy_threshold) continue;
+      if (!idle(*r)) {
+        skipped_busy.add();
+        continue;
       }
+      bool ok = false;
+      {
+        const obs::ScopedTimer timer(duration);
+        ok = do_scrub(*r);
+      }
+      runs.add();
+      if (!ok) {
+        failures.add();
+      } else if (r->board->expected_error() < hc.healthy_threshold) {
+        heals.add();
+      }
+      ++scrubbed;
+    }
+    return scrubbed;
+  }
+
+  void scan_loop() {
+    const double interval = opts_.selfheal.scan_interval_s > 0.0
+                                ? opts_.selfheal.scan_interval_s
+                                : 0.05;
+    std::unique_lock<std::mutex> lk(scan_mu_);
+    for (;;) {
+      scan_cv_.wait_for(lk, std::chrono::duration<double>(interval),
+                        [this] { return scan_stop_; });
+      if (scan_stop_) return;
+      lk.unlock();
+      scrub_scan();
+      lk.lock();
     }
   }
 
@@ -1002,10 +939,6 @@ struct Server::Impl {
     }
     static const obs::Counter failovers("mda.serve.health.failovers");
     for (Pending& p : orphans) {
-      if (p.is_hedge) {
-        hedge_lost();
-        continue;  // Its primary still answers.
-      }
       Replica* sibling = pick_sibling(*s, r);
       if (sibling != nullptr && try_enqueue(*sibling, p) == Enq::Ok) {
         failovers.add();
@@ -1013,7 +946,6 @@ struct Server::Impl {
         continue;
       }
       release_quota(p);
-      if (p.gate && p.gate->exchange(true)) continue;
       respond(p.conn,
               reject_hint(p.id, p.request.tenant, QueryStatus::Overloaded,
                           "replica down; no failover target",
@@ -1066,9 +998,8 @@ struct Server::Impl {
   }
 
   bool scrub_replica(std::size_t shard_index, std::uint32_t replica) {
-    auto [s, r] = addr(shard_index, replica);
-    if (r == nullptr) return false;
-    return do_scrub(*s, *r);
+    Replica* r = addr(shard_index, replica).second;
+    return r != nullptr && do_scrub(*r);
   }
 
   std::optional<fault::HealthSnapshot> scoreboard(std::size_t shard_index,
@@ -1080,9 +1011,6 @@ struct Server::Impl {
 
   [[nodiscard]] HealthReport health_report() {
     HealthReport rep;
-    rep.hedges_launched = n_hedges_launched_.load();
-    rep.hedges_won = n_hedges_won_.load();
-    rep.hedges_lost = n_hedges_lost_.load();
     rep.failovers = n_failovers_.load();
     rep.kills = n_kills_.load();
     rep.restarts = n_restarts_.load();
@@ -1225,7 +1153,7 @@ struct Server::Impl {
     });
     for (const auto& journal : journals) journal->replay(*r.board);
 
-    // 4. Fan responses out to their sockets (through the hedge gate).
+    // 4. Fan responses out to their sockets.
     for (std::size_t i = 0; i < live.size(); ++i) {
       Pending& p = *live[i];
       QueryResponse resp =
@@ -1254,24 +1182,10 @@ struct Server::Impl {
 
   // ---- responses ----
 
-  /// Single delivery point for solved/rejected queue entries: first-wins
-  /// when a hedge gate exists, quota released exactly once (the primary's
-  /// entry carries it), latency recorded for served Ok responses.  A hedge
-  /// copy never delivers a rejection — its primary still answers.
+  /// Single delivery point for solved/rejected queue entries: quota
+  /// released exactly once, latency recorded for served Ok responses.
   void deliver(Shard& shard, Pending& p, QueryResponse resp) {
-    if (p.is_hedge) {
-      if (!resp.ok() || p.gate->exchange(true)) {
-        hedge_lost();
-        return;
-      }
-      hedge_won();
-      respond(p.conn, resp, p.arrival_s, /*may_block=*/true,
-              p.request.deadline_s);
-      record_latency(shard, now_s() - p.arrival_s);
-      return;
-    }
     release_quota(p);
-    if (p.gate && p.gate->exchange(true)) return;  // The hedge answered.
     respond(p.conn, resp, p.arrival_s, /*may_block=*/true,
             p.request.deadline_s);
     if (resp.ok()) record_latency(shard, now_s() - p.arrival_s);
@@ -1331,8 +1245,6 @@ struct Server::Impl {
     s.collapsed = n_collapsed_.load();
     s.solves = n_solves_.load();
     s.shards = n_shards_.load();  // Monotonic: stop() clears the table.
-    s.hedges_launched = n_hedges_launched_.load();
-    s.hedges_won = n_hedges_won_.load();
     s.failovers = n_failovers_.load();
     s.scrubs = n_scrubs_.load();
     s.probes = n_probes_.load();
@@ -1351,9 +1263,7 @@ std::uint16_t Server::port() const { return impl_->bound_port_; }
 const ServeOptions& Server::options() const { return impl_->opts_; }
 ServerStats Server::stats() const { return impl_->stats(); }
 HealthReport Server::health_report() const { return impl_->health_report(); }
-std::size_t Server::force_scrub_scan() {
-  return impl_->scheduler_.force_scan();
-}
+std::size_t Server::force_scrub_scan() { return impl_->scrub_scan(); }
 bool Server::kill_replica(std::size_t shard_index, std::uint32_t replica) {
   return impl_->kill_replica(shard_index, replica);
 }

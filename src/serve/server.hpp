@@ -29,13 +29,14 @@
 //
 // Self-healing layer (DESIGN.md §14): every replica owns a
 // fault::HealthScoreboard fed by its accelerator's solve-time detectors and
-// periodic probe queries; admission routes around replicas that are
-// Degraded (when a Healthy sibling exists), Scrubbing or Down; a scrub
-// scheduler re-tunes replicas whose expected-error estimate crosses the
-// unhealthy threshold; and with replicas > 1 requests stuck in a queue past
-// the shard's recent latency percentile are hedged to a sibling replica
-// with first-wins cancellation.  All of it is surfaced as
-// mda.serve.health.* / mda.serve.hedge.* metrics and the wire Health frame.
+// by probe queries; admission routes around replicas that are Degraded
+// (when a Healthy sibling exists), Scrubbing or Down; a killed replica's
+// queued requests fail over to a sibling.  One scan, run by
+// force_scrub_scan() or by the background thread under
+// selfheal.auto_scrub, walks every replica: it probes an idle one, and
+// re-tunes one whose expected-error estimate is above the unhealthy
+// threshold when it has an idle window.  All of it is surfaced as
+// mda.serve.health.* / mda.fault.scrub.* metrics and the wire Health frame.
 //
 // Bit-identity contract: a served response's result is bit-identical to
 // Accelerator::try_compute(request) on a fresh accelerator with the same
@@ -44,7 +45,7 @@
 // the shard's DistanceSpec, at any shard/replica/thread count — the worker
 // calls the exact same try_compute entry point BatchEngine uses, every
 // solve is deterministic, and duplicate collapse keys on exact payload+knob
-// bit equality, so a fanned-out (or hedged) response equals the response
+// bit equality, so a fanned-out response equals the response
 // of a dedicated solve.  The scoreboard is deterministic too: at the end of
 // every window it is byte-identical to feeding the window's unique requests
 // through try_compute one by one, in window order.
@@ -65,20 +66,9 @@ class FaultPlan;
 
 namespace mda::serve {
 
-/// Hedged-request policy (replicas > 1 only).
-struct HedgeOptions {
-  bool enabled = false;
-  /// Hedge a queued request once its age exceeds this percentile of the
-  /// shard's recent served latencies (adaptive; falls back to min_delay_s
-  /// until enough samples exist).
-  double percentile = 0.95;
-  double min_delay_s = 0.002;  ///< Hedge-delay floor / cold-start value.
-  double poll_interval_s = 0.001;  ///< Hedge monitor scan period.
-};
-
-/// Self-healing knobs: scoreboard weights, probe policy, scrub scheduling.
+/// Self-healing knobs: scoreboard weights, probe policy, scrub scan.
 struct SelfHealOptions {
-  /// Run the background scrub scheduler thread.  Off by default: tests and
+  /// Run the scrub scan on a background thread.  Off by default: tests and
   /// the chaos harness drive deterministic passes via force_scrub_scan().
   bool auto_scrub = false;
   double scan_interval_s = 0.05;  ///< Background scan (and probe) period.
@@ -106,7 +96,7 @@ struct ServeOptions {
   std::size_t max_shards = 16;
   /// Replicas per shard (DESIGN.md §14).  Each replica owns its own
   /// accelerator, instance cache and health scoreboard; > 1 enables
-  /// failover and hedging.  Clamped to [1, 255] (the wire replica byte).
+  /// failover.  Clamped to [1, 255] (the wire replica byte).
   std::size_t replicas = 1;
   /// Per-tenant in-flight request ceiling (admitted but unanswered);
   /// 0 = unlimited.
@@ -121,7 +111,6 @@ struct ServeOptions {
   /// Collapse bitwise-identical requests within a window into one solve.
   bool collapse_duplicates = true;
 
-  HedgeOptions hedge{};
   SelfHealOptions selfheal{};
 
   /// Base accelerator build for every shard replica: array geometry,
@@ -143,8 +132,6 @@ struct ServerStats {
   std::uint64_t collapsed = 0;  ///< Requests answered by a duplicate's solve.
   std::uint64_t solves = 0;     ///< Accelerator evaluations submitted.
   std::uint64_t shards = 0;     ///< Shards instantiated (monotonic).
-  std::uint64_t hedges_launched = 0;  ///< Hedge copies enqueued.
-  std::uint64_t hedges_won = 0;       ///< Responses delivered by the hedge.
   std::uint64_t failovers = 0;  ///< Requests re-homed off a dead replica.
   std::uint64_t scrubs = 0;     ///< Replica scrub/re-tune actions.
   std::uint64_t probes = 0;     ///< Health probe queries run.
@@ -157,8 +144,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind + listen + spin up the IO thread (plus the scrub scheduler and
-  /// hedge monitor when configured).  Throws std::runtime_error when the
+  /// Bind + listen + spin up the IO thread (plus the scrub-scan thread
+  /// when selfheal.auto_scrub is set).  Throws std::runtime_error when the
   /// socket cannot be bound.
   void start();
   /// Drain and join everything; queued-but-unsolved requests are answered
@@ -180,9 +167,10 @@ class Server {
   /// life of a start()/stop() cycle and are what the chaos controls below
   /// address.
   [[nodiscard]] HealthReport health_report() const;
-  /// One synchronous scrub-scheduler pass over every replica (probe +
-  /// threshold check + scrub).  Deterministic alternative to auto_scrub for
-  /// tests and the chaos harness; returns the number of scrubs performed.
+  /// One synchronous scrub scan over every replica (probe + threshold
+  /// check + idle-window check + scrub), serialised against the background
+  /// scan.  Deterministic alternative to auto_scrub for tests and the chaos
+  /// harness; returns the number of scrubs run (failed ones included).
   std::size_t force_scrub_scan();
   /// Full scoreboard snapshot of one replica (nullopt when the address does
   /// not exist).  The Health frame carries a summary of the same board.

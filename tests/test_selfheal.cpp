@@ -1,16 +1,17 @@
 // Self-healing serving tests (DESIGN.md §14): health-scoreboard units
-// (EWMAs, quadrature expected-error, hysteresis, reset/generation), scrub
-// scheduler units (probe hook, threshold trigger, idle skip, background
-// thread), the ArrayCache generation barrier (a scrub can never re-pool a
-// half-tuned instance), accelerator retune healing drifted cell plans,
-// scrub-quiescent bit-identity across thread counts, and the serving
-// layer's replica lifecycle — health frame loopback, kill/failover/restart,
-// scrub-then-serve identity, hedged requests, client auto-reconnect and
-// retry-after handling.
+// (EWMAs, quadrature expected-error, hysteresis, reset/generation), the
+// ArrayCache generation barrier (a scrub can never re-pool a half-tuned
+// instance), accelerator retune healing drifted cell plans, scrub-quiescent
+// bit-identity across thread counts, and the serving layer's replica
+// lifecycle — health frame loopback, kill/failover/restart, the scrub scan
+// (probe every pass, threshold trigger, busy skip, background thread),
+// scrub-then-serve identity, replicated pipelined load, client
+// auto-reconnect and retry-after handling.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -18,13 +19,13 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/accelerator.hpp"
 #include "core/array_cache.hpp"
 #include "core/backend.hpp"
 #include "core/query.hpp"
-#include "core/scrub.hpp"
 #include "distance/registry.hpp"
 #include "fault/health.hpp"
 #include "fault/plan.hpp"
@@ -103,83 +104,6 @@ TEST(HealthScoreboard, ResetWipesScoresKeepsCountersBumpsGeneration) {
   EXPECT_EQ(s.queries, 20u);
   EXPECT_EQ(s.quarantines, 1u);
   EXPECT_EQ(s.watchdog_trips, 1u);
-}
-
-// -------------------------------------------------- scrub scheduler units --
-
-TEST(ScrubScheduler, ProbeRunsEveryScanScrubOnlyAboveThreshold) {
-  core::ScrubScheduler sched;
-  int probes = 0, scrubs = 0;
-  double score = 0.01;
-  core::ScrubTarget t;
-  t.name = "array0";
-  t.probe = [&] { ++probes; };
-  t.score = [&] { return score; };
-  t.scrub = [&] {
-    ++scrubs;
-    score = 0.001;  // A scrub heals this target.
-    return true;
-  };
-  sched.add_target(t);
-
-  EXPECT_EQ(sched.force_scan(), 0u);  // Healthy: probed, not scrubbed.
-  EXPECT_EQ(probes, 1);
-  EXPECT_EQ(scrubs, 0);
-
-  score = 0.5;  // Degrade past unhealthy_threshold (0.08).
-  EXPECT_EQ(sched.force_scan(), 1u);
-  EXPECT_EQ(probes, 2);
-  EXPECT_EQ(scrubs, 1);
-  EXPECT_LT(score, 0.02);  // Healed below healthy_threshold.
-
-  const core::ScrubStats stats = sched.stats();
-  EXPECT_EQ(stats.scans, 2u);
-  EXPECT_EQ(stats.scrubs, 1u);
-  EXPECT_EQ(stats.heals, 1u);
-  EXPECT_EQ(stats.failures, 0u);
-}
-
-TEST(ScrubScheduler, BusyTargetIsSkippedFailedScrubCounted) {
-  core::ScrubScheduler sched;
-  bool idle = false;
-  int scrubs = 0;
-  core::ScrubTarget t;
-  t.score = [] { return 1.0; };
-  t.idle = [&] { return idle; };
-  t.scrub = [&] {
-    ++scrubs;
-    return false;  // Scrub attempt fails (target stays degraded).
-  };
-  sched.add_target(t);
-
-  EXPECT_EQ(sched.force_scan(), 0u);  // Busy: checked out, skipped.
-  EXPECT_EQ(scrubs, 0);
-  EXPECT_EQ(sched.stats().skipped_busy, 1u);
-
-  idle = true;
-  EXPECT_EQ(sched.force_scan(), 1u);
-  EXPECT_EQ(scrubs, 1);
-  EXPECT_EQ(sched.stats().failures, 1u);
-}
-
-TEST(ScrubScheduler, BackgroundThreadScansUntilStopped) {
-  core::ScrubScheduler sched(core::ScrubOptions{/*scan_interval_s=*/0.002});
-  std::atomic<int> probes{0};
-  core::ScrubTarget t;
-  t.probe = [&] { ++probes; };
-  sched.add_target(t);
-
-  EXPECT_FALSE(sched.running());
-  sched.start();
-  EXPECT_TRUE(sched.running());
-  while (probes.load() < 3) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  sched.stop();
-  EXPECT_FALSE(sched.running());
-  const int after = probes.load();
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_EQ(probes.load(), after);  // No scans after stop().
 }
 
 // ------------------------------------------- cache generation barrier -----
@@ -477,19 +401,16 @@ TEST(SelfHealServe, ScrubbedReplicaServesRetunedBits) {
   server.stop();
 }
 
-TEST(SelfHealServe, HedgedPipelinedLoadStaysBitIdentical) {
+TEST(SelfHealServe, ReplicatedPipelinedLoadStaysBitIdentical) {
   serve::ServeOptions opts = heal_options(2);
-  opts.hedge.enabled = true;
-  opts.hedge.min_delay_s = 0.0;      // Hedge anything that queues at all.
-  opts.hedge.poll_interval_s = 0.0005;
-  opts.coalesce_window = 1;          // Keep the queue visibly nonempty.
+  opts.coalesce_window = 1;          // Keep the queues visibly nonempty.
   opts.collapse_duplicates = false;
   serve::Server server(opts);
   server.start();
   serve::Client client;
   client.connect("127.0.0.1", server.port());
 
-  // A long DTW keeps each solve busy enough for the monitor to see a queue.
+  // A long DTW keeps each solve busy enough for both queues to fill.
   const std::size_t kLen = 24, kInflight = 16;
   std::vector<double> p(kLen), q(kLen);
   for (std::size_t i = 0; i < kLen; ++i) {
@@ -506,8 +427,8 @@ TEST(SelfHealServe, HedgedPipelinedLoadStaysBitIdentical) {
     ASSERT_TRUE(r->ok()) << r->message;
     got.push_back(std::move(*r));
   }
-  // Whatever replica answered (primary or hedge), the bits are the direct
-  // solve's bits — first-wins cancellation never double-delivers.
+  // Whichever replica answered, the bits are the direct solve's bits, and
+  // no request is answered twice.
   core::Accelerator direct(heal_options(1).accelerator);
   direct.configure(core::DistanceSpec{});
   const core::ComputeResult ref = direct.try_compute(p, q).unwrap();
@@ -559,6 +480,205 @@ TEST(SelfHealServe, ForceScrubScanHealsUnhealthyReplica) {
   server.stop();
 }
 
+/// Deterministic test series, distinct per salt.
+std::vector<double> test_series(std::size_t len, std::size_t salt) {
+  std::vector<double> v(len);
+  for (std::size_t i = 0; i < len; ++i) {
+    v[i] = 0.13 * static_cast<double>((i * 7 + salt * 3) % 11) - 0.6;
+  }
+  return v;
+}
+
+/// Poll the health report until `pred(replica 0 of shard 0)` holds or the
+/// deadline passes.
+template <typename Pred>
+bool wait_for_replica0(const serve::Server& server, Pred pred,
+                       double deadline_s = 30.0) {
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::duration<double>(deadline_s);
+  while (std::chrono::steady_clock::now() < give_up) {
+    const serve::HealthReport hr = server.health_report();
+    if (!hr.shards.empty() && pred(hr.shards[0].replicas[0])) return true;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return false;
+}
+
+#if !defined(MDA_OBS_DISABLED)
+std::uint64_t metric_count(const char* name) {
+  const obs::MetricsSnapshot snap = obs::MetricsSnapshot::capture();
+  const obs::MetricValue* v = snap.find(name);
+  return v != nullptr ? v->count : 0;
+}
+#endif
+
+TEST(SelfHealServe, KillWithQueuedRequestsFailsOver) {
+  serve::ServeOptions opts = heal_options(2);
+  opts.coalesce_window = 1;  // One long solve at a time: the queue fills.
+  serve::Server server(opts);
+  server.start();
+  serve::Client client;
+  client.connect("127.0.0.1", server.port());
+
+  // Distinct long DTW requests, so every answer has its own direct solve.
+  // Round robin puts every other one on replica 0.
+  constexpr std::size_t kLen = 24, kInflight = 16;
+  std::vector<std::pair<std::vector<double>, std::vector<double>>> pairs;
+  for (std::size_t k = 0; k < kInflight; ++k) {
+    pairs.emplace_back(test_series(kLen, k), test_series(kLen, k + 40));
+  }
+  for (std::size_t k = 0; k < kInflight; ++k) {
+    client.send(QueryRequest{pairs[k].first, pairs[k].second}, k);
+  }
+  // Kill replica 0 while requests still wait in its queue: they must fail
+  // over to replica 1, not be rejected or dropped.
+  ASSERT_TRUE(wait_for_replica0(server, [](const serve::ReplicaHealth& r) {
+    return r.queue_depth >= 2;
+  }));
+  ASSERT_TRUE(server.kill_replica(0, 0));
+
+  std::vector<std::optional<QueryResponse>> got(kInflight);
+  for (std::size_t k = 0; k < kInflight; ++k) {
+    auto r = client.recv(/*timeout_ms=*/60000);
+    ASSERT_TRUE(r.has_value());
+    ASSERT_LT(r->id, kInflight);
+    EXPECT_FALSE(got[r->id].has_value()) << "id " << r->id << " answered twice";
+    got[r->id] = std::move(*r);
+  }
+  core::Accelerator direct(opts.accelerator);
+  direct.configure(opts.default_spec);
+  for (std::size_t k = 0; k < kInflight; ++k) {
+    ASSERT_TRUE(got[k].has_value()) << "id " << k << " never answered";
+    ASSERT_TRUE(got[k]->ok()) << k << ": " << got[k]->message;
+    const core::ComputeOutcome want =
+        direct.try_compute(QueryRequest{pairs[k].first, pairs[k].second});
+    ASSERT_TRUE(want.ok());
+    EXPECT_TRUE(core::bitwise_equal(got[k]->result, want.value())) << k;
+  }
+  const serve::ServerStats st = server.stats();
+  EXPECT_GT(st.failovers, 0u);
+  EXPECT_EQ(server.health_report().failovers, st.failovers);
+  server.stop();
+}
+
+TEST(SelfHealServe, ScrubScanProbesIdleReplicasEveryPass) {
+  serve::ServeOptions opts = heal_options(2);
+  opts.selfheal.probe_len = 4;
+  serve::Server server(opts);
+  server.start();
+  serve::Client client;
+  client.connect("127.0.0.1", server.port());
+  const auto warm =
+      client.call(QueryRequest{test_series(4, 1), test_series(4, 2)}, 1);
+  ASSERT_TRUE(warm && warm->ok());
+
+  // The worker can hold its replica for a moment after the warm response
+  // is written; wait for a pass that finds both replicas idle.
+  std::uint64_t probed = 0;
+  for (int tries = 0; tries < 500 && probed < 2; ++tries) {
+    const std::uint64_t before = server.stats().probes;
+    EXPECT_EQ(server.force_scrub_scan(), 0u);
+    probed = server.stats().probes - before;
+    if (probed < 2) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(probed, 2u);
+  // No traffic from here on: every pass probes each replica exactly once,
+  // and a healthy replica is never scrubbed.
+  for (int pass = 0; pass < 5; ++pass) {
+    const std::uint64_t before = server.stats().probes;
+    EXPECT_EQ(server.force_scrub_scan(), 0u);
+    EXPECT_EQ(server.stats().probes, before + 2);
+  }
+  EXPECT_EQ(server.stats().scrubs, 0u);
+  const serve::HealthReport hr = server.health_report();
+  for (const serve::ReplicaHealth& r : hr.shards[0].replicas) {
+    EXPECT_EQ(r.scrubs, 0u);
+    EXPECT_EQ(r.state, serve::ReplicaState::Healthy);
+  }
+  server.stop();
+}
+
+TEST(SelfHealServe, ScrubScanSkipsBusyReplicaCountsFailedScrub) {
+  // Stuck-at cells are quarantined on every solve, and tracked cells keep
+  // the estimate above the unhealthy threshold between solves.
+  fault::FaultConfig fc;
+  fc.seed = 0x5EC0;
+  fc.cell_rate = 0.3;
+  serve::ServeOptions opts = heal_options(1);
+  opts.accelerator.faults = std::make_shared<const fault::FaultPlan>(fc);
+  opts.coalesce_window = 1;
+  opts.collapse_duplicates = false;
+  serve::Server server(opts);
+  server.start();
+  serve::Client client;
+  client.connect("127.0.0.1", server.port());
+
+  constexpr std::size_t kLen = 24, kInflight = 8;
+  for (std::size_t k = 0; k < kInflight; ++k) {
+    client.send(QueryRequest{test_series(kLen, k), test_series(kLen, k + 1)},
+                k);
+  }
+  // Unhealthy, with requests still queued: the pass must not take it.
+  ASSERT_TRUE(wait_for_replica0(server, [](const serve::ReplicaHealth& r) {
+    return r.expected_error > 0.08 && r.queue_depth >= 2;
+  }));
+#if !defined(MDA_OBS_DISABLED)
+  const std::uint64_t busy_before =
+      metric_count("mda.fault.scrub.skipped_busy");
+#endif
+  EXPECT_EQ(server.force_scrub_scan(), 0u);
+#if !defined(MDA_OBS_DISABLED)
+  EXPECT_EQ(metric_count("mda.fault.scrub.skipped_busy"), busy_before + 1);
+#endif
+  EXPECT_EQ(server.stats().scrubs, 0u);
+  for (std::size_t k = 0; k < kInflight; ++k) {
+    const auto r = client.recv(/*timeout_ms=*/60000);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_TRUE(r->ok()) << r->message;
+  }
+
+  // A Down replica is never busy, and its scrub cannot run: the pass
+  // counts the attempt as a failed scrub, and no scrub happens.
+  ASSERT_GT(server.health_report().shards[0].replicas[0].expected_error, 0.08);
+  ASSERT_TRUE(server.kill_replica(0, 0));
+#if !defined(MDA_OBS_DISABLED)
+  const std::uint64_t failures_before =
+      metric_count("mda.fault.scrub.failures");
+#endif
+  EXPECT_EQ(server.force_scrub_scan(), 1u);
+#if !defined(MDA_OBS_DISABLED)
+  EXPECT_EQ(metric_count("mda.fault.scrub.failures"), failures_before + 1);
+#endif
+  EXPECT_EQ(server.stats().scrubs, 0u);
+  server.stop();
+}
+
+TEST(SelfHealServe, BackgroundScanProbesUntilStopped) {
+  serve::ServeOptions opts = heal_options(1);
+  opts.selfheal.auto_scrub = true;
+  opts.selfheal.scan_interval_s = 0.002;
+  serve::Server server(opts);
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    server.start();  // A restart runs the scan thread again.
+    serve::Client client;
+    client.connect("127.0.0.1", server.port());
+    const auto warm =
+        client.call(QueryRequest{test_series(4, 1), test_series(4, 2)}, 1);
+    ASSERT_TRUE(warm && warm->ok());
+    const std::uint64_t start = server.stats().probes;
+    // No forced pass: only the background thread probes.
+    for (int tries = 0; tries < 10000 && server.stats().probes < start + 3;
+         ++tries) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_GE(server.stats().probes, start + 3);
+    server.stop();
+    const std::uint64_t after = server.stats().probes;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(server.stats().probes, after);  // No scans after stop().
+  }
+}
+
 TEST(SelfHealServe, ParallelWindowKeepsScoreboardSequential) {
   // A faulty replica's window of many unique requests is solved in
   // parallel on the server's batch engine.  Responses must still equal
@@ -580,29 +700,16 @@ TEST(SelfHealServe, ParallelWindowKeepsScoreboardSequential) {
   // A long blocker occupies the worker while the rest queue up behind it,
   // so the second window holds all of them.  Lengths vary so the parallel
   // solves finish out of submission order.
-  auto series = [](std::size_t len, std::size_t salt) {
-    std::vector<double> v(len);
-    for (std::size_t i = 0; i < len; ++i) {
-      v[i] = 0.13 * static_cast<double>((i * 7 + salt * 3) % 11) - 0.6;
-    }
-    return v;
-  };
   constexpr std::size_t kUnique = 16;
   std::vector<std::pair<std::vector<double>, std::vector<double>>> pairs;
-  pairs.emplace_back(series(32, 1), series(32, 2));
+  pairs.emplace_back(test_series(32, 1), test_series(32, 2));
   for (std::size_t k = 0; k < kUnique; ++k) {
     const std::size_t len = 3 + (kUnique - k) % 6;
-    pairs.emplace_back(series(len, k + 3), series(len + k % 2, k + 5));
+    pairs.emplace_back(test_series(len, k + 3),
+                       test_series(len + k % 2, k + 5));
   }
 #if !defined(MDA_OBS_DISABLED)
-  static const obs::Counter windows_probe("mda.serve.windows");
-  (void)windows_probe;
-  const auto windows_now = [] {
-    const obs::MetricsSnapshot snap = obs::MetricsSnapshot::capture();
-    const obs::MetricValue* v = snap.find("mda.serve.windows");
-    return v != nullptr ? v->count : 0;
-  };
-  const std::uint64_t windows_before = windows_now();
+  const std::uint64_t windows_before = metric_count("mda.serve.windows");
 #endif
   for (std::size_t k = 0; k < pairs.size(); ++k) {
     client.send(QueryRequest{pairs[k].first, pairs[k].second}, k);
@@ -616,7 +723,7 @@ TEST(SelfHealServe, ParallelWindowKeepsScoreboardSequential) {
   }
 #if !defined(MDA_OBS_DISABLED)
   // 17 requests in at most two windows: the second held >= 8 of them.
-  EXPECT_LE(windows_now() - windows_before, 2u);
+  EXPECT_LE(metric_count("mda.serve.windows") - windows_before, 2u);
 #endif
 
   core::Accelerator direct(opts.accelerator);

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -283,6 +284,118 @@ TEST(ServeProtocol, BadEnumValuesRejected) {
                                               frame.size() -
                                                   serve::kHeaderSize);
   EXPECT_FALSE(serve::decode_request_payload(payload).has_value());
+}
+
+TEST(ServeProtocol, HealthPayloadRejectsTruncationAndLyingCounts) {
+  serve::HealthReport report;
+  report.failovers = 3;
+  report.kills = 2;
+  report.restarts = std::numeric_limits<std::uint64_t>::max();
+  serve::ShardHealth dtw;
+  dtw.kind = static_cast<std::uint8_t>(dist::DistanceKind::Dtw);
+  dtw.backend = static_cast<std::uint8_t>(core::Backend::Wavefront);
+  dtw.threshold = -0.0;
+  dtw.band = 6;
+  serve::ReplicaHealth r0;
+  r0.index = 0;
+  r0.state = serve::ReplicaState::Scrubbing;
+  r0.expected_error = 0.125;
+  r0.queries = 41;
+  r0.quarantines = 7;
+  r0.scrubs = 2;
+  r0.queue_depth = 5;
+  serve::ReplicaHealth r1 = r0;
+  r1.index = 1;
+  r1.state = serve::ReplicaState::Down;
+  r1.expected_error = std::numeric_limits<double>::quiet_NaN();
+  r1.queue_depth = std::numeric_limits<std::uint32_t>::max();
+  dtw.replicas = {r0, r1};
+  serve::ShardHealth md;
+  md.kind = static_cast<std::uint8_t>(dist::DistanceKind::Manhattan);
+  md.backend = static_cast<std::uint8_t>(core::Backend::FullSpice);
+  md.threshold = 0.5;
+  md.band = -1;
+  report.shards = {dtw, md};
+
+  const std::vector<std::uint8_t> frame = serve::encode_health_frame(report);
+  serve::FrameReader reader;
+  reader.append(frame.data(), frame.size());
+  const serve::FrameReader::Result res = reader.next();
+  ASSERT_EQ(res.status, serve::FrameReader::Status::Frame);
+  ASSERT_EQ(res.type, serve::FrameType::Health);
+  const std::vector<std::uint8_t>& payload = res.payload;
+  std::string error;
+  const auto decoded = serve::decode_health_payload(payload, &error);
+  ASSERT_TRUE(decoded.has_value()) << error;
+  EXPECT_EQ(decoded->failovers, report.failovers);
+  EXPECT_EQ(decoded->kills, report.kills);
+  EXPECT_EQ(decoded->restarts, report.restarts);
+  ASSERT_EQ(decoded->shards.size(), report.shards.size());
+  for (std::size_t s = 0; s < report.shards.size(); ++s) {
+    const serve::ShardHealth& want = report.shards[s];
+    const serve::ShardHealth& got = decoded->shards[s];
+    EXPECT_EQ(got.kind, want.kind);
+    EXPECT_EQ(got.backend, want.backend);
+    EXPECT_TRUE(bits_equal(got.threshold, want.threshold));
+    EXPECT_EQ(got.band, want.band);
+    ASSERT_EQ(got.replicas.size(), want.replicas.size());
+    for (std::size_t r = 0; r < want.replicas.size(); ++r) {
+      const serve::ReplicaHealth& wr = want.replicas[r];
+      const serve::ReplicaHealth& gr = got.replicas[r];
+      EXPECT_EQ(gr.index, wr.index);
+      EXPECT_EQ(gr.state, wr.state);
+      EXPECT_TRUE(bits_equal(gr.expected_error, wr.expected_error));
+      EXPECT_EQ(gr.queries, wr.queries);
+      EXPECT_EQ(gr.quarantines, wr.quarantines);
+      EXPECT_EQ(gr.scrubs, wr.scrubs);
+      EXPECT_EQ(gr.queue_depth, wr.queue_depth);
+    }
+  }
+
+  // Every strict prefix is rejected.
+  const std::span<const std::uint8_t> all(payload);
+  for (std::size_t n = 0; n < payload.size(); ++n) {
+    std::string why;
+    EXPECT_FALSE(serve::decode_health_payload(all.subspan(0, n), &why))
+        << "prefix length " << n;
+    EXPECT_FALSE(why.empty());
+  }
+
+  // A count the remaining bytes cannot hold is rejected by the count check
+  // itself, which runs before the vectors are sized from it.  Layout:
+  // failovers kills restarts (u64 x3), shard_count:u32 at 24, then the
+  // first shard's kind backend threshold band, replica_count:u32 at 42.
+  auto with_u32 = [&](std::size_t offset, std::uint32_t v) {
+    std::vector<std::uint8_t> bytes = payload;
+    for (int i = 0; i < 4; ++i) {
+      bytes[offset + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    return bytes;
+  };
+  const auto shard_bytes = static_cast<std::uint32_t>(payload.size() - 28);
+  for (const std::uint32_t lie :
+       {shard_bytes / 18 + 1, std::numeric_limits<std::uint32_t>::max()}) {
+    std::string why;
+    EXPECT_FALSE(serve::decode_health_payload(with_u32(24, lie), &why));
+    EXPECT_EQ(why, "health payload: shard count exceeds payload") << lie;
+  }
+  const auto replica_bytes = static_cast<std::uint32_t>(payload.size() - 46);
+  for (const std::uint32_t lie :
+       {replica_bytes / 41 + 1, std::numeric_limits<std::uint32_t>::max()}) {
+    std::string why;
+    EXPECT_FALSE(serve::decode_health_payload(with_u32(42, lie), &why));
+    EXPECT_EQ(why, "health payload: replica count exceeds payload") << lie;
+  }
+
+  // A peer still speaking version 1 (a longer Health payload prefix) gets
+  // a framing error, not a misread report.
+  std::vector<std::uint8_t> v1 = frame;
+  v1[4] = 1;
+  serve::FrameReader old_reader;
+  old_reader.append(v1.data(), v1.size());
+  const serve::FrameReader::Result old = old_reader.next();
+  EXPECT_EQ(old.status, serve::FrameReader::Status::Error);
+  EXPECT_EQ(old.error, "unsupported protocol version");
 }
 
 // --------------------------------------------------------- loopback tests --

@@ -16,8 +16,8 @@ if(NOT DEFINED MDA_SOURCE_DIR)
   message(FATAL_ERROR "check_metrics_names: pass -DMDA_SOURCE_DIR=<repo root>")
 endif()
 
-# <name> may carry one optional sub-namespace segment (health / hedge /
-# scrub groups: mda.serve.health.unhealthy, mda.fault.scrub.runs, ...).
+# <name> may carry one optional sub-namespace segment (health / scrub /
+# profile groups: mda.serve.health.unhealthy, mda.fault.scrub.runs, ...).
 set(_subsystems "spice|backend|accel|batch|mining|obs|fault|cache|serve")
 set(_name_re "mda\\.(${_subsystems})\\.[a-z][a-z0-9_]*(\\.[a-z][a-z0-9_]*)?")
 
@@ -81,8 +81,6 @@ set(_required
     "mda.serve.solves"
     "mda.serve.health.unhealthy"
     "mda.serve.health.failovers"
-    "mda.serve.hedge.launched"
-    "mda.serve.hedge.wins"
     "mda.fault.scrub.runs"
     "mda.fault.scrub.duration_s"
     "mda.mining.profile.pairs"

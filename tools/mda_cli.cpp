@@ -84,6 +84,22 @@ T flag_count(int argc, char** argv, const std::string& name,
   return static_cast<T>(v);
 }
 
+/// The DTW band flag: -1 (no band) or an integer in [0, INT_MAX].  Anything
+/// else (1e20, nan, 2.5, -3), whose cast to int would be undefined
+/// behaviour or silently change the band, throws.
+int flag_band(int argc, char** argv) {
+  const auto s = flag_str(argc, argv, "band");
+  if (!s) return -1;
+  const double v = std::stod(*s);
+  if (v == -1.0) return -1;
+  if (!(v >= 0.0) || v != std::floor(v) ||
+      v > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument(
+        "--band must be -1 or an integer in [0, INT_MAX]");
+  }
+  return static_cast<int>(v);
+}
+
 std::vector<double> parse_values(const std::string& csv) {
   std::vector<double> out;
   for (const std::string& cell : util::split_line(csv)) {
@@ -183,7 +199,7 @@ int cmd_batch(int argc, char** argv) {
   core::DistanceSpec spec;
   spec.kind = dist::kind_from_name(*kind_name);
   spec.threshold = flag_num(argc, argv, "threshold", 0.0);
-  spec.band = static_cast<int>(flag_num(argc, argv, "band", -1));
+  spec.band = flag_band(argc, argv);
 
   core::BatchOptions opts;
   const auto backend = parse_backend(argc, argv);
@@ -246,7 +262,7 @@ int cmd_compute(int argc, char** argv) {
   core::DistanceSpec spec;
   spec.kind = dist::kind_from_name(*kind_name);
   spec.threshold = flag_num(argc, argv, "threshold", 0.0);
-  spec.band = static_cast<int>(flag_num(argc, argv, "band", -1));
+  spec.band = flag_band(argc, argv);
 
   const auto backend = parse_backend(argc, argv);
   if (!backend) return 1;
@@ -381,7 +397,7 @@ int cmd_profile(int argc, char** argv) {
   cfg.exclusion = flag_count(argc, argv, "exclusion", 0);
   cfg.kind = dist::kind_from_name(flag_str(argc, argv, "kind").value_or("dtw"));
   cfg.params.threshold = flag_num(argc, argv, "threshold", 0.0);
-  cfg.params.band = static_cast<int>(flag_num(argc, argv, "band", -1));
+  cfg.params.band = flag_band(argc, argv);
   cfg.znormalize = flag_num(argc, argv, "znorm", 1) != 0;
   cfg.use_lower_bounds = flag_num(argc, argv, "lb", 1) != 0;
   cfg.lb_margin = flag_num(argc, argv, "margin", 1.0);
@@ -475,7 +491,7 @@ int cmd_faults(int argc, char** argv) {
     cfg.spec.kind = dist::kind_from_name(*kind_name);
   }
   cfg.spec.threshold = flag_num(argc, argv, "threshold", 0.0);
-  cfg.spec.band = static_cast<int>(flag_num(argc, argv, "band", -1));
+  cfg.spec.band = flag_band(argc, argv);
   const auto backend = parse_backend(argc, argv);
   if (!backend) return 1;
   cfg.backend = *backend;
@@ -552,12 +568,6 @@ int cmd_serve(int argc, char** argv) {
       argc, argv, "max-retries", opts.max_retry_budget);
   opts.collapse_duplicates = flag_num(argc, argv, "collapse", 1) != 0;
   opts.replicas = flag_count(argc, argv, "replicas", 1);
-  opts.hedge.enabled =
-      flag_num(argc, argv, "hedge", opts.replicas > 1 ? 1 : 0) != 0;
-  opts.hedge.percentile =
-      flag_num(argc, argv, "hedge-percentile", opts.hedge.percentile);
-  opts.hedge.min_delay_s =
-      flag_num(argc, argv, "hedge-delay", opts.hedge.min_delay_s);
   opts.selfheal.auto_scrub = flag_num(argc, argv, "auto-scrub", 1) != 0;
   opts.selfheal.scan_interval_s =
       flag_num(argc, argv, "scrub-interval", opts.selfheal.scan_interval_s);
@@ -571,19 +581,18 @@ int cmd_serve(int argc, char** argv) {
   if (const auto kind_name = flag_str(argc, argv, "kind")) {
     opts.default_spec.kind = dist::kind_from_name(*kind_name);
     opts.default_spec.threshold = flag_num(argc, argv, "threshold", 0.0);
-    opts.default_spec.band =
-        static_cast<int>(flag_num(argc, argv, "band", -1));
+    opts.default_spec.band = flag_band(argc, argv);
   }
 
   serve::Server server(opts);
   server.start();
   std::printf("mda serve listening on %s:%u (window=%zu queue-depth=%zu "
-              "quota=%zu collapse=%d replicas=%zu hedge=%d auto-scrub=%d)\n",
+              "quota=%zu collapse=%d replicas=%zu auto-scrub=%d)\n",
               opts.host.c_str(), static_cast<unsigned>(server.port()),
               opts.coalesce_window, opts.shard_queue_depth,
               opts.tenant_inflight_quota,
               opts.collapse_duplicates ? 1 : 0, opts.replicas,
-              opts.hedge.enabled ? 1 : 0, opts.selfheal.auto_scrub ? 1 : 0);
+              opts.selfheal.auto_scrub ? 1 : 0);
   std::fflush(stdout);
 
   std::signal(SIGINT, serve_signal_handler);
@@ -595,8 +604,7 @@ int cmd_serve(int argc, char** argv) {
   const serve::ServerStats stats = server.stats();
   std::printf("\nserved %llu requests (%llu responses, %llu rejected, "
               "%llu collapsed, %llu solves) on %llu shards; self-heal: "
-              "%llu scrubs, %llu probes, %llu hedges (%llu won), "
-              "%llu failovers\n",
+              "%llu scrubs, %llu probes, %llu failovers\n",
               static_cast<unsigned long long>(stats.requests),
               static_cast<unsigned long long>(stats.responses),
               static_cast<unsigned long long>(stats.rejected),
@@ -605,8 +613,6 @@ int cmd_serve(int argc, char** argv) {
               static_cast<unsigned long long>(stats.shards),
               static_cast<unsigned long long>(stats.scrubs),
               static_cast<unsigned long long>(stats.probes),
-              static_cast<unsigned long long>(stats.hedges_launched),
-              static_cast<unsigned long long>(stats.hedges_won),
               static_cast<unsigned long long>(stats.failovers));
   return 0;
 }
@@ -639,8 +645,7 @@ int cmd_chaos(int argc, char** argv) {
       "  ok=%llu rejected=%llu lost=%llu wrong=%llu\n"
       "  availability=%.4f (worst phase %.4f)\n"
       "  events: %llu injections, %llu kills, %llu restarts, %llu scrubs\n"
-      "  hedges: %llu launched, %llu won; failovers=%llu; "
-      "client reconnects=%llu\n"
+      "  failovers=%llu; client reconnects=%llu\n"
       "  expected-error: worst=%.4f post-scrub=%.4f (healed=%s)\n"
       "  recovery: %s (worst %.3fs)\n",
       static_cast<unsigned long long>(rep.queries), opts.phases,
@@ -653,8 +658,6 @@ int cmd_chaos(int argc, char** argv) {
       static_cast<unsigned long long>(rep.kills),
       static_cast<unsigned long long>(rep.restarts),
       static_cast<unsigned long long>(rep.scrubs),
-      static_cast<unsigned long long>(rep.hedges_launched),
-      static_cast<unsigned long long>(rep.hedges_won),
       static_cast<unsigned long long>(rep.failovers),
       static_cast<unsigned long long>(rep.client_reconnects),
       rep.worst_expected_error, rep.post_scrub_expected_error,
@@ -695,8 +698,7 @@ void usage() {
                "            [--max-retries=8 per-request retry ceiling]\n"
                "            [--collapse=0|1] [--cache=N] [--kind=... default "
                "spec]\n"
-               "            self-heal: [--replicas=1] [--hedge=0|1]\n"
-               "            [--hedge-percentile=0.95] [--hedge-delay=0.002]\n"
+               "            self-heal: [--replicas=1]\n"
                "            [--auto-scrub=0|1] [--scrub-interval=0.05]\n"
                "            [--probe-len=4] [--unhealthy=0.08] "
                "[--healthy=0.02]\n"
