@@ -24,7 +24,6 @@ double time_batch(const core::Accelerator& acc,
                   std::size_t threads, std::vector<double>& out) {
   core::BatchOptions opts;
   opts.num_threads = threads;
-  opts.backend = core::Backend::Wavefront;
   core::BatchEngine engine(opts);
   const auto t0 = std::chrono::steady_clock::now();
   out = engine.compute_distances(acc, queries);
@@ -62,7 +61,7 @@ int main(int argc, char** argv) {
   core::DistanceSpec spec;
   spec.kind = dist::DistanceKind::Dtw;
   core::Accelerator acc;
-  acc.configure(spec);
+  acc.configure(spec, core::Backend::Wavefront);
 
   std::vector<double> reference;
   const double serial_s = time_batch(acc, queries, 1, reference);

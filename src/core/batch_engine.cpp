@@ -1,7 +1,7 @@
 #include "core/batch_engine.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -173,46 +173,15 @@ void BatchEngine::parallel_for(
   }
 }
 
-namespace {
-
-/// Resolve the backend-override option: returns `acc` itself when no
-/// override applies, else a copy reconfigured to the requested backend.
-const Accelerator& resolve_backend(const Accelerator& acc,
-                                   const std::optional<Backend>& backend,
-                                   std::optional<Accelerator>& storage) {
-  if (!backend || *backend == acc.config().backend) return acc;
-  storage.emplace(acc);
-  storage->set_backend(*backend);
-  return *storage;
-}
-
-}  // namespace
-
 std::vector<ComputeOutcome> BatchEngine::try_compute_batch(
     const Accelerator& acc, std::span<const BatchQuery> queries) const {
   static const obs::Counter queries_total("mda.batch.queries");
-  static const obs::Counter task_retries("mda.batch.task_retries");
   static const obs::Counter query_failures("mda.batch.query_failures");
   queries_total.add(static_cast<std::uint64_t>(queries.size()));
-  std::optional<Accelerator> storage;
-  const Accelerator& target = resolve_backend(acc, opts_.backend, storage);
   // ComputeOutcome has no default constructor; gather into optional slots.
   std::vector<std::optional<ComputeOutcome>> slots(queries.size());
-  // Per-task retry budget (never shared across tasks, so which queries
-  // retry is independent of scheduling).  Invalid inputs never retry.
   parallel_for(queries.size(), [&](std::size_t i) {
-    ComputeOutcome outcome = target.try_compute(queries[i]);
-    const std::size_t budget = std::max<std::size_t>(
-        opts_.retry_budget,
-        std::min<std::size_t>(queries[i].retry_budget,
-                              opts_.max_retry_budget));
-    for (std::size_t r = 0; r < budget && !outcome.ok() &&
-                            outcome.error().code ==
-                                ComputeErrorCode::BackendFailure;
-         ++r) {
-      task_retries.add();
-      outcome = target.try_compute(queries[i]);
-    }
+    ComputeOutcome outcome = acc.try_compute(queries[i]);
     if (!outcome.ok()) query_failures.add();
     slots[i].emplace(std::move(outcome));
   });
@@ -231,21 +200,6 @@ namespace {
   throw std::runtime_error(e.message);
 }
 
-/// Fail-open placeholder: NaN value carrying the failure provenance.
-ComputeResult dead_result(const ComputeError& e) {
-  ComputeResult dead;
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  dead.value = nan;
-  dead.volts = nan;
-  dead.reference = nan;
-  dead.relative_error = nan;
-  dead.backend_used = e.backend;
-  dead.attempts = e.attempts;
-  dead.newton_iterations = e.newton_iterations;
-  dead.fault_detected = true;
-  return dead;
-}
-
 }  // namespace
 
 std::vector<ComputeResult> BatchEngine::compute_batch(
@@ -253,16 +207,11 @@ std::vector<ComputeResult> BatchEngine::compute_batch(
   std::vector<ComputeOutcome> outcomes = try_compute_batch(acc, queries);
   std::vector<ComputeResult> out;
   out.reserve(outcomes.size());
+  // Outcomes are walked in task order, so the first failure seen is the
+  // lowest-index one — and the whole batch has already completed.
   for (ComputeOutcome& o : outcomes) {
-    if (o.ok()) {
-      out.push_back(std::move(o.value()));
-    } else if (opts_.failure_policy == FailurePolicy::FailClosed) {
-      // Outcomes are walked in task order, so the first failure seen is the
-      // lowest-index one — and the whole batch has already completed.
-      throw_compute_error(o.error());
-    } else {
-      out.push_back(dead_result(o.error()));
-    }
+    if (!o.ok()) throw_compute_error(o.error());
+    out.push_back(std::move(o.value()));
   }
   return out;
 }
@@ -273,13 +222,8 @@ std::vector<double> BatchEngine::compute_distances(
   std::vector<double> out;
   out.reserve(outcomes.size());
   for (const ComputeOutcome& o : outcomes) {
-    if (o.ok()) {
-      out.push_back(o.value().value);
-    } else if (opts_.failure_policy == FailurePolicy::FailClosed) {
-      throw_compute_error(o.error());
-    } else {
-      out.push_back(std::numeric_limits<double>::quiet_NaN());
-    }
+    if (!o.ok()) throw_compute_error(o.error());
+    out.push_back(o.value().value);
   }
   return out;
 }

@@ -6,7 +6,7 @@
 //
 //  (1) every task writes only its own slot, indexed by task id, and
 //  (2) all stochastic draws are keyed by task index through counter-based
-//      RNG derivation (task_rng), never by call order or thread id.
+//      RNG derivation (derive_rng), never by call order or thread id.
 //
 // This is the host-side orchestration layer for the data-center serving
 // story (Sec. 4.3): the digital front end batches queries, the analog
@@ -35,7 +35,6 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -45,12 +44,6 @@
 
 namespace mda::core {
 
-/// What the query-level batch APIs do with a query that still fails after
-/// its retry budget: FailClosed surfaces the lowest-index failure as a typed
-/// exception once the whole batch has completed (no other query is lost to
-/// the throw); FailOpen records the failure and yields NaN for that slot.
-enum class FailurePolicy { FailClosed, FailOpen };
-
 struct BatchOptions {
   /// Worker count; 0 = std::thread::hardware_concurrency().
   std::size_t num_threads = 0;
@@ -59,25 +52,6 @@ struct BatchOptions {
   /// key draws on chunk structure should set it explicitly — the engine
   /// itself keys nothing on chunks.
   std::size_t chunk_size = 0;
-  /// Engine-wide backend override for compute_batch/compute_distances;
-  /// nullopt uses the accelerator's configured backend.  A per-query
-  /// QueryRequest::backend takes precedence over both.
-  std::optional<Backend> backend;
-  /// Base seed for counter-based per-task RNG derivation (task_rng).
-  std::uint64_t seed = 0x9E3779B97F4A7C15ull;
-  /// Failure policy of compute_batch / compute_distances (DESIGN.md §9).
-  FailurePolicy failure_policy = FailurePolicy::FailClosed;
-  /// Extra try_compute attempts per failed query (backend failures only;
-  /// per-task, not shared, so results stay bit-identical for any thread
-  /// count).  Each query's effective budget is
-  /// max(retry_budget, min(QueryRequest::retry_budget, max_retry_budget)).
-  std::size_t retry_budget = 0;
-  /// Ceiling on the per-query QueryRequest::retry_budget contribution.
-  /// Request budgets can arrive off the wire (serve admission clamps them
-  /// too), so an unvalidated u32 must never demand ~4e9 re-solves of a
-  /// persistently failing query; the engine-level retry_budget above is
-  /// owner-configured and is not clamped.
-  std::size_t max_retry_budget = 8;
   /// Always 1: every query runs its own scalar FullSpice solve.  Exists
   /// only for the benchmark runner, which reads it to size its groups.
   static constexpr std::size_t solver_batch_width = 1;
@@ -86,8 +60,8 @@ struct BatchOptions {
 /// One distance query — the unified request type (core/query.hpp).  Spans
 /// must outlive the batch call (or be storage-backed, QueryRequest::owning).
 /// `{p, q}` aggregate initialisation keeps pre-unification call sites
-/// compiling unchanged; per-query knobs (backend override, retry budget,
-/// starting fault attempt) ride along and are honoured per task.
+/// compiling unchanged; per-query knobs (backend override, starting fault
+/// attempt) ride along and are honoured per task.
 using BatchQuery = QueryRequest;
 
 class BatchEngine {
@@ -110,18 +84,10 @@ class BatchEngine {
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& task) const;
 
-  /// parallel_for with results gathered in task order.
-  template <typename T>
-  [[nodiscard]] std::vector<T> map(
-      std::size_t count, const std::function<T(std::size_t)>& task) const {
-    std::vector<T> out(count);
-    parallel_for(count, [&](std::size_t i) { out[i] = task(i); });
-    return out;
-  }
-
-  /// Evaluate every query through `acc` (on options().backend when set,
-  /// else the accelerator's configured backend).  Results are indexed like
-  /// `queries` and bit-identical for any num_threads.
+  /// Evaluate every query through `acc`.  Results are indexed like
+  /// `queries` and bit-identical for any num_threads.  Fail-closed: the
+  /// whole batch completes, then the lowest-index failure is thrown
+  /// (std::invalid_argument for InvalidInput, else std::runtime_error).
   [[nodiscard]] std::vector<ComputeResult> compute_batch(
       const Accelerator& acc, std::span<const BatchQuery> queries) const;
 
@@ -130,21 +96,18 @@ class BatchEngine {
       const Accelerator& acc, std::span<const BatchQuery> queries) const;
 
   /// Non-throwing batch evaluation: every query yields a ComputeOutcome —
-  /// one poisoned query never sinks the batch.  Failed queries retry up to
-  /// options().retry_budget times (backend failures only).  compute_batch /
-  /// compute_distances are built on this plus the failure policy.
+  /// one poisoned query never sinks the batch.  A failed query is not
+  /// re-run: try_compute is deterministic, so a re-run returns the same
+  /// bits (DESIGN.md §9).  compute_batch / compute_distances are built on
+  /// this.
   [[nodiscard]] std::vector<ComputeOutcome> try_compute_batch(
       const Accelerator& acc, std::span<const BatchQuery> queries) const;
 
   /// Counter-based RNG derivation: an independent generator for task
-  /// `task_index`, a pure function of (options().seed, task_index).  Monte
-  /// Carlo consumers draw from this instead of a shared stream so their
-  /// randomness is schedule-independent.
-  [[nodiscard]] util::Rng task_rng(std::uint64_t task_index) const {
-    return derive_rng(opts_.seed, task_index);
-  }
-
-  /// The derivation itself (splitmix64 finalizer over seed + index).
+  /// `task_index`, a pure function of (seed, task_index) (splitmix64
+  /// finalizer over seed + index).  Stochastic consumers draw from this
+  /// instead of a shared stream so their randomness is
+  /// schedule-independent.
   static util::Rng derive_rng(std::uint64_t seed, std::uint64_t task_index);
 
  private:

@@ -8,9 +8,9 @@
 // request a direct caller would have constructed.
 //
 // A QueryRequest carries the (P, Q) payload plus every per-call knob that
-// used to live in ad-hoc places (BatchOptions::backend, the internal
-// AcceleratorConfig::fault_attempt, the engine-level retry budget) and the
-// serving envelope (tenant id, relative deadline):
+// used to live in ad-hoc places (a per-call backend override, the internal
+// AcceleratorConfig::fault_attempt) and the serving envelope (tenant id,
+// relative deadline):
 //
 //   core::QueryRequest req{p, q};          // views; BatchQuery-compatible
 //   req.backend = core::Backend::FullSpice;  // chain-start override
@@ -53,20 +53,13 @@ struct QueryRequest {
 
   /// Execution-backend override: the recovery chain starts here instead of
   /// the accelerator's configured backend (absorbs the old per-call
-  /// compute(p, q, backend) overload and BatchOptions::backend).
+  /// compute(p, q, backend) overload).
   std::optional<Backend> backend{};
 
   /// Starting recovery-attempt index (DESIGN.md §9): attempt k of the chain
   /// runs with AcceleratorConfig::fault_attempt = fault_attempt + k, so a
   /// caller can replay a specific re-tune attempt.  0 = normal first try.
   int fault_attempt = 0;
-
-  /// Extra whole-chain retries on BackendFailure, applied by BatchEngine /
-  /// the server.  Requests can arrive off the wire, so both consumers cap
-  /// it (BatchOptions::max_retry_budget / ServeOptions::max_retry_budget);
-  /// the engine's effective budget is
-  /// max(BatchOptions::retry_budget, min(this, cap)).
-  std::uint32_t retry_budget = 0;
 
   /// Serving envelope: tenant for quota accounting, and a relative deadline
   /// (seconds from arrival; 0 = none) after which a still-queued request is

@@ -59,7 +59,6 @@ CampaignReport run_campaign(const CampaignConfig& config) {
 
   core::BatchOptions bopts;
   bopts.num_threads = std::max<std::size_t>(1, config.threads);
-  bopts.seed = config.seed;
   core::BatchEngine engine(bopts);
   engine.parallel_for(config.queries, [&](std::size_t i) {
     const std::vector<double> p = make_series(config.seed, i, 0, config.length);

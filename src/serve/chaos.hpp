@@ -20,8 +20,10 @@
 // Determinism: chaos events fire only at phase boundaries, after every
 // in-flight response has drained, so each response is attributable to one
 // (replica plan, re-tune attempt) pair; the schedule, trace and fault plans
-// all derive from ChaosOptions::seed.  Used by the tier-1 chaos_smoke test,
-// `mda chaos` and bench_chaos.
+// all derive from ChaosOptions::seed.  With one client the whole report
+// except worst_recovery_s is a function of the options; with several, the
+// scoreboards follow how their requests interleave (DESIGN.md §14).  Used
+// by the tier-1 chaos_smoke test, `mda chaos` and bench_chaos.
 
 #include <cstdint>
 #include <memory>
@@ -99,7 +101,8 @@ struct ChaosReport {
   [[nodiscard]] bool zero_wrong() const { return wrong == 0; }
 };
 
-/// Run the chaos soak; deterministic for a fixed ChaosOptions.
+/// Run the chaos soak (deterministic for fixed ChaosOptions with one
+/// client, see above).
 [[nodiscard]] ChaosReport run_chaos(const ChaosOptions& opts);
 
 }  // namespace mda::serve

@@ -114,7 +114,7 @@ constexpr std::uint8_t kMaxStatus =
 // Request payload:
 //   id:u64 tenant:u64
 //   has_kind:u8 kind:u8 has_backend:u8 backend:u8
-//   fault_attempt:i32 retry_budget:u32
+//   fault_attempt:i32
 //   threshold:f64 band:i32
 //   deadline_s:f64
 //   p_len:u32 q_len:u32 p:f64[p_len] q:f64[q_len]
@@ -129,7 +129,6 @@ std::vector<std::uint8_t> encode_request_frame(const core::QueryRequest& req,
   put_u8(payload, req.backend.has_value() ? 1 : 0);
   put_u8(payload, req.backend ? static_cast<std::uint8_t>(*req.backend) : 0);
   put_i32(payload, req.fault_attempt);
-  put_u32(payload, req.retry_budget);
   put_f64(payload, req.threshold);
   put_i32(payload, req.band);
   put_f64(payload, req.deadline_s);
@@ -156,7 +155,6 @@ std::optional<DecodedRequest> decode_request_payload(
   const std::uint8_t has_backend = c.u8();
   const std::uint8_t backend = c.u8();
   out.request.fault_attempt = c.i32();
-  out.request.retry_budget = c.u32();
   out.request.threshold = c.f64();
   out.request.band = c.i32();
   out.request.deadline_s = c.f64();
@@ -189,14 +187,12 @@ std::optional<DecodedRequest> decode_request_payload(
 
   const std::uint64_t tenant = out.request.tenant;
   const int fault_attempt = out.request.fault_attempt;
-  const std::uint32_t retry_budget = out.request.retry_budget;
   const double threshold = out.request.threshold;
   const int band = out.request.band;
   const double deadline_s = out.request.deadline_s;
   out.request = core::QueryRequest::owning(std::move(p), std::move(q));
   out.request.tenant = tenant;
   out.request.fault_attempt = fault_attempt;
-  out.request.retry_budget = retry_budget;
   out.request.threshold = threshold;
   out.request.band = band;
   out.request.deadline_s = deadline_s;

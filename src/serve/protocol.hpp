@@ -5,7 +5,7 @@
 //   frame  := header payload
 //   header := magic:u32 version:u8 type:u8 flags:u16 payload_len:u32
 //
-// magic is the bytes "MDAQ" on the wire; version is 2; type distinguishes
+// magic is the bytes "MDAQ" on the wire; version is 3; type distinguishes
 // request and response frames; flags are reserved (must be 0).  The payload
 // serialises core::QueryRequest / core::QueryResponse field-for-field —
 // doubles travel as raw IEEE-754 bit patterns (memcpy, never printf), which
@@ -36,7 +36,7 @@ namespace mda::serve {
 inline constexpr std::uint32_t kMagic = 0x5141444Du;
 /// Bumped whenever a payload layout changes, so a peer on the old layout
 /// gets a framing error instead of misreading the new one.
-inline constexpr std::uint8_t kVersion = 2;
+inline constexpr std::uint8_t kVersion = 3;
 inline constexpr std::size_t kHeaderSize = 12;
 /// Default frame-size ceiling: 4 MiB ≈ 260k-sample sequences, far beyond a
 /// 128x128 fabric's useful tiling range.

@@ -137,7 +137,6 @@ std::string collapse_key(const QueryRequest& req) {
       req.backend ? static_cast<std::int32_t>(*req.backend) : -1;
   put_bytes(&backend, sizeof backend);
   put_bytes(&req.fault_attempt, sizeof req.fault_attempt);
-  put_bytes(&req.retry_budget, sizeof req.retry_budget);
   return key;
 }
 
@@ -218,9 +217,8 @@ struct Server::Impl {
     std::mutex admin_mu;     ///< State transitions.  Never taken while
                              ///< holding solve_mutex (lock order: admin
                              ///< before solve).
+    /// kDown is the one record of a killed replica.
     std::atomic<std::uint8_t> state{kHealthy};
-    std::atomic<bool> down{false};
-    std::atomic<bool> solving{false};
   };
 
   struct Shard {
@@ -368,7 +366,7 @@ struct Server::Impl {
     {
       std::lock_guard<std::mutex> lk(shard_mutex_);
       for (auto& [key, shard] : shards_) {
-        for (auto& r : shard->replicas) r->cv.notify_all();
+        for (auto& r : shard->replicas) wake(*r);
       }
       for (auto& [key, shard] : shards_) {
         for (auto& r : shard->replicas) {
@@ -558,11 +556,6 @@ struct Server::Impl {
       return;
     }
     Pending pending{conn, dec->id, std::move(dec->request), arrival, false};
-    // Saturate the wire-controlled retry budget at admission (before the
-    // collapse key is formed, so clamped duplicates still collapse): the
-    // worker retry loop is bounded by configuration, not by the peer.
-    pending.request.retry_budget =
-        std::min(pending.request.retry_budget, opts_.max_retry_budget);
     const std::uint64_t tenant = pending.request.tenant;
 
     if (stopping_.load()) {
@@ -682,7 +675,7 @@ struct Server::Impl {
       // false read under the mutex orders this push before that drain, so
       // the worker is guaranteed to sweep it.
       if (stopping_.load()) return Enq::Stopping;
-      if (r.down.load()) return Enq::Full;  // Killer drained; route on.
+      if (r.state.load() == kDown) return Enq::Full;  // Route on.
       if (r.queue.size() >= opts_.shard_queue_depth) return Enq::Full;
       r.queue.push_back(std::move(pending));
     }
@@ -750,6 +743,14 @@ struct Server::Impl {
 
   // ---- replica state ----
 
+  /// Wake the worker after stopping_ or the state changed.  Taking the
+  /// queue mutex first means the worker is either before its predicate
+  /// test (and sees the change) or already waiting (and gets the notify).
+  static void wake(Replica& r) {
+    { const std::lock_guard<std::mutex> lk(r.mutex); }
+    r.cv.notify_all();
+  }
+
   /// Transition + unhealthy-gauge upkeep.  Caller holds r.admin_mu.
   void set_state_locked(Replica& r, std::uint8_t st) {
     const std::uint8_t old = r.state.exchange(st);
@@ -787,19 +788,34 @@ struct Server::Impl {
     n_probes_.fetch_add(1);
   }
 
-  /// The scan's per-replica probe: only when the replica is serving and
-  /// idle (try_lock — a probe must never delay traffic).
+  /// Serving: neither checked out by a scrub nor killed.
+  static bool serving(const Replica& r) {
+    const std::uint8_t st = r.state.load();
+    return st != kScrubbing && st != kDown;
+  }
+
+  /// The scan's idle test: the replica is serving, nothing is queued and no
+  /// window is being solved (solve_mutex is free).  Returns the held solve
+  /// lock when idle, an empty lock otherwise.
+  static std::unique_lock<std::mutex> lock_if_idle(Replica& r) {
+    std::unique_lock<std::mutex> solve_lk(r.solve_mutex, std::try_to_lock);
+    if (!solve_lk.owns_lock()) return solve_lk;
+    bool queued = false;
+    {
+      std::lock_guard<std::mutex> lk(r.mutex);
+      queued = !r.queue.empty();
+    }
+    if (queued || !serving(r)) solve_lk.unlock();
+    return solve_lk;
+  }
+
+  /// The scan's per-replica probe: only when the replica is idle (a probe
+  /// must never delay traffic).
   void probe_replica(Replica& r) {
     if (opts_.selfheal.probe_len == 0) return;
-    const std::uint8_t st = r.state.load();
-    if (st == kScrubbing || st == kDown) return;
     {
-      std::unique_lock<std::mutex> solve_lk(r.solve_mutex, std::try_to_lock);
+      const std::unique_lock<std::mutex> solve_lk = lock_if_idle(r);
       if (!solve_lk.owns_lock()) return;
-      {
-        std::lock_guard<std::mutex> lk(r.mutex);
-        if (!r.queue.empty()) return;
-      }
       run_probe(r);
     }
     refresh_state(r);  // After solve_mutex is released (lock order).
@@ -835,20 +851,12 @@ struct Server::Impl {
     return true;
   }
 
-  /// An idle window: nothing queued and no window being solved.
-  static bool idle(Replica& r) {
-    {
-      std::lock_guard<std::mutex> lk(r.mutex);
-      if (!r.queue.empty()) return false;
-    }
-    return !r.solving.load();
-  }
-
-  /// One scan pass over a snapshot of every replica, in shard-key order:
-  /// probe it, and scrub it when its expected error is above the unhealthy
-  /// threshold and it has an idle window (a busy replica is re-examined on
-  /// the next pass).  Returns the number of scrubs run, failed ones
-  /// included.
+  /// One scan pass over a snapshot of every replica, in shard-key order.
+  /// A Down or Scrubbing replica is skipped (restart or the running scrub
+  /// owns it).  Any other is probed, and scrubbed when its expected error
+  /// is above the unhealthy threshold and it is idle (a busy replica is
+  /// re-examined on the next pass).  Returns the number of scrubs run,
+  /// failed ones included.
   std::size_t scrub_scan() {
     static const obs::Counter runs("mda.fault.scrub.runs");
     static const obs::Counter heals("mda.fault.scrub.heals");
@@ -866,9 +874,10 @@ struct Server::Impl {
     const fault::HealthConfig& hc = opts_.selfheal.health;
     std::size_t scrubbed = 0;
     for (Replica* r : replicas) {
+      if (!serving(*r)) continue;
       probe_replica(*r);
       if (r->board->expected_error() <= hc.unhealthy_threshold) continue;
-      if (!idle(*r)) {
+      if (!lock_if_idle(*r).owns_lock()) {
         skipped_busy.add();
         continue;
       }
@@ -923,9 +932,8 @@ struct Server::Impl {
       std::lock_guard<std::mutex> lk(r->admin_mu);
       if (r->state.load() == kDown) return false;
       set_state_locked(*r, kDown);
-      r->down.store(true);
     }
-    r->cv.notify_all();
+    wake(*r);
     if (r->worker.joinable()) r->worker.join();
     static const obs::Counter kills("mda.serve.health.kills");
     kills.add();
@@ -970,7 +978,6 @@ struct Server::Impl {
       r->acc.configure(s->spec);
       r->board->reset();
       r->acc.set_health(r->board);
-      r->down.store(false);
       set_state_locked(*r, kHealthy);
     }
     Shard* sp = s;
@@ -1044,12 +1051,14 @@ struct Server::Impl {
   // ---- shard workers ----
 
   void worker_loop(Shard& shard, Replica& r) {
+    static const obs::Counter windows("mda.serve.windows");
     for (;;) {
       std::vector<Pending> batch;
       {
         std::unique_lock<std::mutex> lk(r.mutex);
         r.cv.wait(lk, [&] {
-          return stopping_.load() || r.down.load() || !r.queue.empty();
+          return stopping_.load() || r.state.load() == kDown ||
+                 !r.queue.empty();
         });
         if (stopping_.load()) {
           batch.assign(std::make_move_iterator(r.queue.begin()),
@@ -1064,7 +1073,7 @@ struct Server::Impl {
           }
           return;
         }
-        if (r.down.load()) return;  // Killer drains the queue.
+        if (r.state.load() == kDown) return;  // Killer drains the queue.
         const std::size_t take =
             std::min(opts_.coalesce_window, r.queue.size());
         batch.assign(
@@ -1074,24 +1083,28 @@ struct Server::Impl {
         r.queue.erase(r.queue.begin(),
                       r.queue.begin() + static_cast<std::ptrdiff_t>(take));
       }
+      windows.add();
+      const std::vector<Pending*> live = drop_expired(shard, r, batch);
+      if (live.empty()) continue;
+      std::vector<QueryResponse> responses;
       {
         std::lock_guard<std::mutex> solve_lk(r.solve_mutex);
-        r.solving.store(true);
-        process_batch(shard, r, batch);
-        r.solving.store(false);
+        responses = solve_window(r, live);
       }
       refresh_state(r);  // After solve_mutex is released (lock order).
+      // Deliver last: a client that holds its answer finds the replica
+      // idle, so a scan run right after it (the chaos soak's boundary scan)
+      // sees the same replica state on every run.
+      for (std::size_t i = 0; i < live.size(); ++i) {
+        deliver(shard, *live[i], std::move(responses[i]));
+      }
     }
   }
 
-  void process_batch(Shard& shard, Replica& r, std::vector<Pending>& batch) {
-    static const obs::Counter collapsed("mda.serve.collapsed_requests");
-    static const obs::Counter solves("mda.serve.solves");
-    static const obs::Counter windows("mda.serve.windows");
-    windows.add();
-
-    // 1. Expire deadlines at dequeue: queue wait already exceeded the
-    //    request's relative deadline, so a solve would be wasted work.
+  /// Expire deadlines at dequeue: queue wait already exceeded the request's
+  /// relative deadline, so a solve would be wasted work.  Returns the rest.
+  std::vector<Pending*> drop_expired(Shard& shard, Replica& r,
+                                     std::vector<Pending>& batch) {
     const double now = now_s();
     std::vector<Pending*> live;
     live.reserve(batch.size());
@@ -1109,9 +1122,17 @@ struct Server::Impl {
       }
       live.push_back(&p);
     }
-    if (live.empty()) return;
+    return live;
+  }
 
-    // 2. Collapse bitwise-identical requests within the window: one solve,
+  /// Solve one window (caller holds r.solve_mutex) and return its responses
+  /// in window order.
+  std::vector<QueryResponse> solve_window(Replica& r,
+                                          const std::vector<Pending*>& live) {
+    static const obs::Counter collapsed("mda.serve.collapsed_requests");
+    static const obs::Counter solves("mda.serve.solves");
+
+    // 1. Collapse bitwise-identical requests within the window: one solve,
     //    fanned out.  Determinism makes this invisible in the responses.
     std::vector<std::size_t> slot_of(live.size());
     std::vector<const QueryRequest*> unique;
@@ -1134,7 +1155,7 @@ struct Server::Impl {
       }
     }
 
-    // 3. Solve the unique requests on the shared engine, through the same
+    // 2. Solve the unique requests on the shared engine, through the same
     //    try_compute entry point BatchEngine's batch APIs use, so served ≡
     //    direct is structural.  Each solve runs on a copy of the replica's
     //    accelerator (same config, same instance cache) whose health sink is
@@ -1148,36 +1169,21 @@ struct Server::Impl {
       journals[i] = std::make_shared<fault::HealthJournal>();
       core::Accelerator acc = r.acc;
       acc.set_health(journals[i]);
-      outcomes[i].emplace(
-          apply_retries(acc, *unique[i], acc.try_compute(*unique[i])));
+      outcomes[i].emplace(acc.try_compute(*unique[i]));
     });
     for (const auto& journal : journals) journal->replay(*r.board);
 
-    // 4. Fan responses out to their sockets.
+    // 3. One response per live request, fanned out from its solve.
+    std::vector<QueryResponse> responses;
+    responses.reserve(live.size());
     for (std::size_t i = 0; i < live.size(); ++i) {
-      Pending& p = *live[i];
+      const Pending& p = *live[i];
       QueryResponse resp =
           QueryResponse::from(p.id, p.request.tenant, *outcomes[slot_of[i]]);
       resp.replica = r.index;
-      deliver(shard, p, std::move(resp));
+      responses.push_back(std::move(resp));
     }
-  }
-
-  core::ComputeOutcome apply_retries(const core::Accelerator& acc,
-                                     const QueryRequest& req,
-                                     core::ComputeOutcome outcome) {
-    // retry_budget was saturated to opts_.max_retry_budget at admission; the
-    // stopping_ check keeps a failing-solve retry run from delaying stop().
-    for (std::uint32_t i = 0;
-         i < req.retry_budget && !stopping_.load() && !outcome.ok() &&
-         outcome.error().code == core::ComputeErrorCode::BackendFailure;
-         ++i) {
-      static const obs::Counter retries("mda.serve.retries");
-      retries.add();
-      n_solves_.fetch_add(1);
-      outcome = acc.try_compute(req);
-    }
-    return outcome;
+    return responses;
   }
 
   // ---- responses ----

@@ -15,7 +15,9 @@
 //                  engine (the worker works through its own job; idle
 //                  engine threads help whichever shard is hot), replay the
 //                  solves' health journals into the scoreboard in window
-//                  order, fan responses back out to their sockets
+//                  order, release the replica, then fan responses back out
+//                  to their sockets (a failed solve is answered, never
+//                  re-run: it would return the same bits)
 //   engine         core::BatchEngine, hardware_concurrency threads, a FIFO
 //                  of the workers' jobs.  It has no size knob: `replicas`
 //                  means fault isolation, not parallelism, and the pool is
@@ -101,10 +103,6 @@ struct ServeOptions {
   /// Per-tenant in-flight request ceiling (admitted but unanswered);
   /// 0 = unlimited.
   std::size_t tenant_inflight_quota = 0;
-  /// Ceiling on the wire-controlled QueryRequest::retry_budget: values above
-  /// it are saturated at admission, so a hostile u32 cannot pin a shard
-  /// worker in a ~4e9-iteration retry loop on a persistently failing solve.
-  std::uint32_t max_retry_budget = 8;
 
   /// Max requests one worker drain coalesces into a solve window.
   std::size_t coalesce_window = 64;

@@ -51,7 +51,7 @@ endif()
 # registries are reachable by design, and some CI kernels lack ptrace for
 # the leak checker).
 if(NOT DEFINED MDA_GTEST_FILTER)
-  set(MDA_GTEST_FILTER "Fault*:Tuning.Stuck*:Tuning.ArrayWithStuck*:BatchEngine.TryCompute*:BatchEngine.FailOpen*:BatchEngine.RetryBudget*")
+  set(MDA_GTEST_FILTER "Fault*:Tuning.Stuck*:Tuning.ArrayWithStuck*:BatchEngine.TryCompute*:BatchEngine.FailOpen*:BatchEngine.RetryBudget*:BatchEngine.FailedQueries*")
 endif()
 set(ENV{ASAN_OPTIONS} "detect_leaks=0")
 set(ENV{UBSAN_OPTIONS} "halt_on_error=1:print_stacktrace=1")

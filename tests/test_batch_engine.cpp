@@ -1,7 +1,7 @@
 // Batch query engine: determinism across pool sizes (the bit-identity
-// contract), edge cases, exception propagation, counter-based RNG
-// derivation, and parity of the engine-backed mining paths with their
-// serial counterparts.
+// contract), edge cases, exception propagation and fail-closed batches,
+// counter-based RNG derivation, and parity of the engine-backed mining
+// paths with their serial counterparts.
 
 #include <gtest/gtest.h>
 
@@ -37,10 +37,9 @@ std::vector<double> random_series(util::Rng& rng, std::size_t n) {
   return v;
 }
 
-BatchEngine make_engine(std::size_t threads, Backend backend) {
+BatchEngine make_engine(std::size_t threads) {
   BatchOptions opts;
   opts.num_threads = threads;
-  opts.backend = backend;
   return BatchEngine(opts);
 }
 
@@ -52,12 +51,8 @@ std::vector<double> batch_values(dist::DistanceKind kind, Backend backend,
   spec.kind = kind;
   spec.threshold = 0.4;
   Accelerator acc;
-  acc.configure(spec);
-  BatchOptions opts;
-  opts.num_threads = threads;
-  opts.backend = backend;
-  BatchEngine engine(opts);
-  return engine.compute_distances(acc, queries);
+  acc.configure(spec, backend);
+  return make_engine(threads).compute_distances(acc, queries);
 }
 
 class AllKindsDeterminism
@@ -119,10 +114,10 @@ INSTANTIATE_TEST_SUITE_P(AllSix, AllKindsDeterminism,
                          });
 
 TEST(BatchEngine, EmptyBatch) {
-  const BatchEngine engine = make_engine(4, Backend::Behavioral);
+  const BatchEngine engine = make_engine(4);
   DistanceSpec spec;
   Accelerator acc;
-  acc.configure(spec);
+  acc.configure(spec, Backend::Behavioral);
   const std::vector<BatchQuery> none;
   EXPECT_TRUE(engine.compute_batch(acc, none).empty());
   EXPECT_TRUE(engine.compute_distances(acc, none).empty());
@@ -132,27 +127,25 @@ TEST(BatchEngine, EmptyBatch) {
 }
 
 TEST(BatchEngine, SingleElementBatch) {
-  const BatchEngine engine = make_engine(4, Backend::Behavioral);
+  const BatchEngine engine = make_engine(4);
   DistanceSpec spec;
   spec.kind = dist::DistanceKind::Manhattan;
   Accelerator acc;
-  acc.configure(spec);
+  acc.configure(spec, Backend::Behavioral);
   const std::vector<double> p = {1.0, 2.0, 0.5};
   const std::vector<double> q = {0.5, 1.5, 1.0};
   const std::vector<BatchQuery> one = {{p, q}};
   const auto results = engine.compute_batch(acc, one);
   ASSERT_EQ(results.size(), 1u);
-  Accelerator behavioral(acc);
-  behavioral.set_backend(Backend::Behavioral);
-  EXPECT_EQ(results[0].value, behavioral.try_compute(p, q).unwrap().value);
+  EXPECT_EQ(results[0].value, acc.try_compute(p, q).unwrap().value);
 }
 
 TEST(BatchEngine, ExceptionFromFailingBackendTaskPropagates) {
-  const BatchEngine engine = make_engine(4, Backend::Behavioral);
+  const BatchEngine engine = make_engine(4);
   DistanceSpec spec;
   spec.kind = dist::DistanceKind::Manhattan;
   Accelerator acc;
-  acc.configure(spec);
+  acc.configure(spec, Backend::Behavioral);
   util::Rng rng(9);
   std::vector<double> good = random_series(rng, 8);
   std::vector<double> empty;  // compute() rejects empty sequences
@@ -165,11 +158,11 @@ TEST(BatchEngine, ExceptionFromFailingBackendTaskPropagates) {
 TEST(BatchEngine, TryComputeBatchIsolatesPerTaskErrors) {
   // One poisoned query must not sink the batch: every other slot still
   // carries its result, and the bad slot carries a typed error.
-  const BatchEngine engine = make_engine(4, Backend::Behavioral);
+  const BatchEngine engine = make_engine(4);
   DistanceSpec spec;
   spec.kind = dist::DistanceKind::Manhattan;
   Accelerator acc;
-  acc.configure(spec);
+  acc.configure(spec, Backend::Behavioral);
   util::Rng rng(17);
   const std::vector<double> good = random_series(rng, 8);
   const std::vector<double> empty;
@@ -188,48 +181,16 @@ TEST(BatchEngine, TryComputeBatchIsolatesPerTaskErrors) {
   }
 }
 
-TEST(BatchEngine, FailOpenYieldsNaNSlotsAndCompletesTheBatch) {
-  BatchOptions opts;
-  opts.num_threads = 4;
-  opts.backend = Backend::Behavioral;
-  opts.failure_policy = FailurePolicy::FailOpen;
-  const BatchEngine engine(opts);
-  DistanceSpec spec;
-  spec.kind = dist::DistanceKind::Manhattan;
-  Accelerator acc;
-  acc.configure(spec);
-  util::Rng rng(18);
-  const std::vector<double> good = random_series(rng, 8);
-  const std::vector<double> empty;
-  std::vector<BatchQuery> queries(12, BatchQuery{good, good});
-  queries[2] = {good, empty};
-  queries[9] = {empty, good};
-
-  const std::vector<double> values = engine.compute_distances(acc, queries);
-  ASSERT_EQ(values.size(), queries.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i == 2 || i == 9) {
-      EXPECT_TRUE(std::isnan(values[i])) << i;
-    } else {
-      EXPECT_FALSE(std::isnan(values[i])) << i;
-      EXPECT_EQ(values[i], values[0]);
-    }
-  }
-  const std::vector<ComputeResult> results = engine.compute_batch(acc, queries);
-  ASSERT_EQ(results.size(), queries.size());
-  EXPECT_TRUE(std::isnan(results[2].value));
-  EXPECT_TRUE(results[2].fault_detected);
-  EXPECT_FALSE(std::isnan(results[3].value));
-}
-
-TEST(BatchEngine, RetryBudgetIsSpentOnBackendFailuresOnly) {
-  // A plan that forces FullSpice non-convergence with degradation disabled
-  // makes every attempt a BackendFailure: the per-task retry budget is
-  // consumed, the batch still completes, and FailOpen records NaN.
+TEST(BatchEngine, FailedQueriesFillTheirSlotsAndTheBatchCompletes) {
+  // A plan that never lets FullSpice converge, with degradation off, makes
+  // each query that starts on FullSpice a BackendFailure; an empty sequence
+  // is InvalidInput.  Neither sinks the batch: try_compute_batch fills
+  // every slot, and the fail-closed APIs throw the lowest-index failure
+  // only after the whole batch has run.  A failed query is solved once.
   fault::FaultConfig fc;
   fc.force_nonconvergence = true;
   AcceleratorConfig cfg;
-  cfg.backend = Backend::FullSpice;
+  cfg.backend = Backend::Behavioral;
   cfg.faults = std::make_shared<const fault::FaultPlan>(fc);
   cfg.fault_handling.degrade = false;
   cfg.fault_handling.max_retries = 0;
@@ -240,83 +201,149 @@ TEST(BatchEngine, RetryBudgetIsSpentOnBackendFailuresOnly) {
   util::Rng rng(19);
   const std::vector<double> p = random_series(rng, 3);
   const std::vector<double> q = random_series(rng, 3);
-  const std::vector<BatchQuery> queries(2, BatchQuery{p, q});
+  const std::vector<double> empty;
+  std::vector<BatchQuery> queries(12, BatchQuery{p, q});
+  queries[2].backend = Backend::FullSpice;
+  queries[7].backend = Backend::FullSpice;
+  queries[9] = {p, empty};
 
-  BatchOptions opts;
-  opts.num_threads = 2;
-  opts.retry_budget = 2;
-  opts.failure_policy = FailurePolicy::FailOpen;
-  const BatchEngine engine(opts);
+  const BatchEngine engine = make_engine(4);
+#if !defined(MDA_OBS_DISABLED)
+  obs::reset();
+#endif
   const auto outcomes = engine.try_compute_batch(acc, queries);
   ASSERT_EQ(outcomes.size(), queries.size());
-  for (const auto& o : outcomes) {
-    ASSERT_FALSE(o.ok());
-    EXPECT_EQ(o.error().code, ComputeErrorCode::BackendFailure);
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    if (i == 2 || i == 7) {
+      ASSERT_FALSE(outcomes[i].ok()) << i;
+      EXPECT_EQ(outcomes[i].error().code, ComputeErrorCode::BackendFailure);
+      EXPECT_EQ(outcomes[i].error().backend, Backend::FullSpice);
+      EXPECT_EQ(outcomes[i].error().attempts, 1);
+    } else if (i == 9) {
+      ASSERT_FALSE(outcomes[i].ok());
+      EXPECT_EQ(outcomes[i].error().code, ComputeErrorCode::InvalidInput);
+    } else {
+      ASSERT_TRUE(outcomes[i].ok()) << i;
+      EXPECT_EQ(outcomes[i].value().value, outcomes[0].value().value);
+    }
   }
-  const std::vector<double> values = engine.compute_distances(acc, queries);
-  for (const double v : values) EXPECT_TRUE(std::isnan(v));
+#if !defined(MDA_OBS_DISABLED)
+  std::uint64_t failures = 0;
+  for (const obs::MetricValue& m : obs::collect()) {
+    if (m.name == "mda.batch.query_failures") failures = m.count;
+  }
+  EXPECT_EQ(failures, 3u);
+  obs::reset();
+#endif
+
+  // Slot 2 (BackendFailure) is the lowest failure...
+  EXPECT_THROW((void)engine.compute_batch(acc, queries), std::runtime_error);
+  // ...until an InvalidInput slot sits below it.
+  queries[1] = {empty, q};
+  EXPECT_THROW((void)engine.compute_distances(acc, queries),
+               std::invalid_argument);
 }
 
-TEST(BatchEngine, PerQueryRetryBudgetIsCappedByMaxRetryBudget) {
-  // QueryRequest::retry_budget can arrive off the wire; an absurd u32 must
-  // be clamped to BatchOptions::max_retry_budget (this test would hang on
-  // ~4e9 re-solves otherwise), while the owner-configured engine budget is
-  // still honoured as the floor of the effective budget.
+TEST(BatchEngine, FailOpenYieldsNaNSlotsAndCompletesTheBatch) {
+  // try_compute_batch is the fail-open entry point: a failed query yields an
+  // error slot (there is no NaN sentinel value any more), the batch
+  // completes, and the healthy slots carry the same bits as the same
+  // queries run without the poisoned ones.
+  DistanceSpec spec;
+  spec.kind = dist::DistanceKind::Manhattan;
+  Accelerator acc;
+  acc.configure(spec, Backend::Behavioral);
+  util::Rng rng(18);
+  const std::vector<double> good = random_series(rng, 8);
+  const std::vector<double> other = random_series(rng, 8);
+  const std::vector<double> empty;
+  std::vector<BatchQuery> clean;
+  for (int i = 0; i < 12; ++i) {
+    clean.push_back(i % 2 == 0 ? BatchQuery{good, other}
+                               : BatchQuery{other, good});
+  }
+  std::vector<BatchQuery> queries = clean;
+  queries[2] = {good, empty};
+  queries[9] = {empty, good};
+
+  const BatchEngine engine = make_engine(4);
+  const auto reference = engine.try_compute_batch(acc, clean);
+  const auto outcomes = engine.try_compute_batch(acc, queries);
+  ASSERT_EQ(outcomes.size(), queries.size());
+  ASSERT_EQ(reference.size(), clean.size());
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    ASSERT_TRUE(reference[i].ok()) << i;
+    if (i == 2 || i == 9) {
+      ASSERT_FALSE(outcomes[i].ok()) << i;
+      EXPECT_EQ(outcomes[i].error().code, ComputeErrorCode::InvalidInput);
+    } else {
+      ASSERT_TRUE(outcomes[i].ok()) << i;
+      EXPECT_TRUE(bitwise_equal(outcomes[i].value(), reference[i].value()))
+          << i;
+    }
+  }
+}
+
+TEST(BatchEngine, RetryBudgetIsSpentOnBackendFailuresOnly) {
+  // The one retry budget left is FaultHandling::max_retries: each attempt
+  // of the recovery chain re-tunes at the next fault_attempt.  A query that
+  // never converges spends all 1 + max_retries attempts; a query that
+  // succeeds spends one; an invalid query spends none; and the batch engine
+  // adds no retries of its own on top.
   fault::FaultConfig fc;
   fc.force_nonconvergence = true;
   AcceleratorConfig cfg;
   cfg.backend = Backend::FullSpice;
   cfg.faults = std::make_shared<const fault::FaultPlan>(fc);
   cfg.fault_handling.degrade = false;
-  cfg.fault_handling.max_retries = 0;
+  cfg.fault_handling.max_retries = 2;
   Accelerator acc(cfg);
   DistanceSpec spec;
   spec.kind = dist::DistanceKind::Manhattan;
   acc.configure(spec);
-  util::Rng rng(23);
+  util::Rng rng(21);
   const std::vector<double> p = random_series(rng, 3);
   const std::vector<double> q = random_series(rng, 3);
-  std::vector<BatchQuery> queries(2, BatchQuery{p, q});
-  for (BatchQuery& query : queries) query.retry_budget = 0xFFFFFFFFu;
+  const std::vector<double> empty;
+  std::vector<BatchQuery> queries(4, BatchQuery{p, q});
+  queries[1].backend = Backend::Behavioral;
+  queries[3] = {p, empty};
 
-  BatchOptions opts;
-  opts.num_threads = 1;
-  opts.max_retry_budget = 2;
-  opts.failure_policy = FailurePolicy::FailOpen;
-  const BatchEngine engine(opts);
-
+  const BatchEngine engine = make_engine(2);
+#if !defined(MDA_OBS_DISABLED)
   obs::reset();
+#endif
   const auto outcomes = engine.try_compute_batch(acc, queries);
   ASSERT_EQ(outcomes.size(), queries.size());
-  for (const auto& o : outcomes) {
-    ASSERT_FALSE(o.ok());
-    EXPECT_EQ(o.error().code, ComputeErrorCode::BackendFailure);
+  for (const std::size_t i : {0u, 2u}) {
+    ASSERT_FALSE(outcomes[i].ok()) << i;
+    EXPECT_EQ(outcomes[i].error().code, ComputeErrorCode::BackendFailure);
+    EXPECT_EQ(outcomes[i].error().backend, Backend::FullSpice);
+    EXPECT_EQ(outcomes[i].error().attempts, 3) << i;
   }
+  ASSERT_TRUE(outcomes[1].ok());
+  EXPECT_EQ(outcomes[1].value().attempts, 1);
+  ASSERT_FALSE(outcomes[3].ok());
+  EXPECT_EQ(outcomes[3].error().code, ComputeErrorCode::InvalidInput);
+  EXPECT_EQ(outcomes[3].error().attempts, 0);
+#if !defined(MDA_OBS_DISABLED)
   std::uint64_t retries = 0;
   for (const obs::MetricValue& m : obs::collect()) {
-    if (m.name == "mda.batch.task_retries") retries = m.count;
+    if (m.name == "mda.fault.retries") retries = m.count;
   }
-  EXPECT_EQ(retries, 2u * opts.max_retry_budget);
+  EXPECT_EQ(retries, 4u);  // two failing queries x max_retries
   obs::reset();
-
-  // The engine-level budget is not clamped: it raises the effective budget
-  // above the per-query cap.
-  opts.retry_budget = 3;
-  const auto more = BatchEngine(opts).try_compute_batch(acc, queries);
-  ASSERT_EQ(more.size(), queries.size());
-  retries = 0;
-  for (const obs::MetricValue& m : obs::collect()) {
-    if (m.name == "mda.batch.task_retries") retries = m.count;
-  }
-  EXPECT_EQ(retries, 2u * opts.retry_budget);
-  obs::reset();
+#endif
 }
 
 TEST(BatchEngine, FailurePoliciesAgreeOnHealthyBatches) {
+  // The two failure policies are the two entry points: fail-closed
+  // compute_batch / compute_distances and the per-slot outcomes of
+  // try_compute_batch.  On a healthy batch they return the same bits.
   DistanceSpec spec;
   spec.kind = dist::DistanceKind::Manhattan;
   Accelerator acc;
-  acc.configure(spec);
+  acc.configure(spec, Backend::Wavefront);
   util::Rng rng(20);
   std::vector<std::vector<double>> storage;
   for (int i = 0; i < 8; ++i) storage.push_back(random_series(rng, 6));
@@ -324,22 +351,23 @@ TEST(BatchEngine, FailurePoliciesAgreeOnHealthyBatches) {
   for (int i = 0; i < 4; ++i) {
     queries.push_back({storage[2 * i], storage[2 * i + 1]});
   }
-  BatchOptions closed;
-  closed.num_threads = 4;
-  closed.backend = Backend::Wavefront;
-  BatchOptions open = closed;
-  open.failure_policy = FailurePolicy::FailOpen;
-  const std::vector<double> a =
-      BatchEngine(closed).compute_distances(acc, queries);
-  const std::vector<double> b =
-      BatchEngine(open).compute_distances(acc, queries);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+  const BatchEngine engine = make_engine(4);
+  const std::vector<double> a = engine.compute_distances(acc, queries);
+  const std::vector<ComputeResult> b = engine.compute_batch(acc, queries);
+  const std::vector<ComputeOutcome> c = engine.try_compute_batch(acc, queries);
+  ASSERT_EQ(a.size(), queries.size());
+  ASSERT_EQ(b.size(), queries.size());
+  ASSERT_EQ(c.size(), queries.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_TRUE(c[i].ok()) << i;
+    EXPECT_EQ(a[i], b[i].value);
+    EXPECT_TRUE(bitwise_equal(b[i], c[i].value())) << i;
+  }
 }
 
 TEST(BatchEngine, ExceptionWithLowestTaskIndexWins) {
   for (std::size_t threads : {1u, 2u, 8u}) {
-    const BatchEngine engine = make_engine(threads, Backend::Behavioral);
+    const BatchEngine engine = make_engine(threads);
     try {
       engine.parallel_for(100, [](std::size_t i) {
         if (i == 3) throw std::runtime_error("task 3");
@@ -352,7 +380,7 @@ TEST(BatchEngine, ExceptionWithLowestTaskIndexWins) {
 }
 
 TEST(BatchEngine, ParallelForCoversEveryIndexExactlyOnce) {
-  const BatchEngine engine = make_engine(8, Backend::Behavioral);
+  const BatchEngine engine = make_engine(8);
   constexpr std::size_t kCount = 1000;
   std::vector<std::atomic<int>> hits(kCount);
   engine.parallel_for(kCount, [&](std::size_t i) {
@@ -362,7 +390,7 @@ TEST(BatchEngine, ParallelForCoversEveryIndexExactlyOnce) {
 }
 
 TEST(BatchEngine, NestedParallelForRunsInline) {
-  const BatchEngine engine = make_engine(4, Backend::Behavioral);
+  const BatchEngine engine = make_engine(4);
   std::vector<std::atomic<int>> hits(64);
   engine.parallel_for(8, [&](std::size_t outer) {
     engine.parallel_for(8, [&](std::size_t inner) {
@@ -377,7 +405,7 @@ TEST(BatchEngine, ConcurrentSubmittersInterleave) {
   // the same moment, for several rounds: the jobs share the pool through
   // its FIFO, yet each one keeps its own coverage, its own lowest-index
   // exception and the inline rule for nested calls.
-  const BatchEngine engine = make_engine(4, Backend::Behavioral);
+  const BatchEngine engine = make_engine(4);
   constexpr std::size_t kSubmitters = 4;
   constexpr std::size_t kCounts[kSubmitters] = {37, 250, 513, 1000};
   for (int round = 0; round < 8; ++round) {
@@ -427,7 +455,7 @@ TEST(BatchEngine, ConcurrentSubmittersInterleave) {
 }
 
 TEST(BatchEngine, ReusableAcrossBatches) {
-  const BatchEngine engine = make_engine(4, Backend::Behavioral);
+  const BatchEngine engine = make_engine(4);
   for (int round = 0; round < 10; ++round) {
     std::vector<int> out(57, -1);
     engine.parallel_for(out.size(), [&](std::size_t i) {
@@ -440,19 +468,17 @@ TEST(BatchEngine, ReusableAcrossBatches) {
 }
 
 TEST(BatchEngine, TaskRngIsCounterBasedNotCallOrderBased) {
-  BatchOptions opts;
-  opts.seed = 1234;
-  const BatchEngine engine(opts);
+  constexpr std::uint64_t kSeed = 1234;
   // Same index -> same stream, however many times and in whatever order.
-  util::Rng a = engine.task_rng(7);
-  util::Rng b = engine.task_rng(3);
-  util::Rng c = engine.task_rng(7);
+  util::Rng a = BatchEngine::derive_rng(kSeed, 7);
+  util::Rng b = BatchEngine::derive_rng(kSeed, 3);
+  util::Rng c = BatchEngine::derive_rng(kSeed, 7);
   (void)b.next_u64();
   for (int i = 0; i < 16; ++i) EXPECT_EQ(a.next_u64(), c.next_u64());
   // Neighbouring indices decorrelate.
-  util::Rng d = engine.task_rng(8);
+  util::Rng d = BatchEngine::derive_rng(kSeed, 8);
   int same = 0;
-  util::Rng e = engine.task_rng(7);
+  util::Rng e = BatchEngine::derive_rng(kSeed, 7);
   for (int i = 0; i < 64; ++i) same += e.next_u64() == d.next_u64() ? 1 : 0;
   EXPECT_EQ(same, 0);
   // Distinct base seeds give distinct streams for the same index.
@@ -472,7 +498,7 @@ TEST(BatchEngine, MonteCarloIdenticalSerialVsParallel) {
   mc.trials = 6;
   mc.seed = 5;
   const MonteCarloResult serial = monte_carlo_distance(config, spec, p, q, mc);
-  const BatchEngine engine = make_engine(8, Backend::Wavefront);
+  const BatchEngine engine = make_engine(8);
   mc.engine = &engine;
   const MonteCarloResult parallel =
       monte_carlo_distance(config, spec, p, q, mc);
@@ -502,7 +528,7 @@ TEST(BatchMining, KnnIdenticalSerialVsParallel) {
       dist::DistanceKind::Dtw, {}, serial_cfg);
   serial.fit(train);
 
-  const BatchEngine engine = make_engine(8, Backend::Behavioral);
+  const BatchEngine engine = make_engine(8);
   mining::KnnConfig par_cfg = serial_cfg;
   par_cfg.engine = &engine;
   auto parallel = mining::KnnClassifier::with_reference(
@@ -526,7 +552,7 @@ TEST(BatchMining, KMedoidsIdenticalSerialVsParallel) {
   mining::KMedoidsConfig cfg;
   cfg.k = 3;
   const auto serial = mining::kmedoids(items, fn, cfg);
-  const BatchEngine engine = make_engine(8, Backend::Behavioral);
+  const BatchEngine engine = make_engine(8);
   cfg.engine = &engine;
   const auto parallel = mining::kmedoids(items, fn, cfg);
   EXPECT_EQ(serial.medoids, parallel.medoids);
@@ -550,7 +576,7 @@ TEST(BatchMining, MotifsAndDiscordsIdenticalSerialVsParallel) {
   cfg.window = 16;
   const auto serial_motif = mining::find_motif(series, fn, cfg);
   const auto serial_discords = mining::find_discords(series, fn, 3, cfg);
-  const BatchEngine engine = make_engine(8, Backend::Behavioral);
+  const BatchEngine engine = make_engine(8);
   cfg.engine = &engine;
   const auto par_motif = mining::find_motif(series, fn, cfg);
   const auto par_discords = mining::find_discords(series, fn, 3, cfg);
@@ -586,7 +612,7 @@ TEST(BatchMining, SubsequenceSearchSameOptimumAndThreadInvariantStats) {
   EXPECT_EQ(serial_twice.distance, 0.0);
 
   for (std::size_t threads : {1u, 2u, 8u}) {
-    const BatchEngine engine = make_engine(threads, Backend::Behavioral);
+    const BatchEngine engine = make_engine(threads);
     mining::SearchConfig par_cfg = cfg;
     par_cfg.engine = &engine;
     for (const auto& [hay, ref] :

@@ -11,6 +11,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "blocks/factory.hpp"
@@ -354,6 +355,93 @@ TEST(FaultRecovery, HealthyAcceleratorReportsCleanProvenance) {
   EXPECT_EQ(r.quarantined_cells, 0u);
   EXPECT_FALSE(r.fault_detected);
   EXPECT_GT(r.newton_iterations, 0);  // SPICE work is accounted for
+}
+
+TEST(FaultRecovery, RepeatedTryComputeIsBitIdentical) {
+  // try_compute keeps no mutable state on its path: the recovery chain,
+  // each attempt's re-tune and the instance cache are functions of the
+  // request, the config and the plan.  So re-running a query returns the
+  // same outcome bit for bit, failed or not — which is why no layer above
+  // the chain re-runs a failed query.
+  struct Plan {
+    const char* name;
+    fault::FaultConfig fc;
+  };
+  std::vector<Plan> plans(3);
+  plans[0].name = "nonconvergence";
+  plans[0].fc.nonconvergence_rate = 0.7;
+  plans[1].name = "stuck-at";
+  plans[1].fc.stuck_rate = 0.2;
+  plans[1].fc.cell_rate = 0.3;  // Stuck-low, stuck-high and drift cells.
+  plans[2].name = "drift";
+  plans[2].fc.drift_rate = 0.5;
+  plans[2].fc.cell_rate = 0.4;
+  plans[2].fc.cell_drift_only = true;
+  constexpr dist::DistanceKind kKinds[] = {dist::DistanceKind::Manhattan,
+                                           dist::DistanceKind::Dtw,
+                                           dist::DistanceKind::Hamming};
+  constexpr int kReruns = 2;
+
+  util::Rng rng(77);
+  std::vector<std::pair<std::vector<double>, std::vector<double>>> inputs;
+  for (int k = 0; k < 2; ++k) {
+    // Length 2 keeps the cache-bypassing FullSpice plans affordable.
+    std::vector<double> p(2), q(2);
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      p[i] = rng.uniform(0.0, 3.0);
+      q[i] = rng.uniform(0.0, 3.0);
+    }
+    inputs.emplace_back(std::move(p), std::move(q));
+  }
+
+  std::size_t failed = 0, succeeded = 0;
+  for (const Backend backend : {Backend::FullSpice, Backend::Wavefront}) {
+    for (const Plan& plan : plans) {
+      for (const bool degrade : {false, true}) {
+        AcceleratorConfig cfg;
+        cfg.backend = backend;
+        cfg.faults = std::make_shared<const fault::FaultPlan>(plan.fc);
+        cfg.fault_handling.degrade = degrade;
+        for (const dist::DistanceKind kind : kKinds) {
+          Accelerator acc(cfg);
+          DistanceSpec spec;
+          spec.kind = kind;
+          spec.threshold = 0.4;
+          acc.configure(spec);
+          for (const auto& [p, q] : inputs) {
+            const ComputeOutcome first = acc.try_compute(p, q);
+            if (first.ok()) {
+              ++succeeded;
+            } else {
+              ++failed;
+            }
+            SCOPED_TRACE(std::string(plan.name) + " " +
+                         dist::kind_name(kind) + " backend " +
+                         std::to_string(static_cast<int>(backend)) +
+                         " degrade " + std::to_string(degrade));
+            for (int rerun = 0; rerun < kReruns; ++rerun) {
+              const ComputeOutcome again = acc.try_compute(p, q);
+              ASSERT_EQ(again.ok(), first.ok()) << "rerun " << rerun;
+              if (first.ok()) {
+                EXPECT_TRUE(bitwise_equal(again.value(), first.value()));
+                continue;
+              }
+              const ComputeError& a = first.error();
+              const ComputeError& b = again.error();
+              EXPECT_EQ(b.code, a.code);
+              EXPECT_EQ(b.backend, a.backend);
+              EXPECT_EQ(b.attempts, a.attempts);
+              EXPECT_EQ(b.newton_iterations, a.newton_iterations);
+              EXPECT_EQ(b.message, a.message);
+            }
+          }
+        }
+      }
+    }
+  }
+  // Both paths were exercised: some chains failed end to end.
+  EXPECT_GT(failed, 0u);
+  EXPECT_GT(succeeded, 0u);
 }
 
 // ---------------------------------------------------------------- campaigns

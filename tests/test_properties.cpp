@@ -181,13 +181,12 @@ class BatchedProperties : public RandomPair {
     spec.kind = kind;
     spec.threshold = 0.4;
     core::Accelerator acc;
-    acc.configure(spec);
+    acc.configure(spec, core::Backend::Behavioral);
     return acc;
   }
   core::BatchEngine engine_{[] {
     core::BatchOptions opts;
     opts.num_threads = 4;
-    opts.backend = core::Backend::Behavioral;
     return opts;
   }()};
 };

@@ -68,7 +68,6 @@ TEST(ServeProtocol, RequestRoundTripDefaults) {
   EXPECT_FALSE(d.request.kind.has_value());
   EXPECT_FALSE(d.request.backend.has_value());
   EXPECT_EQ(d.request.fault_attempt, 0);
-  EXPECT_EQ(d.request.retry_budget, 0u);
   EXPECT_EQ(d.request.tenant, 0u);
   EXPECT_EQ(d.request.deadline_s, 0.0);
 }
@@ -86,7 +85,6 @@ TEST(ServeProtocol, RequestRoundTripAllKnobsAndSpecialDoubles) {
   req.band = 3;
   req.backend = core::Backend::Behavioral;
   req.fault_attempt = 2;
-  req.retry_budget = 5;
   req.tenant = 0xDEADBEEFCAFEull;
   req.deadline_s = 1.5;
   const serve::DecodedRequest d = round_trip(req, 0xFFFFFFFFFFFFFFFFull);
@@ -103,7 +101,6 @@ TEST(ServeProtocol, RequestRoundTripAllKnobsAndSpecialDoubles) {
   ASSERT_TRUE(d.request.backend.has_value());
   EXPECT_EQ(*d.request.backend, core::Backend::Behavioral);
   EXPECT_EQ(d.request.fault_attempt, 2);
-  EXPECT_EQ(d.request.retry_budget, 5u);
   EXPECT_EQ(d.request.tenant, 0xDEADBEEFCAFEull);
   EXPECT_EQ(d.request.deadline_s, 1.5);
 }
@@ -235,6 +232,17 @@ TEST(ServeProtocol, FrameReaderRejectsBadVersionAndType) {
   r1.append(bad_version.data(), bad_version.size());
   EXPECT_EQ(r1.next().status, serve::FrameReader::Status::Error);
 
+  // A version-2 peer still sends retry_budget:u32 after fault_attempt; it
+  // gets a framing error instead of a request decoded 4 bytes off.
+  ASSERT_EQ(serve::kVersion, 3);
+  auto v2 = frame;
+  v2[4] = 2;
+  serve::FrameReader r_v2;
+  r_v2.append(v2.data(), v2.size());
+  const serve::FrameReader::Result old = r_v2.next();
+  EXPECT_EQ(old.status, serve::FrameReader::Status::Error);
+  EXPECT_EQ(old.error, "unsupported protocol version");
+
   auto bad_type = frame;
   bad_type[5] = 0;  // type byte: neither Request nor Response
   serve::FrameReader r2;
@@ -248,6 +256,9 @@ TEST(ServeProtocol, TruncatedPayloadRejectedCleanly) {
   const std::span<const std::uint8_t> payload(frame.data() + serve::kHeaderSize,
                                               frame.size() -
                                                   serve::kHeaderSize);
+  // v3 layout: 52 fixed bytes (id tenant, four flag/enum bytes,
+  // fault_attempt threshold band deadline, p_len q_len), then the samples.
+  ASSERT_EQ(payload.size(), 52u + 8u * (p.size() + q.size()));
   // Every strict prefix of the payload must be rejected without crashing.
   for (std::size_t n = 0; n < payload.size(); ++n) {
     std::string error;
@@ -387,12 +398,12 @@ TEST(ServeProtocol, HealthPayloadRejectsTruncationAndLyingCounts) {
     EXPECT_EQ(why, "health payload: replica count exceeds payload") << lie;
   }
 
-  // A peer still speaking version 1 (a longer Health payload prefix) gets
-  // a framing error, not a misread report.
-  std::vector<std::uint8_t> v1 = frame;
-  v1[4] = 1;
+  // A peer still speaking an older version gets a framing error, not a
+  // misread report.
+  std::vector<std::uint8_t> v2 = frame;
+  v2[4] = 2;
   serve::FrameReader old_reader;
-  old_reader.append(v1.data(), v1.size());
+  old_reader.append(v2.data(), v2.size());
   const serve::FrameReader::Result old = old_reader.next();
   EXPECT_EQ(old.status, serve::FrameReader::Status::Error);
   EXPECT_EQ(old.error, "unsupported protocol version");
@@ -575,11 +586,10 @@ TEST(ServeLoopback, ExpiredDeadlineRejectedAtDequeue) {
   server.stop();
 }
 
-TEST(ServeLoopback, WireRetryBudgetIsClampedAtAdmission) {
-  // A hostile peer sets retry_budget to u32 max against a shard whose every
-  // solve fails: without the ServeOptions::max_retry_budget clamp the worker
-  // would re-solve ~4e9 times (this test would hang and stop() would never
-  // join); with it the request fails fast and the server shuts down cleanly.
+TEST(ServeLoopback, FailingShardAnswersBackendFailureAfterOneSolve) {
+  // A shard whose every solve fails answers BackendFailure after exactly
+  // one solve: the server never re-runs a deterministic solve, so nothing
+  // a peer sends can buy repeated work, and stop() joins promptly.
   fault::FaultConfig fc;
   fc.force_nonconvergence = true;
   serve::ServeOptions opts;
@@ -587,7 +597,6 @@ TEST(ServeLoopback, WireRetryBudgetIsClampedAtAdmission) {
   opts.accelerator.faults = std::make_shared<const fault::FaultPlan>(fc);
   opts.accelerator.fault_handling.degrade = false;
   opts.accelerator.fault_handling.max_retries = 0;
-  opts.max_retry_budget = 2;
   serve::Server server(opts);
   server.start();
   serve::Client client;
@@ -596,10 +605,10 @@ TEST(ServeLoopback, WireRetryBudgetIsClampedAtAdmission) {
   const std::vector<double> p{0.2, -0.7, 1.1}, q{-0.4, 0.9, 0.3};
   QueryRequest req{p, q};
   req.kind = dist::DistanceKind::Manhattan;
-  req.retry_budget = 0xFFFFFFFFu;
   const auto r = client.call(req, 1, 60000);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->status, QueryStatus::BackendFailure);
+  EXPECT_EQ(server.stats().solves, 1u);
   server.stop();
 }
 

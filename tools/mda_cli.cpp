@@ -204,11 +204,11 @@ int cmd_batch(int argc, char** argv) {
   core::BatchOptions opts;
   const auto backend = parse_backend(argc, argv);
   if (!backend) return 1;
-  opts.backend = *backend;
   opts.num_threads = flag_count(argc, argv, "threads", 0);
   opts.chunk_size = flag_count(argc, argv, "chunk", 0);
 
   core::AcceleratorConfig acfg;
+  acfg.backend = *backend;
   acfg.cache_capacity = flag_count(argc, argv, "cache", 8);
   core::Accelerator acc(acfg);
   acc.configure(spec);
@@ -564,8 +564,6 @@ int cmd_serve(int argc, char** argv) {
   opts.shard_queue_depth = flag_count(argc, argv, "queue-depth", 256);
   opts.max_shards = flag_count(argc, argv, "max-shards", 16);
   opts.tenant_inflight_quota = flag_count(argc, argv, "quota", 0);
-  opts.max_retry_budget = flag_count<std::uint32_t>(
-      argc, argv, "max-retries", opts.max_retry_budget);
   opts.collapse_duplicates = flag_num(argc, argv, "collapse", 1) != 0;
   opts.replicas = flag_count(argc, argv, "replicas", 1);
   opts.selfheal.auto_scrub = flag_num(argc, argv, "auto-scrub", 1) != 0;
@@ -695,7 +693,6 @@ void usage() {
                "            [--backend=...] [--window=64 coalesce window]\n"
                "            [--queue-depth=256]\n"
                "            [--max-shards=16] [--quota=0 per-tenant inflight]\n"
-               "            [--max-retries=8 per-request retry ceiling]\n"
                "            [--collapse=0|1] [--cache=N] [--kind=... default "
                "spec]\n"
                "            self-heal: [--replicas=1]\n"
