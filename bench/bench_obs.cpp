@@ -4,9 +4,6 @@
 // justifies leaving instrumentation on in production (DESIGN.md §8).
 //
 //   bench_obs [--ops=20000000] [--pairs=64] [--length=24] [--reps=5]
-//
-// With -DMDA_OBS=OFF the write paths compile to nothing; the numbers here
-// then measure an empty loop.
 
 #include <algorithm>
 #include <chrono>

@@ -115,7 +115,7 @@ BENCHMARK(BM_ReferenceDistance)
 // --json=<path>: a fixed solver scenario instead of google-benchmark.
 //
 // Runs the same Newton-dominated matrix-structure transient (20x20 DTW array,
-// ~12k unknowns — well past the dense cutoff) under three solver modes and
+// ~12k unknowns) under three solver modes and
 // emits a machine-readable comparison (see BENCH_solver.json for the
 // committed baseline):
 //  * repivot_every_solve — allow_lu_refactor=false, the reference mode that

@@ -20,12 +20,11 @@ namespace mda::core {
 namespace {
 
 /// Degradation chain for a compute starting at `start` (DESIGN.md §9):
-/// explicit policy chain if given, else FullSpice -> Wavefront -> Behavioral
-/// truncated to start at `start` (or just {start} when degradation is off).
-std::vector<Backend> degradation_chain(Backend start, const FaultHandling& fh) {
-  if (!fh.degradation.empty()) return fh.degradation;
+/// FullSpice -> Wavefront -> Behavioral truncated to start at `start`, or
+/// just {start} when degradation is off.
+std::vector<Backend> degradation_chain(Backend start, bool degrade) {
   std::vector<Backend> chain{start};
-  if (fh.degrade) {
+  if (degrade) {
     if (start == Backend::FullSpice) chain.push_back(Backend::Wavefront);
     if (start != Backend::Behavioral) chain.push_back(Backend::Behavioral);
   }
@@ -150,10 +149,10 @@ ComputeOutcome Accelerator::try_compute_with(Backend backend,
 
   // Recovery chain (DESIGN.md §9): walk the degradation chain, giving each
   // backend 1 + max_retries attempts; retry attempts carry fault_attempt > 0
-  // so tunable faults are re-tuned before re-evaluating.  Detection failures
-  // (envelope / cross-check) are treated exactly like evaluation failures.
+  // so tunable faults are re-tuned before re-evaluating.  An envelope trip
+  // is treated exactly like an evaluation failure.
   const FaultHandling& fh = config_.fault_handling;
-  const std::vector<Backend> chain = degradation_chain(backend, fh);
+  const std::vector<Backend> chain = degradation_chain(backend, fh.degrade);
   AnalogEval eval;
   std::string last_error;
   long newton_total = 0;
@@ -195,38 +194,18 @@ ComputeOutcome Accelerator::try_compute_with(Backend backend,
           }
         }
       }
-      if (ok && fh.envelope_check) {
-        const auto trip = fault::check_envelope(
-            eval.out_volts,
-            fault::envelope_for(config_.v_max, fh.envelope_margin));
-        if (trip) {
-          ok = false;
-          detected = true;
-          last_error = *trip;
-          if (config_.health) config_.health->record_envelope_trip();
-        }
-      }
-      if (ok && fh.cross_check && chain[c] != Backend::Behavioral) {
-        try {
-          const AnalogEval ref = eval_behavioral(config_, spec_, enc);
-          const double got = decode_output(config_, spec_, eval.out_volts, enc);
-          const double want =
-              decode_output(config_, spec_, ref.out_volts, enc);
-          if (util::relative_error(got, want, counting ? 1.0 : 0.1) >
-              fh.cross_check_tol) {
-            ok = false;
-            detected = true;
-            last_error = "behavioral cross-check failed";
-          }
-        } catch (const std::exception&) {
-          // A broken cross-check reference must not fail a healthy compute.
-        }
-      }
-      if (ok) {
+      if (!ok) continue;
+      const auto trip = fault::check_envelope(
+          eval.out_volts,
+          fault::envelope_for(config_.v_max, fault::kEnvelopeMargin));
+      if (!trip) {
         chain_idx = c;
         success = true;
         break;
       }
+      detected = true;
+      last_error = *trip;
+      if (config_.health) config_.health->record_envelope_trip();
     }
     if (!success && c + 1 < chain.size()) fallbacks_ctr.add();
   }

@@ -276,8 +276,7 @@ AnalogEval eval_full_spice(const AcceleratorConfig& config,
     // Recovery attempts re-run the Sec. 3.3 modulate/verify loop: drifted
     // devices tune back to target, stuck devices are quarantined (they stay
     // broken — degradation handles them).
-    if (config.fault_attempt > 0 && config.fault_handling.retune_on_retry &&
-        injected.total() > 0) {
+    if (config.fault_attempt > 0 && injected.total() > 0) {
       static const obs::Counter retunes("mda.fault.retunes");
       static const obs::Counter quarantined("mda.fault.quarantined_devices");
       retunes.add();

@@ -71,8 +71,7 @@ AnalogEval eval_matrix_wavefront(const AcceleratorConfig& config,
   // the ideal volts-domain recurrence of its kind; a cell whose residual
   // exceeds the budget is quarantined — replaced by the prediction — so one
   // dead PE degrades accuracy instead of poisoning the whole wavefront.
-  const bool residual_on = config.fault_handling.cell_residual_check;
-  const double residual_tol = config.fault_handling.cell_residual_tol;
+  //
   // Comparator ambiguity band: skip the check when the |p-q| stage output
   // sits within a couple of millivolts of Vthre — the circuit and the ideal
   // recurrence may legitimately pick different branches there.
@@ -95,7 +94,7 @@ AnalogEval eval_matrix_wavefront(const AcceleratorConfig& config,
           std::abs(enc.p_volts[i - 1] - enc.q_volts[j - 1]);
 
       double predicted = 0.0;
-      bool check = residual_on;
+      bool check = true;
       switch (spec.kind) {
         case dist::DistanceKind::Dtw:
           predicted = fault::ideal_dtw_cell(w * a_ideal, left, up, diag);
@@ -123,9 +122,7 @@ AnalogEval eval_matrix_wavefront(const AcceleratorConfig& config,
       try {
         solved = h.solve_out();
       } catch (const std::runtime_error&) {
-        // A non-converging cell is itself a fault: quarantine it when the
-        // detector is on; preserve the abort-the-eval semantics otherwise.
-        if (!residual_on) throw;
+        // A non-converging cell is itself a fault: quarantine it.
         solved_ok = false;
       }
 
@@ -135,7 +132,6 @@ AnalogEval eval_matrix_wavefront(const AcceleratorConfig& config,
       if (solved_ok && config.faults) {
         if (const auto f = config.faults->cell_fault(i - 1, j - 1)) {
           const bool heal = config.fault_attempt > 0 &&
-                            config.fault_handling.retune_on_retry &&
                             f->kind == fault::CellFaultKind::Drift;
           if (!heal) {
             switch (f->kind) {
@@ -149,7 +145,8 @@ AnalogEval eval_matrix_wavefront(const AcceleratorConfig& config,
       }
 
       if (!solved_ok ||
-          (check && fault::residual_exceeds(solved, predicted, residual_tol))) {
+          (check && fault::residual_exceeds(solved, predicted,
+                                           fault::kCellResidualTolV))) {
         static const obs::Counter quarantines("mda.fault.quarantined_cells");
         quarantines.add();
         if (config.health) {

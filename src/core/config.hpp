@@ -32,32 +32,15 @@ enum class Backend { Behavioral, Wavefront, FullSpice };
 
 /// Recovery policy for faulty computes (DESIGN.md §9).  Defaults give one
 /// re-tuned retry per backend and a FullSpice -> Wavefront -> Behavioral
-/// degradation chain starting at the configured backend.
+/// degradation chain starting at the configured backend.  The detectors
+/// themselves (output envelope, per-cell residual) are always on; their
+/// limits are constants in fault/detection.hpp.
 struct FaultHandling {
-  /// Extra attempts per backend after the first (0 = no retry).
+  /// Extra attempts per backend after the first (0 = no retry).  Each retry
+  /// re-tunes drifted devices with the Sec. 3.3 modulate/verify loop.
   int max_retries = 1;
-  /// Re-tune tunable (drifted) devices before each retry attempt,
-  /// reusing the Sec. 3.3 modulate/verify loop.
-  bool retune_on_retry = true;
   /// Fall through to lower-fidelity backends when retries are exhausted.
   bool degrade = true;
-  /// Explicit degradation chain; empty = derive FullSpice -> Wavefront ->
-  /// Behavioral starting at the configured backend.
-  std::vector<Backend> degradation;
-
-  /// Output range check against the module's physical envelope.
-  bool envelope_check = true;
-  double envelope_margin = 0.10;  ///< Relative widening of [0, v_max].
-  /// Cross-check decoded values against the behavioral backend (off by
-  /// default: it doubles the cost of behavioral-only runs).
-  bool cross_check = false;
-  double cross_check_tol = 0.25;  ///< Relative, with the counting floor.
-
-  /// Per-cell residual check in the wavefront backend; deviant cells are
-  /// quarantined (replaced by the ideal prediction).
-  bool cell_residual_check = true;
-  double cell_residual_tol = 0.05;  ///< Absolute residual budget [V].
-
   /// Newton-iteration watchdog for the SPICE backends (0 = disabled).
   long newton_budget = 0;
 };
@@ -108,7 +91,7 @@ struct AcceleratorConfig {
   /// default) records nothing and costs nothing.
   std::shared_ptr<fault::HealthSink> health;
   /// Internal: recovery attempt index of the current evaluation.  Attempts
-  /// > 0 re-tune tunable faults when fault_handling.retune_on_retry is set.
+  /// > 0 re-tune tunable faults.
   int fault_attempt = 0;
 };
 

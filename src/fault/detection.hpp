@@ -1,18 +1,19 @@
 #pragma once
 // Fault detection primitives (DESIGN.md §9).
 //
-// Three independent detectors, all cheap enough to stay on by default:
-//  * envelope checks — every analog output must land inside the physical
-//    range of the computation module ([0, v_max] widened by a configurable
-//    margin); rail faults and stuck codes land far outside it;
-//  * Newton/transient watchdogs — an iteration budget for the SPICE
-//    backends; runaway solves are treated as faults instead of hanging the
-//    batch engine;
-//  * per-cell residual checks — the wavefront backend compares each solved
-//    DP cell against the ideal volts-domain recurrence of its distance
-//    kind; a cell whose residual exceeds the tolerance is quarantined and
-//    replaced by the prediction, so a dead PE degrades accuracy gracefully
-//    instead of poisoning every downstream cell.
+// Three independent detectors:
+//  * envelope checks (always on) — every analog output must land inside the
+//    physical range of the computation module ([0, v_max] widened by
+//    kEnvelopeMargin); rail faults and stuck codes land far outside it;
+//  * per-cell residual checks (always on) — the wavefront backend compares
+//    each solved DP cell against the ideal volts-domain recurrence of its
+//    distance kind; a cell whose residual exceeds kCellResidualTolV, or that
+//    does not converge, is quarantined and replaced by the prediction, so a
+//    dead PE degrades accuracy gracefully instead of poisoning every
+//    downstream cell;
+//  * Newton/transient watchdogs (off unless FaultHandling::newton_budget
+//    > 0) — an iteration budget for the SPICE backends; runaway solves are
+//    treated as faults instead of hanging the batch engine.
 //
 // This header is deliberately core-free (primitive types only) so the
 // fault library sits below src/core in the layering.
@@ -30,6 +31,12 @@ struct Envelope {
 
   [[nodiscard]] bool contains(double v) const { return v >= lo && v <= hi; }
 };
+
+/// Relative widening of [0, v_max] that a healthy output may reach.
+inline constexpr double kEnvelopeMargin = 0.10;
+
+/// Absolute per-cell residual budget [V] of the wavefront backend.
+inline constexpr double kCellResidualTolV = 0.05;
 
 /// Envelope for a computation module with full-scale output `v_max`,
 /// widened by `margin` (relative) on both sides.

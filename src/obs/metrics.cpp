@@ -1,7 +1,5 @@
 #include "obs/metrics.hpp"
 
-#if !defined(MDA_OBS_DISABLED)
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -309,5 +307,3 @@ std::vector<MetricValue> collect() { return registry().collect(); }
 void reset() { registry().reset(); }
 
 }  // namespace mda::obs
-
-#endif  // !MDA_OBS_DISABLED

@@ -17,12 +17,8 @@
 // threads, so no write ever takes a lock and the batch engine's workers
 // never serialise on instrumentation.
 //
-// Overhead control, two layers:
-//  * runtime: `set_enabled(false)` short-circuits every write behind one
-//    relaxed bool load (the default is enabled);
-//  * compile time: configuring with -DMDA_OBS=OFF defines MDA_OBS_DISABLED
-//    and swaps every class below for an inline no-op, so instrumented code
-//    compiles to nothing.
+// Overhead control: `set_enabled(false)` short-circuits every write behind
+// one relaxed bool load (the default is enabled).
 //
 // Call sites keep a function-local handle so name lookup happens once:
 //
@@ -61,8 +57,6 @@ struct MetricValue {
     return count > 0 ? sum / static_cast<double>(count) : 0.0;
   }
 };
-
-#if !defined(MDA_OBS_DISABLED)
 
 /// Process-wide runtime switch.  Disabled writes cost one relaxed load.
 bool enabled();
@@ -153,44 +147,5 @@ std::vector<MetricValue> collect();
 /// Zero every shard and the retained totals (gauges revert to 0).  For
 /// tests and per-command deltas; not safe concurrently with writers.
 void reset();
-
-#else  // MDA_OBS_DISABLED: every instrumentation call compiles away.
-
-inline bool enabled() { return false; }
-inline void set_enabled(bool) {}
-
-namespace detail {
-inline double monotonic_seconds() { return 0.0; }
-}  // namespace detail
-
-class Counter {
- public:
-  explicit Counter(const std::string&) {}
-  void add(std::uint64_t = 1) const {}
-};
-
-class Gauge {
- public:
-  explicit Gauge(const std::string&) {}
-  void set(double) const {}
-};
-
-class Histogram {
- public:
-  explicit Histogram(const std::string&) {}
-  void observe(double) const {}
-};
-
-class ScopedTimer {
- public:
-  explicit ScopedTimer(const Histogram&) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-};
-
-inline std::vector<MetricValue> collect() { return {}; }
-inline void reset() {}
-
-#endif  // MDA_OBS_DISABLED
 
 }  // namespace mda::obs

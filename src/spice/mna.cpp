@@ -291,7 +291,6 @@ bool MnaSystem::solve_assembled(std::vector<double>& x_out) {
   // full pivoting factorisation; later ones only refactor values, and
   // refactor_fallbacks counts pivot-degradation escapes back to a full
   // factor.  Singular systems stay the solver's hard-failure signal.
-  static const obs::Counter dense_solves("mda.spice.dense_lu_solves");
   static const obs::Counter sparse_factors("mda.spice.sparse_lu_factors");
   static const obs::Counter sparse_refactors("mda.spice.sparse_lu_refactors");
   static const obs::Counter refactor_fallbacks("mda.spice.refactor_fallbacks");
@@ -299,25 +298,6 @@ bool MnaSystem::solve_assembled(std::vector<double>& x_out) {
   static const obs::Counter stream_reuses("mda.spice.lu_stream_reuses");
   static const obs::Counter singular("mda.spice.singular_systems");
   static const obs::Histogram lu_fill("mda.spice.lu_fill_nnz");
-
-  if (num_unknowns_ <= kDenseThreshold) {
-    x_out = rhs_;
-    dense_.assign(static_cast<std::size_t>(num_unknowns_) *
-                      static_cast<std::size_t>(num_unknowns_),
-                  0.0);
-    for (std::size_t k = 0; k < vals_.size(); ++k) {
-      dense_[static_cast<std::size_t>(rows_[k]) *
-                 static_cast<std::size_t>(num_unknowns_) +
-             static_cast<std::size_t>(cols_[k])] += vals_[k];
-    }
-    if (!dense_lu_.factor(num_unknowns_, dense_)) {
-      singular.add();
-      return false;
-    }
-    dense_lu_.solve(x_out);
-    dense_solves.add();
-    return true;
-  }
 
   prepare_sparse_values();
   permute_rhs();

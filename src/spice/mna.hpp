@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "spice/dense.hpp"
 #include "spice/netlist.hpp"
 #include "spice/sparse.hpp"
 #include "spice/types.hpp"
@@ -47,9 +46,6 @@ class MnaSystem {
   /// True if unknown index `i` is a node voltage (false: branch current).
   [[nodiscard]] bool is_voltage_unknown(int i) const { return i < num_nodes_; }
 
-  /// At or below this size a dense solve beats sparse assembly overhead.
-  static constexpr int kDenseThreshold = 16;
-
   /// Reset cross-solve solver state while keeping the structural caches
   /// (CSC pattern, accumulation tape, workspaces).  After this call the
   /// next solve_linearized() produces the exact results of a freshly
@@ -63,7 +59,7 @@ class MnaSystem {
   void reset_solver_state();
 
   /// Elimination order of the cached sparse pattern: elimination_order()[k]
-  /// is the unknown factored k-th (empty before the first sparse solve).
+  /// is the unknown factored k-th (empty before the first solve).
   [[nodiscard]] const std::vector<int>& elimination_order() const {
     return perm_;
   }
@@ -112,13 +108,13 @@ class MnaSystem {
   void assemble_iterate(const StampContext& ctx, double gmin_extra,
                         bool first_iteration);
 
-  /// The solving half of solve_linearized(): dense or sparse LU over the
-  /// assembled system, with the pattern/refactor/factor ladder and solver
+  /// The solving half of solve_linearized(): sparse LU over the assembled
+  /// system, with the pattern/refactor/factor ladder and solver
   /// accounting.
   bool solve_assembled(std::vector<double>& x_out);
 
   /// Pattern check/rebuild + value scatter into the cached CSC slots (the
-  /// sparse-path preamble of solve_assembled).
+  /// preamble of solve_assembled).
   void prepare_sparse_values();
 
   Netlist* netlist_;
@@ -150,11 +146,9 @@ class MnaSystem {
   // Solver state reused across linearised solves.
   SparseLu sparse_lu_;
   bool lu_valid_ = false;  ///< sparse_lu_ holds a refactorable factorisation.
-  /// A factorisation survived reset_solver_state(); the next sparse solve
+  /// A factorisation survived reset_solver_state(); the next solve
   /// may reuse it only through the cold-exact guard (see solve_linearized).
   bool lu_stream_pending_ = false;
-  DenseLu dense_lu_;
-  std::vector<double> dense_;  ///< Reused n^2 assembly buffer (dense path).
   // Partial-restamp recording, refreshed by every full assembly.
   bool replay_valid_ = false;
   std::vector<std::uint8_t> dev_nonlinear_;  ///< Cached Device::nonlinear().

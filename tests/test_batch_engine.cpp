@@ -208,9 +208,7 @@ TEST(BatchEngine, FailedQueriesFillTheirSlotsAndTheBatchCompletes) {
   queries[9] = {p, empty};
 
   const BatchEngine engine = make_engine(4);
-#if !defined(MDA_OBS_DISABLED)
   obs::reset();
-#endif
   const auto outcomes = engine.try_compute_batch(acc, queries);
   ASSERT_EQ(outcomes.size(), queries.size());
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
@@ -227,14 +225,12 @@ TEST(BatchEngine, FailedQueriesFillTheirSlotsAndTheBatchCompletes) {
       EXPECT_EQ(outcomes[i].value().value, outcomes[0].value().value);
     }
   }
-#if !defined(MDA_OBS_DISABLED)
   std::uint64_t failures = 0;
   for (const obs::MetricValue& m : obs::collect()) {
     if (m.name == "mda.batch.query_failures") failures = m.count;
   }
   EXPECT_EQ(failures, 3u);
   obs::reset();
-#endif
 
   // Slot 2 (BackendFailure) is the lowest failure...
   EXPECT_THROW((void)engine.compute_batch(acc, queries), std::runtime_error);
@@ -310,9 +306,7 @@ TEST(BatchEngine, RetryBudgetIsSpentOnBackendFailuresOnly) {
   queries[3] = {p, empty};
 
   const BatchEngine engine = make_engine(2);
-#if !defined(MDA_OBS_DISABLED)
   obs::reset();
-#endif
   const auto outcomes = engine.try_compute_batch(acc, queries);
   ASSERT_EQ(outcomes.size(), queries.size());
   for (const std::size_t i : {0u, 2u}) {
@@ -326,14 +320,12 @@ TEST(BatchEngine, RetryBudgetIsSpentOnBackendFailuresOnly) {
   ASSERT_FALSE(outcomes[3].ok());
   EXPECT_EQ(outcomes[3].error().code, ComputeErrorCode::InvalidInput);
   EXPECT_EQ(outcomes[3].error().attempts, 0);
-#if !defined(MDA_OBS_DISABLED)
   std::uint64_t retries = 0;
   for (const obs::MetricValue& m : obs::collect()) {
     if (m.name == "mda.fault.retries") retries = m.count;
   }
   EXPECT_EQ(retries, 4u);  // two failing queries x max_retries
   obs::reset();
-#endif
 }
 
 TEST(BatchEngine, FailurePoliciesAgreeOnHealthyBatches) {

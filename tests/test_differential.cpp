@@ -52,6 +52,38 @@ ErrorEnvelope behavioral_envelope(dist::DistanceKind kind) {
   return wavefront_envelope(kind);
 }
 
+/// Wavefront and Behavioral on (p, q) against the reference and each
+/// other, within the envelopes above.
+void expect_backends_agree(dist::DistanceKind kind,
+                           const std::vector<double>& p,
+                           const std::vector<double>& q) {
+  const std::size_t n = p.size();
+  AcceleratorConfig config;
+  DistanceSpec spec;
+  spec.kind = kind;
+  spec.threshold = 0.5;
+  const EncodedInputs enc = encode_inputs(config, spec, p, q);
+  const AnalogEval wf = eval_wavefront(config, spec, enc);
+  const AnalogEval bh = eval_behavioral(config, spec, enc);
+  ASSERT_TRUE(wf.ok) << dist::kind_name(kind) << ": " << wf.error;
+  ASSERT_TRUE(bh.ok) << dist::kind_name(kind) << ": " << bh.error;
+  const double wf_value = decode_output(config, spec, wf.out_volts, enc);
+  const double bh_value = decode_output(config, spec, bh.out_volts, enc);
+  const double ref = dist::compute(kind, p, q, spec.reference_params());
+
+  const ErrorEnvelope we = wavefront_envelope(kind);
+  EXPECT_NEAR(wf_value, ref, we.rel * std::abs(ref) + we.abs)
+      << "Wavefront vs reference, " << dist::kind_name(kind) << " n=" << n;
+  const ErrorEnvelope be = behavioral_envelope(kind);
+  EXPECT_NEAR(bh_value, ref, be.rel * std::abs(ref) + be.abs)
+      << "Behavioral vs reference, " << dist::kind_name(kind) << " n=" << n;
+  // Behavioral tracks the circuit tighter than either tracks the
+  // reference (it is calibrated to the circuit, not to the reference).
+  EXPECT_NEAR(bh.out_volts, wf.out_volts,
+              0.02 * std::abs(wf.out_volts) + 1.5e-3)
+      << "Behavioral vs Wavefront, " << dist::kind_name(kind) << " n=" << n;
+}
+
 class DifferentialRandomPair
     : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -63,36 +95,33 @@ TEST_P(DifferentialRandomPair, AllBackendsAgreeForAllSixKinds) {
     std::vector<double> p(n), q(n);
     for (double& v : p) v = rng.uniform(-2.0, 2.0);
     for (double& v : q) v = rng.uniform(-2.0, 2.0);
-
-    AcceleratorConfig config;
-    DistanceSpec spec;
-    spec.kind = kind;
-    spec.threshold = 0.5;
-    const EncodedInputs enc = encode_inputs(config, spec, p, q);
-    const AnalogEval wf = eval_wavefront(config, spec, enc);
-    const AnalogEval bh = eval_behavioral(config, spec, enc);
-    ASSERT_TRUE(wf.ok) << dist::kind_name(kind) << ": " << wf.error;
-    ASSERT_TRUE(bh.ok) << dist::kind_name(kind) << ": " << bh.error;
-    const double wf_value = decode_output(config, spec, wf.out_volts, enc);
-    const double bh_value = decode_output(config, spec, bh.out_volts, enc);
-    const double ref = dist::compute(kind, p, q, spec.reference_params());
-
-    const ErrorEnvelope we = wavefront_envelope(kind);
-    EXPECT_NEAR(wf_value, ref, we.rel * std::abs(ref) + we.abs)
-        << "Wavefront vs reference, " << dist::kind_name(kind) << " n=" << n;
-    const ErrorEnvelope be = behavioral_envelope(kind);
-    EXPECT_NEAR(bh_value, ref, be.rel * std::abs(ref) + be.abs)
-        << "Behavioral vs reference, " << dist::kind_name(kind) << " n=" << n;
-    // Behavioral tracks the circuit tighter than either tracks the
-    // reference (it is calibrated to the circuit, not to the reference).
-    EXPECT_NEAR(bh.out_volts, wf.out_volts,
-                0.02 * std::abs(wf.out_volts) + 1.5e-3)
-        << "Behavioral vs Wavefront, " << dist::kind_name(kind) << " n=" << n;
+    expect_backends_agree(kind, p, q);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialRandomPair,
                          ::testing::Range<std::uint64_t>(5000, 5012));
+
+// Sequences of length 1-3: the smallest arrays and harnesses, down to a
+// single PE (HauD's diode-max harnesses are the smallest circuits any
+// backend solves).
+class DifferentialShortPair
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DifferentialShortPair, AllBackendsAgreeForAllSixKinds) {
+  util::Rng rng(GetParam());
+  for (std::size_t n = 1; n <= 3; ++n) {
+    for (dist::DistanceKind kind : dist::kAllKinds) {
+      std::vector<double> p(n), q(n);
+      for (double& v : p) v = rng.uniform(-2.0, 2.0);
+      for (double& v : q) v = rng.uniform(-2.0, 2.0);
+      expect_backends_agree(kind, p, q);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialShortPair,
+                         ::testing::Range<std::uint64_t>(6000, 6012));
 
 TEST(Differential, IdenticalSequencesStayNearZeroOnBothBackends) {
   util::Rng rng(77);

@@ -20,6 +20,7 @@
 #include "devices/memristor.hpp"
 #include "fault/campaign.hpp"
 #include "fault/detection.hpp"
+#include "fault/health.hpp"
 #include "fault/injection.hpp"
 #include "fault/plan.hpp"
 #include "obs/metrics.hpp"
@@ -308,6 +309,92 @@ TEST(FaultRecovery, DegradationDisabledSurfacesBackendFailure) {
   EXPECT_EQ(e.backend, Backend::FullSpice);
   EXPECT_EQ(e.attempts, 2);  // initial + one retry, no degradation
   EXPECT_FALSE(e.message.empty());
+}
+
+// An op-amp rail fault pins the FullSpice output far outside [0, v_max]:
+// the envelope detector must trip on every FullSpice attempt, count each
+// trip in the metrics and on the health sink, and hand the query to the
+// Wavefront backend (which models no op-amp faults) for a clean answer.
+// Seed 11 draws a plan whose MD array converges onto a rail rather than
+// failing to converge.
+TEST(FaultRecovery, EnvelopeTripDegrades) {
+  fault::FaultConfig fc;
+  fc.seed = 11;
+  fc.opamp_rate = 0.3;
+  AcceleratorConfig cfg;
+  cfg.backend = Backend::FullSpice;
+  cfg.faults = std::make_shared<const fault::FaultPlan>(fc);
+  const auto board = std::make_shared<fault::HealthScoreboard>();
+  cfg.health = board;
+  Accelerator acc(cfg);
+  DistanceSpec spec;
+  spec.kind = dist::DistanceKind::Manhattan;
+  acc.configure(spec);
+  const std::vector<double> p = {1.0, 2.0, 0.5};
+  const std::vector<double> q = {0.5, 1.0, 1.5};
+
+  const auto before = obs::collect();
+  const ComputeOutcome outcome = acc.try_compute(p, q);
+  const auto after = obs::collect();
+
+  ASSERT_TRUE(outcome.ok()) << outcome.error().message;
+  const ComputeResult& r = outcome.value();
+  EXPECT_EQ(r.backend_used, Backend::Wavefront);
+  EXPECT_EQ(r.fallbacks, 1);
+  EXPECT_TRUE(r.fault_detected);
+  EXPECT_GT(counter_value(after, "mda.fault.envelope_trips"),
+            counter_value(before, "mda.fault.envelope_trips"));
+  EXPECT_GT(counter_value(after, "mda.fault.fallbacks"),
+            counter_value(before, "mda.fault.fallbacks"));
+  EXPECT_GT(board->snapshot().envelope_trips, 0u);
+
+  AcceleratorConfig healthy;
+  healthy.backend = Backend::Wavefront;
+  Accelerator reference(healthy);
+  reference.configure(spec);
+  EXPECT_EQ(r.value, reference.try_compute(p, q).unwrap().value);
+}
+
+// A one-iteration Newton budget trips the FullSpice watchdog on every
+// transient.  With degradation the query lands on Wavefront (the row
+// structure's DC solve has no watchdog); without it the failure surfaces
+// and names the watchdog.
+TEST(FaultRecovery, NewtonWatchdogTripsAndDegrades) {
+  DistanceSpec spec;
+  spec.kind = dist::DistanceKind::Manhattan;
+  const std::vector<double> p = {1.0, 2.0, 0.5};
+  const std::vector<double> q = {0.5, 1.0, 1.5};
+  for (const bool degrade : {true, false}) {
+    SCOPED_TRACE(degrade ? "degrade" : "no degrade");
+    AcceleratorConfig cfg;
+    cfg.backend = Backend::FullSpice;
+    cfg.fault_handling.newton_budget = 1;
+    cfg.fault_handling.degrade = degrade;
+    const auto board = std::make_shared<fault::HealthScoreboard>();
+    cfg.health = board;
+    Accelerator acc(cfg);
+    acc.configure(spec);
+
+    const auto before = obs::collect();
+    const ComputeOutcome outcome = acc.try_compute(p, q);
+    const auto after = obs::collect();
+
+    EXPECT_GT(counter_value(after, "mda.fault.watchdog_trips"),
+              counter_value(before, "mda.fault.watchdog_trips"));
+    EXPECT_GT(board->snapshot().watchdog_trips, 0u);
+    if (degrade) {
+      ASSERT_TRUE(outcome.ok()) << outcome.error().message;
+      EXPECT_EQ(outcome.value().backend_used, Backend::Wavefront);
+      EXPECT_EQ(outcome.value().fallbacks, 1);
+      EXPECT_TRUE(outcome.value().fault_detected);
+    } else {
+      ASSERT_FALSE(outcome.ok());
+      EXPECT_EQ(outcome.error().code, ComputeErrorCode::BackendFailure);
+      EXPECT_EQ(outcome.error().backend, Backend::FullSpice);
+      EXPECT_NE(outcome.error().message.find("watchdog"), std::string::npos)
+          << outcome.error().message;
+    }
+  }
 }
 
 TEST(FaultRecovery, WavefrontCellFaultsAreQuarantined) {

@@ -23,8 +23,6 @@ namespace {
 
 using namespace mda;
 
-#if !defined(MDA_OBS_DISABLED)
-
 TEST(ObsRegistry, CounterAggregates) {
   obs::reset();
   static const obs::Counter c("mda.obs.test_counter");
@@ -295,25 +293,5 @@ TEST(ObsSnapshot, TableMentionsEveryMetric) {
   const std::string table = obs::MetricsSnapshot::capture().to_table();
   EXPECT_NE(table.find("mda.obs.test_table"), std::string::npos);
 }
-
-#else  // MDA_OBS_DISABLED
-
-TEST(ObsDisabled, EverythingCompilesToNothing) {
-  EXPECT_FALSE(obs::enabled());
-  obs::set_enabled(true);  // no-op
-  EXPECT_FALSE(obs::enabled());
-  const obs::Counter c("mda.obs.test_noop");
-  const obs::Gauge g("mda.obs.test_noop_gauge");
-  const obs::Histogram h("mda.obs.test_noop_hist");
-  c.add(5);
-  g.set(1.0);
-  h.observe(2.0);
-  { const obs::ScopedTimer t(h); }
-  EXPECT_TRUE(obs::collect().empty());
-  const obs::MetricsSnapshot snap = obs::MetricsSnapshot::capture();
-  EXPECT_TRUE(snap.metrics.empty());
-}
-
-#endif  // MDA_OBS_DISABLED
 
 }  // namespace

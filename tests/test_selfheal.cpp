@@ -505,13 +505,11 @@ bool wait_for_replica0(const serve::Server& server, Pred pred,
   return false;
 }
 
-#if !defined(MDA_OBS_DISABLED)
 std::uint64_t metric_count(const char* name) {
   const obs::MetricsSnapshot snap = obs::MetricsSnapshot::capture();
   const obs::MetricValue* v = snap.find(name);
   return v != nullptr ? v->count : 0;
 }
-#endif
 
 TEST(SelfHealServe, KillWithQueuedRequestsFailsOver) {
   serve::ServeOptions opts = heal_options(2);
@@ -623,14 +621,10 @@ TEST(SelfHealServe, ScrubScanSkipsBusyReplicaCountsFailedScrub) {
   ASSERT_TRUE(wait_for_replica0(server, [](const serve::ReplicaHealth& r) {
     return r.expected_error > 0.08 && r.queue_depth >= 2;
   }));
-#if !defined(MDA_OBS_DISABLED)
   const std::uint64_t busy_before =
       metric_count("mda.fault.scrub.skipped_busy");
-#endif
   EXPECT_EQ(server.force_scrub_scan(), 0u);
-#if !defined(MDA_OBS_DISABLED)
   EXPECT_EQ(metric_count("mda.fault.scrub.skipped_busy"), busy_before + 1);
-#endif
   EXPECT_EQ(server.stats().scrubs, 0u);
   for (std::size_t k = 0; k < kInflight; ++k) {
     const auto r = client.recv(/*timeout_ms=*/60000);
@@ -643,17 +637,13 @@ TEST(SelfHealServe, ScrubScanSkipsBusyReplicaCountsFailedScrub) {
   // stuck-at damage), and no scrub happens.
   ASSERT_GT(server.health_report().shards[0].replicas[0].expected_error, 0.08);
   ASSERT_TRUE(server.kill_replica(0, 0));
-#if !defined(MDA_OBS_DISABLED)
   const std::uint64_t failures_before =
       metric_count("mda.fault.scrub.failures");
   const std::uint64_t busy_after_kill =
       metric_count("mda.fault.scrub.skipped_busy");
-#endif
   EXPECT_EQ(server.force_scrub_scan(), 0u);
-#if !defined(MDA_OBS_DISABLED)
   EXPECT_EQ(metric_count("mda.fault.scrub.failures"), failures_before);
   EXPECT_EQ(metric_count("mda.fault.scrub.skipped_busy"), busy_after_kill);
-#endif
   EXPECT_EQ(server.stats().scrubs, 0u);
   server.stop();
 }
@@ -713,9 +703,7 @@ TEST(SelfHealServe, ParallelWindowKeepsScoreboardSequential) {
     pairs.emplace_back(test_series(len, k + 3),
                        test_series(len + k % 2, k + 5));
   }
-#if !defined(MDA_OBS_DISABLED)
   const std::uint64_t windows_before = metric_count("mda.serve.windows");
-#endif
   for (std::size_t k = 0; k < pairs.size(); ++k) {
     client.send(QueryRequest{pairs[k].first, pairs[k].second}, k);
   }
@@ -726,10 +714,8 @@ TEST(SelfHealServe, ParallelWindowKeepsScoreboardSequential) {
     ASSERT_LT(r->id, pairs.size());
     got[r->id] = std::move(*r);
   }
-#if !defined(MDA_OBS_DISABLED)
   // 17 requests in at most two windows: the second held >= 8 of them.
   EXPECT_LE(metric_count("mda.serve.windows") - windows_before, 2u);
-#endif
 
   core::Accelerator direct(opts.accelerator);
   direct.configure(opts.default_spec);

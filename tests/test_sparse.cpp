@@ -115,7 +115,7 @@ TEST_P(RandomSystem, SparseMatchesDense) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, RandomSystem,
-                         ::testing::Values(3, 10, 50, 200, 500));
+                         ::testing::Values(1, 2, 3, 10, 16, 50, 200, 500));
 
 // Build a diagonally dominant random sparse system and return its triplets.
 struct RandomTriplets {

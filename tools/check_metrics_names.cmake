@@ -64,7 +64,6 @@ set(_required
     "mda.spice.refactor_fallbacks"
     "mda.spice.mna_pattern_builds"
     "mda.spice.sparse_lu_solves"
-    "mda.spice.dense_lu_solves"
     "mda.spice.singular_systems"
     "mda.spice.newton_iterations"
     "mda.spice.newton_solves"

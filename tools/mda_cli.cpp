@@ -12,10 +12,12 @@
 //               matrix profile -> motif + top-k discords (DESIGN.md §15)
 //
 // Every command accepts --metrics (append the metrics table to stdout) or
-// --metrics=out.json (write the snapshot as JSON).
+// --metrics=out.json (write the snapshot as JSON).  Any flag a command does
+// not read is a usage error.
 //
 // Exit status: 0 on success, 1 on usage errors, 2 on runtime failure.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -27,6 +29,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -516,10 +519,6 @@ int cmd_faults(int argc, char** argv) {
   // Recovery policy knobs.
   cfg.handling.max_retries = flag_count<int>(argc, argv, "retries", 1);
   cfg.handling.degrade = flag_num(argc, argv, "degrade", 1) != 0;
-  cfg.handling.retune_on_retry = flag_num(argc, argv, "retune", 1) != 0;
-  cfg.handling.envelope_check = flag_num(argc, argv, "envelope", 1) != 0;
-  cfg.handling.cell_residual_check =
-      flag_num(argc, argv, "residual", 1) != 0;
   cfg.handling.newton_budget =
       flag_count<long>(argc, argv, "newton-budget", 0);
 
@@ -713,15 +712,83 @@ void usage() {
                "            [--dac=R] [--adc=R] [--opamp=R] [--nonconv=R]\n"
                "            [--force-nonconv=1]\n"
                "            recovery: [--retries=1] [--degrade=0|1]\n"
-               "            [--retune=0|1] [--envelope=0|1] [--residual=0|1]\n"
                "            [--newton-budget=N] [--verbose=1] [--cache=N]\n"
                "            injection campaign -> survival/accuracy report\n"
                "  info      configuration library, power, timing fits\n"
-               "  export    --kind=md [--n=4] [--parasitics=1]\n"
+               "  export    --kind=md [--n=4] [--threshold=0.5] "
+               "[--parasitics=1]\n"
                "  calibrate re-fit the timing model from full SPICE\n"
                "  noise     [--gbw=50e9] abs-block output noise\n"
                "every command also takes --metrics (table to stdout) or\n"
-               "--metrics=out.json (snapshot as JSON)\n");
+               "--metrics=out.json (snapshot as JSON); any other flag is a\n"
+               "usage error\n");
+}
+
+/// One subcommand: its entry point and the flags it reads.  `--metrics` is
+/// accepted by every command on top of these.
+struct Command {
+  std::string_view name;
+  int (*run)(int, char**);
+  std::vector<std::string_view> flags;
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"compute", cmd_compute,
+       {"kind", "p", "q", "pfile", "qfile", "threshold", "band", "backend",
+        "cache"}},
+      {"batch", cmd_batch,
+       {"kind", "p", "q", "pfile", "qfile", "threshold", "band", "backend",
+        "threads", "chunk", "cache"}},
+      {"profile", cmd_profile,
+       {"series", "file", "n", "seed", "window", "exclusion", "k", "kind",
+        "threshold", "band", "znorm", "lb", "margin", "abandon", "threads",
+        "accel", "backend", "stream", "capacity"}},
+      {"serve", cmd_serve,
+       {"host", "port", "backend", "cache", "window", "queue-depth",
+        "max-shards", "quota", "collapse", "replicas", "auto-scrub",
+        "scrub-interval", "probe-len", "unhealthy", "healthy", "kind",
+        "threshold", "band"}},
+      {"chaos", cmd_chaos,
+       {"seed", "phases", "queries", "clients", "replicas", "pairs", "length",
+        "backend", "drift-cells", "stuck-cells", "loris", "recovery-deadline",
+        "verbose"}},
+      {"faults", cmd_faults,
+       {"kind", "threshold", "band", "backend", "queries", "length", "seed",
+        "threads", "cache", "stuck", "drift", "cell", "dac", "adc", "opamp",
+        "nonconv", "force-nonconv", "retries", "degrade", "newton-budget",
+        "verbose"}},
+      {"info", cmd_info, {}},
+      {"export", cmd_export, {"kind", "n", "threshold", "parasitics"}},
+      {"calibrate", cmd_calibrate, {}},
+      {"noise", cmd_noise, {"gbw"}},
+  };
+  return table;
+}
+
+/// Why argv[2..] is not a valid flag list for `cmd` (every argument must be
+/// `--<flag>=<value>` for one of its flags, or `--metrics[=path]`), or
+/// nullopt when it is.
+std::optional<std::string> bad_argument(const Command& cmd, int argc,
+                                        char** argv) {
+  for (int i = 2; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--metrics" || arg.starts_with("--metrics=")) continue;
+    if (!arg.starts_with("--")) {
+      return "unexpected argument '" + std::string(arg) + "'";
+    }
+    const std::size_t eq = arg.find('=');
+    const std::string_view name = arg.substr(2, eq - 2);
+    if (std::find(cmd.flags.begin(), cmd.flags.end(), name) ==
+        cmd.flags.end()) {
+      return "unknown flag --" + std::string(name);
+    }
+    if (eq == std::string_view::npos) {
+      return "flag --" + std::string(name) + " needs a value (--" +
+             std::string(name) + "=...)";
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -731,31 +798,28 @@ int main(int argc, char** argv) {
     usage();
     return 1;
   }
-  const std::string cmd = argv[1];
+  const std::string_view name = argv[1];
+  const auto cmd =
+      std::find_if(commands().begin(), commands().end(),
+                   [&](const Command& c) { return c.name == name; });
+  if (cmd == commands().end()) {
+    usage();
+    return 1;
+  }
+  if (const auto bad = bad_argument(*cmd, argc, argv)) {
+    std::fprintf(stderr, "mda %s: %s\n", argv[1], bad->c_str());
+    return 1;
+  }
   const auto metrics = metrics_request(argc, argv);
   try {
-    int rc = -1;
-    if (cmd == "compute") rc = cmd_compute(argc, argv);
-    else if (cmd == "batch") rc = cmd_batch(argc, argv);
-    else if (cmd == "serve") rc = cmd_serve(argc, argv);
-    else if (cmd == "chaos") rc = cmd_chaos(argc, argv);
-    else if (cmd == "faults") rc = cmd_faults(argc, argv);
-    else if (cmd == "info") rc = cmd_info(argc, argv);
-    else if (cmd == "export") rc = cmd_export(argc, argv);
-    else if (cmd == "calibrate") rc = cmd_calibrate(argc, argv);
-    else if (cmd == "noise") rc = cmd_noise(argc, argv);
-    else if (cmd == "profile") rc = cmd_profile(argc, argv);
-    if (rc >= 0) {
-      if (rc == 0 && metrics) {
-        const int mrc = emit_metrics(*metrics);
-        if (mrc != 0) return mrc;
-      }
-      return rc;
+    const int rc = cmd->run(argc, argv);
+    if (rc == 0 && metrics) {
+      const int mrc = emit_metrics(*metrics);
+      if (mrc != 0) return mrc;
     }
+    return rc;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
-  usage();
-  return 1;
 }
