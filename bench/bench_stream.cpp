@@ -18,12 +18,15 @@
 //
 // --json=<path> [--queries=N] [--length=L] [--fs-length=L] runs the fixed
 // scenario and writes a machine-readable comparison (committed baseline:
-// BENCH_stream.json).  Exit code 2 if any cached result differs bitwise
+// BENCH_stream.json) with the host fingerprint.  Each kind's fresh and
+// cached streams run kRepeats times, alternating, each time on newly built
+// accelerators; the JSON carries the median and the min/max spread.  Exit code 2 if any cached result differs bitwise
 // from its fresh-build reference — the cache contract — else 0.  Without
 // --json it runs the google-benchmark microbenchmarks below.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -37,6 +40,7 @@
 #include "core/array_cache.hpp"
 #include "core/backend.hpp"
 #include "distance/registry.hpp"
+#include "host_fingerprint.hpp"
 #include "util/rng.hpp"
 
 using namespace mda;
@@ -73,9 +77,24 @@ core::DistanceSpec spec_for(dist::DistanceKind kind) {
   return spec;
 }
 
+/// Stream repetitions per kind and backend.
+constexpr std::size_t kRepeats = 3;
+
+/// Wall seconds of the repeated streams: the median and the spread.
+struct Timing {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+Timing summarize(std::vector<double> t) {
+  std::sort(t.begin(), t.end());
+  return {t[t.size() / 2], t.front(), t.back()};
+}
+
 struct KindRun {
-  double fresh_s = 0.0;
-  double cached_s = 0.0;
+  Timing fresh;
+  Timing cached;
   bool bit_identical = true;
   std::uint64_t hits = 0;
   std::uint64_t builds_avoided = 0;
@@ -86,7 +105,7 @@ struct KindRun {
   double hw_query_s = 0.0;
   std::size_t queries = 0;
   [[nodiscard]] double speedup() const {
-    return cached_s > 0.0 ? fresh_s / cached_s : 0.0;
+    return cached.median > 0.0 ? fresh.median / cached.median : 0.0;
   }
   /// Modeled stream throughput ratio: reprogram the fabric before every
   /// query (the configure-per-query baseline) versus program it once and
@@ -116,32 +135,38 @@ KindRun run_kind(dist::DistanceKind kind, core::Backend backend,
   const Stream s = make_stream(kind, queries, length);
   const core::DistanceSpec spec = spec_for(kind);
 
-  core::AcceleratorConfig fresh_cfg;
-  fresh_cfg.backend = backend;
-  fresh_cfg.cache_capacity = 0;  // rebuild the fabric for every query
-  core::Accelerator fresh(fresh_cfg);
-  fresh.configure(spec);
-
-  core::AcceleratorConfig cached_cfg;
-  cached_cfg.backend = backend;  // default cache_capacity: streaming mode
-  core::Accelerator cached(cached_cfg);
-  cached.configure(spec);
-
   KindRun run;
-  std::vector<core::ComputeResult> want, got;
-  want.reserve(queries);
-  got.reserve(queries);
-  run.fresh_s = run_stream(fresh, s, &want);
-  run.cached_s = run_stream(cached, s, &got);
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    if (!core::bitwise_equal(want[i], got[i])) run.bit_identical = false;
+  std::vector<double> fresh_s, cached_s;
+  for (std::size_t rep = 0; rep < kRepeats; ++rep) {
+    core::AcceleratorConfig fresh_cfg;
+    fresh_cfg.backend = backend;
+    fresh_cfg.cache_capacity = 0;  // rebuild the fabric for every query
+    core::Accelerator fresh(fresh_cfg);
+    fresh.configure(spec);
+
+    core::AcceleratorConfig cached_cfg;
+    cached_cfg.backend = backend;  // default cache_capacity: streaming mode
+    core::Accelerator cached(cached_cfg);
+    cached.configure(spec);
+
+    std::vector<core::ComputeResult> want, got;
+    want.reserve(queries);
+    got.reserve(queries);
+    fresh_s.push_back(run_stream(fresh, s, &want));
+    cached_s.push_back(run_stream(cached, s, &got));
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      if (!core::bitwise_equal(want[i], got[i])) run.bit_identical = false;
+    }
+    run.queries = got.size();
+    run.hw_config_s = cached.configuration_time_s();
+    run.hw_query_s = 0.0;
+    for (const auto& r : got) run.hw_query_s += r.convergence_time_s;
+    const core::ArrayCache::Stats stats = cached.config().array_cache->stats();
+    run.hits = stats.hits;
+    run.builds_avoided = stats.builds_avoided;
   }
-  run.queries = got.size();
-  run.hw_config_s = cached.configuration_time_s();
-  for (const auto& r : got) run.hw_query_s += r.convergence_time_s;
-  const core::ArrayCache::Stats stats = cached.config().array_cache->stats();
-  run.hits = stats.hits;
-  run.builds_avoided = stats.builds_avoided;
+  run.fresh = summarize(fresh_s);
+  run.cached = summarize(cached_s);
   return run;
 }
 
@@ -178,7 +203,9 @@ int run_json_bench(const std::string& path, int argc, char** argv) {
   w.field("queries", queries);
   w.field("wavefront_length", wf_length);
   w.field("fullspice_length", fs_length);
+  w.field("repeats", kRepeats);
   w.end();
+  w.raw("host", bench::host_fingerprint_json());
   w.begin_object("backends");
   for (const core::Backend backend : backends) {
     const std::size_t length =
@@ -191,16 +218,21 @@ int run_json_bench(const std::string& path, int argc, char** argv) {
       std::fprintf(stderr, "[bench_stream] %s %s (%zu queries, length %zu)\n",
                    backend_name(backend), dist::kind_name(kind).c_str(),
                    queries, length);
+      // Backend totals sum the per-kind medians.
       const KindRun run = run_kind(kind, backend, queries, length);
-      fresh_total += run.fresh_s;
-      cached_total += run.cached_s;
+      fresh_total += run.fresh.median;
+      cached_total += run.cached.median;
       hw_once_total += run.hw_config_s + run.hw_query_s;
       hw_per_query_total +=
           static_cast<double>(run.queries) * run.hw_config_s + run.hw_query_s;
       all_identical = all_identical && run.bit_identical;
       w.begin_object(dist::kind_name(kind), /*one_line=*/true);
-      w.field("fresh_seconds", run.fresh_s);
-      w.field("cached_seconds", run.cached_s);
+      w.field("fresh_seconds", run.fresh.median);
+      w.field("fresh_min_seconds", run.fresh.min);
+      w.field("fresh_max_seconds", run.fresh.max);
+      w.field("cached_seconds", run.cached.median);
+      w.field("cached_min_seconds", run.cached.min);
+      w.field("cached_max_seconds", run.cached.max);
       w.field("speedup", run.speedup());
       w.field("cache_hits", run.hits);
       w.field("builds_avoided", run.builds_avoided);

@@ -18,6 +18,19 @@
 namespace mda::core {
 namespace {
 
+/// The Newton watchdog (DESIGN.md §9) over one whole wavefront evaluation:
+/// true when it tripped, with the failure recorded in `result`.
+bool watchdog_trips(const AcceleratorConfig& config, AnalogEval& result) {
+  if (!fault::watchdog_tripped(result.newton_iterations,
+                               config.fault_handling.newton_budget)) {
+    return false;
+  }
+  if (config.health) config.health->record_watchdog_trip();
+  result.error = "wavefront watchdog: Newton budget exceeded";
+  result.fault_detected = true;
+  return true;
+}
+
 AnalogEval eval_matrix_wavefront(const AcceleratorConfig& config,
                                  const DistanceSpec& spec,
                                  const EncodedInputs& enc) {
@@ -164,13 +177,7 @@ AnalogEval eval_matrix_wavefront(const AcceleratorConfig& config,
   }
   result.newton_iterations = inst->harnesses.total_newton();
   result.solver_fallbacks = inst->harnesses.total_fallbacks();
-  if (fault::watchdog_tripped(result.newton_iterations,
-                              config.fault_handling.newton_budget)) {
-    if (config.health) config.health->record_watchdog_trip();
-    result.error = "wavefront watchdog: Newton budget exceeded";
-    result.fault_detected = true;
-    return result;
-  }
+  if (watchdog_trips(config, result)) return result;
   result.ok = true;
   result.out_volts = at(m, n);
   return result;
@@ -236,6 +243,7 @@ AnalogEval eval_haud_wavefront(const AcceleratorConfig& config,
   }
   result.newton_iterations += finmax.newton_total;
   result.solver_fallbacks += finmax.fallback_total;
+  if (watchdog_trips(config, result)) return result;
   result.ok = true;
   return result;
 }
@@ -262,11 +270,15 @@ AnalogEval eval_row_wavefront(const AcceleratorConfig& config,
     inst->begin_query();
   }
   inst->array.set_dc_inputs(enc.p_volts, enc.q_volts);
-  std::vector<double> x = inst->sim->dc_operating_point();
+  spice::NewtonResult dc;
+  const std::vector<double> x = inst->sim->dc_operating_point(&dc);
+  result.newton_iterations = dc.iterations;
+  result.solver_fallbacks = dc.used_fallback ? 1 : 0;
   if (x.empty()) {
     result.error = "row-array DC operating point failed";
     return result;
   }
+  if (watchdog_trips(config, result)) return result;
   result.ok = true;
   result.out_volts = x[static_cast<std::size_t>(inst->array.out)];
   return result;

@@ -88,6 +88,13 @@ NewtonResult NewtonSolver::iterate(std::vector<double>& x, double t, double dt,
   return res;
 }
 
+NewtonResult NewtonSolver::solve_direct(std::vector<double>& x, double t,
+                                        double dt, bool dc,
+                                        Integration method) {
+  solves_counter().add();
+  return iterate(x, t, dt, dc, method, 0.0, 1.0);
+}
+
 NewtonResult NewtonSolver::solve(std::vector<double>& x, double t, double dt,
                                  bool dc, Integration method) {
   solves_counter().add();

@@ -33,6 +33,12 @@ class NewtonSolver {
   NewtonResult solve(std::vector<double>& x, double t, double dt, bool dc,
                      Integration method = Integration::BackwardEuler);
 
+  /// The plain iteration of solve() without its homotopy fallbacks: for a
+  /// speculative solve point whose failure is simply rejected.
+  NewtonResult solve_direct(std::vector<double>& x, double t, double dt,
+                            bool dc,
+                            Integration method = Integration::BackwardEuler);
+
  private:
   NewtonResult iterate(std::vector<double>& x, double t, double dt, bool dc,
                        Integration method, double gmin_extra,

@@ -1,6 +1,8 @@
 #pragma once
 // Transient analysis driver: DC operating point followed by adaptive
-// backward-Euler time stepping, recording probed node voltages.
+// backward-Euler time stepping, recording probed node voltages.  A settled
+// tail is projected onto its equilibrium (DESIGN.md §12) before the steady
+// exit certifies it.
 
 #include <string>
 #include <vector>
@@ -20,7 +22,9 @@ struct TransientParams {
   double grow = 1.4;        ///< Step growth factor on easy convergence.
   double shrink = 0.25;     ///< Step shrink factor on Newton failure.
   /// Stop early once every unknown moves less than this per accepted step at
-  /// dt_max, for `steady_count` consecutive steps (0 disables).
+  /// dt_max, for `steady_count` consecutive steps (0 disables).  The tail
+  /// projection (DESIGN.md §12) starts trying once every unknown moves
+  /// less than 1e4 * steady_tol per step, and is off with it.
   double steady_tol = 1e-9;
   int steady_count = 8;
   bool run_dc_first = true;  ///< Compute the t<0 operating point first.
@@ -53,12 +57,16 @@ class TransientSimulator {
   TransientResult run(const TransientParams& params);
 
   /// DC operating point only (sources at their t<0 values).
-  /// Returns the solution vector, empty on failure.
-  std::vector<double> dc_operating_point();
+  /// Returns the solution vector, empty on failure; `solve`, when given,
+  /// receives the Newton solve's iterations and fallback flag.
+  std::vector<double> dc_operating_point(NewtonResult* solve = nullptr);
 
   [[nodiscard]] MnaSystem& mna() { return mna_; }
 
  private:
+  /// Commit every device's state at the equilibrium `x` (the DC accept).
+  void accept_equilibrium(const std::vector<double>& x, double t);
+
   Netlist* netlist_;
   MnaSystem mna_;
   NewtonSolver newton_;

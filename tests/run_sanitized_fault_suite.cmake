@@ -45,13 +45,15 @@ if(NOT _rc EQUAL 0)
   message(FATAL_ERROR "sanitized build failed (${_rc})")
 endif()
 
-# Default filter: the fault suite proper plus the stuck-at tuning tests and
-# the batch-engine isolation/retry tests it hardens.  halt_on_error promotes
+# Default filter: the fault suite proper plus the stuck-at tuning tests, the
+# batch-engine isolation/retry tests it hardens, and the FullSpice settle
+# tests (the transient's tail projection swaps solution vectors and commits
+# device state off the stepping path).  halt_on_error promotes
 # UBSan and TSan reports to failures; leak checking is disabled (one-time
 # registries are reachable by design, and some CI kernels lack ptrace for
 # the leak checker).
 if(NOT DEFINED MDA_GTEST_FILTER)
-  set(MDA_GTEST_FILTER "Fault*:Tuning.Stuck*:Tuning.ArrayWithStuck*:BatchEngine.TryCompute*:BatchEngine.FailOpen*:BatchEngine.RetryBudget*:BatchEngine.FailedQueries*")
+  set(MDA_GTEST_FILTER "Fault*:Tuning.Stuck*:Tuning.ArrayWithStuck*:BatchEngine.TryCompute*:BatchEngine.FailOpen*:BatchEngine.RetryBudget*:BatchEngine.FailedQueries*:FullSpiceSettle*")
 endif()
 set(ENV{ASAN_OPTIONS} "detect_leaks=0")
 set(ENV{UBSAN_OPTIONS} "halt_on_error=1:print_stacktrace=1")

@@ -18,6 +18,7 @@
 #include "core/accelerator.hpp"
 #include "core/batch_engine.hpp"
 #include "devices/memristor.hpp"
+#include "distance/registry.hpp"
 #include "fault/campaign.hpp"
 #include "fault/detection.hpp"
 #include "fault/health.hpp"
@@ -368,7 +369,9 @@ TEST(FaultRecovery, NewtonWatchdogTripsAndDegrades) {
     SCOPED_TRACE(degrade ? "degrade" : "no degrade");
     AcceleratorConfig cfg;
     cfg.backend = Backend::FullSpice;
-    cfg.fault_handling.newton_budget = 1;
+    // Over the row structure's one DC solve, under the transient's
+    // hundreds of iterations: only the FullSpice attempt trips.
+    cfg.fault_handling.newton_budget = 50;
     cfg.fault_handling.degrade = degrade;
     const auto board = std::make_shared<fault::HealthScoreboard>();
     cfg.health = board;
@@ -394,6 +397,47 @@ TEST(FaultRecovery, NewtonWatchdogTripsAndDegrades) {
       EXPECT_NE(outcome.error().message.find("watchdog"), std::string::npos)
           << outcome.error().message;
     }
+  }
+}
+
+// The watchdog covers every Wavefront structure: the matrix wavefront
+// (DTW/LCS/EdD), the HauD columns and the row structure (HamD/MD), whose DC
+// solve reports its Newton iterations.
+TEST(FaultRecovery, WavefrontWatchdogTripsForEveryKind) {
+  const std::vector<double> p = {1.0, 2.0, 0.5};
+  const std::vector<double> q = {0.5, 1.0, 1.5};
+  for (const dist::DistanceKind kind : dist::kAllKinds) {
+    SCOPED_TRACE(dist::kind_name(kind));
+    DistanceSpec spec;
+    spec.kind = kind;
+    spec.threshold = 0.3;
+
+    AcceleratorConfig open;
+    open.backend = Backend::Wavefront;
+    Accelerator unbudgeted(open);
+    unbudgeted.configure(spec);
+    const ComputeOutcome free_run = unbudgeted.try_compute(p, q);
+    ASSERT_TRUE(free_run.ok()) << free_run.error().message;
+    EXPECT_GT(free_run.value().newton_iterations, 0);
+
+    AcceleratorConfig cfg = open;
+    cfg.fault_handling.newton_budget = 1;
+    cfg.fault_handling.degrade = false;
+    const auto board = std::make_shared<fault::HealthScoreboard>();
+    cfg.health = board;
+    Accelerator acc(cfg);
+    acc.configure(spec);
+    const auto before = obs::collect();
+    const ComputeOutcome outcome = acc.try_compute(p, q);
+    const auto after = obs::collect();
+    ASSERT_FALSE(outcome.ok());
+    EXPECT_EQ(outcome.error().code, ComputeErrorCode::BackendFailure);
+    EXPECT_EQ(outcome.error().backend, Backend::Wavefront);
+    EXPECT_NE(outcome.error().message.find("watchdog"), std::string::npos)
+        << outcome.error().message;
+    EXPECT_GT(counter_value(after, "mda.fault.watchdog_trips"),
+              counter_value(before, "mda.fault.watchdog_trips"));
+    EXPECT_GT(board->snapshot().watchdog_trips, 0u);
   }
 }
 

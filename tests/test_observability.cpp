@@ -10,6 +10,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -55,6 +57,27 @@ TEST(ObsRegistry, KindMismatchThrows) {
   const obs::Counter c("mda.obs.test_kind_clash");
   EXPECT_THROW(obs::Gauge("mda.obs.test_kind_clash"), std::exception);
   EXPECT_THROW(obs::Histogram("mda.obs.test_kind_clash"), std::exception);
+}
+
+// Shard storage holds a fixed 32 histogram slots, so registering past them
+// must throw length_error instead of indexing out of the shard.  The child
+// process keeps the exhausted registry away from the rest of the suite.
+TEST(ObsRegistryDeathTest, HistogramCapacityExhaustionThrowsLengthError) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        int added = 0;
+        try {
+          for (; added <= 32; ++added) {
+            const obs::Histogram h("mda.obs.test_capacity_" +
+                                   std::to_string(added));
+          }
+        } catch (const std::length_error&) {
+          std::_Exit(0);
+        }
+        std::_Exit(1);  // 33 new histograms fit: the capacity is not 32
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(ObsRegistry, GaugeLastWriteWins) {

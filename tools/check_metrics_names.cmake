@@ -67,6 +67,8 @@ set(_required
     "mda.spice.singular_systems"
     "mda.spice.newton_iterations"
     "mda.spice.newton_solves"
+    "mda.spice.transient_projections"
+    "mda.spice.transient_projections_rejected"
     "mda.cache.hits"
     "mda.cache.misses"
     "mda.cache.builds_avoided"
