@@ -5,9 +5,11 @@
 // bench measures exactly that amortisation: a kNN-shaped stream (one probe
 // against many candidates, same configuration throughout) evaluated fresh
 // (cache_capacity = 0, rebuild per query) versus cached (default LRU), for
-// every distance kind on both SPICE backends.
+// every distance kind on the Wavefront backend.  FullSpice has no cached
+// path (it builds per query), and neither has HauD Wavefront, whose
+// wall-clock speedup therefore reads about 1.0 by construction.
 //
-// Two speedups are reported per backend and kind (DESIGN.md §11):
+// Two speedups are reported per kind (DESIGN.md §11):
 //  * wall-clock — simulator time saved by instance reuse.  Structurally
 //    bounded: the solve dominates a simulated query, so skipping rebuilds
 //    can only shave the build fraction;
@@ -16,7 +18,7 @@
 //    (Accelerator::configuration_time_s) versus programming it once and
 //    streaming every query through the fixed configuration.
 //
-// --json=<path> [--queries=N] [--length=L] [--fs-length=L] runs the fixed
+// --json=<path> [--queries=N] [--length=L] runs the fixed
 // scenario and writes a machine-readable comparison (committed baseline:
 // BENCH_stream.json) with the host fingerprint.  Each kind's fresh and
 // cached streams run kRepeats times, alternating, each time on newly built
@@ -38,7 +40,6 @@
 #include "bench_common.hpp"
 #include "core/accelerator.hpp"
 #include "core/array_cache.hpp"
-#include "core/backend.hpp"
 #include "distance/registry.hpp"
 #include "host_fingerprint.hpp"
 #include "util/rng.hpp"
@@ -77,7 +78,7 @@ core::DistanceSpec spec_for(dist::DistanceKind kind) {
   return spec;
 }
 
-/// Stream repetitions per kind and backend.
+/// Stream repetitions per kind.
 constexpr std::size_t kRepeats = 3;
 
 /// Wall seconds of the repeated streams: the median and the spread.
@@ -130,8 +131,8 @@ double run_stream(const core::Accelerator& acc, const Stream& s,
       .count();
 }
 
-KindRun run_kind(dist::DistanceKind kind, core::Backend backend,
-                 std::size_t queries, std::size_t length) {
+KindRun run_kind(dist::DistanceKind kind, std::size_t queries,
+                 std::size_t length) {
   const Stream s = make_stream(kind, queries, length);
   const core::DistanceSpec spec = spec_for(kind);
 
@@ -139,13 +140,13 @@ KindRun run_kind(dist::DistanceKind kind, core::Backend backend,
   std::vector<double> fresh_s, cached_s;
   for (std::size_t rep = 0; rep < kRepeats; ++rep) {
     core::AcceleratorConfig fresh_cfg;
-    fresh_cfg.backend = backend;
+    fresh_cfg.backend = core::Backend::Wavefront;
     fresh_cfg.cache_capacity = 0;  // rebuild the fabric for every query
     core::Accelerator fresh(fresh_cfg);
     fresh.configure(spec);
 
     core::AcceleratorConfig cached_cfg;
-    cached_cfg.backend = backend;  // default cache_capacity: streaming mode
+    cached_cfg.backend = core::Backend::Wavefront;  // default cache_capacity
     core::Accelerator cached(cached_cfg);
     cached.configure(spec);
 
@@ -170,25 +171,12 @@ KindRun run_kind(dist::DistanceKind kind, core::Backend backend,
   return run;
 }
 
-const char* backend_name(core::Backend b) {
-  switch (b) {
-    case core::Backend::Wavefront: return "wavefront";
-    case core::Backend::FullSpice: return "fullspice";
-    case core::Backend::Behavioral: return "behavioral";
-  }
-  return "?";
-}
-
 int run_json_bench(const std::string& path, int argc, char** argv) {
   const auto queries =
       static_cast<std::size_t>(bench::flag_value(argc, argv, "queries", 100));
-  const auto wf_length =
+  const auto length =
       static_cast<std::size_t>(bench::flag_value(argc, argv, "length", 5));
-  const auto fs_length =
-      static_cast<std::size_t>(bench::flag_value(argc, argv, "fs-length", 4));
 
-  const core::Backend backends[] = {core::Backend::Wavefront,
-                                    core::Backend::FullSpice};
   bool all_identical = true;
   std::ofstream out(path);
   if (!out) {
@@ -200,67 +188,57 @@ int run_json_bench(const std::string& path, int argc, char** argv) {
   w.field("bench", "stream_cache");
   w.begin_object("scenario");
   w.field("shape", "knn");
+  w.field("backend", "wavefront");
   w.field("queries", queries);
-  w.field("wavefront_length", wf_length);
-  w.field("fullspice_length", fs_length);
+  w.field("length", length);
   w.field("repeats", kRepeats);
   w.end();
   w.raw("host", bench::host_fingerprint_json());
-  w.begin_object("backends");
-  for (const core::Backend backend : backends) {
-    const std::size_t length =
-        backend == core::Backend::FullSpice ? fs_length : wf_length;
-    double fresh_total = 0.0, cached_total = 0.0;
-    double hw_once_total = 0.0, hw_per_query_total = 0.0;
-    w.begin_object(backend_name(backend));
-    w.begin_object("kinds");
-    for (const dist::DistanceKind kind : dist::kAllKinds) {
-      std::fprintf(stderr, "[bench_stream] %s %s (%zu queries, length %zu)\n",
-                   backend_name(backend), dist::kind_name(kind).c_str(),
-                   queries, length);
-      // Backend totals sum the per-kind medians.
-      const KindRun run = run_kind(kind, backend, queries, length);
-      fresh_total += run.fresh.median;
-      cached_total += run.cached.median;
-      hw_once_total += run.hw_config_s + run.hw_query_s;
-      hw_per_query_total +=
-          static_cast<double>(run.queries) * run.hw_config_s + run.hw_query_s;
-      all_identical = all_identical && run.bit_identical;
-      w.begin_object(dist::kind_name(kind), /*one_line=*/true);
-      w.field("fresh_seconds", run.fresh.median);
-      w.field("fresh_min_seconds", run.fresh.min);
-      w.field("fresh_max_seconds", run.fresh.max);
-      w.field("cached_seconds", run.cached.median);
-      w.field("cached_min_seconds", run.cached.min);
-      w.field("cached_max_seconds", run.cached.max);
-      w.field("speedup", run.speedup());
-      w.field("cache_hits", run.hits);
-      w.field("builds_avoided", run.builds_avoided);
-      w.field("hw_configuration_seconds", run.hw_config_s);
-      w.field("hw_stream_query_seconds", run.hw_query_s);
-      w.field("hw_stream_speedup", run.hw_stream_speedup());
-      w.field("bit_identical", run.bit_identical);
-      w.end();
-    }
-    w.end();  // kinds
-    const double agg =
-        cached_total > 0.0 ? fresh_total / cached_total : 0.0;
-    const double hw_agg =
-        hw_once_total > 0.0 ? hw_per_query_total / hw_once_total : 0.0;
-    w.field("fresh_seconds", fresh_total);
-    w.field("cached_seconds", cached_total);
-    w.field("speedup", agg);
-    w.field("hw_stream_speedup", hw_agg);
-    w.end();  // backend
-    std::fprintf(stderr,
-                 "[bench_stream] %s wall-clock speedup %.2fx, "
-                 "modeled hw stream speedup %.1fx\n",
-                 backend_name(backend), agg, hw_agg);
+  double fresh_total = 0.0, cached_total = 0.0;
+  double hw_once_total = 0.0, hw_per_query_total = 0.0;
+  w.begin_object("kinds");
+  for (const dist::DistanceKind kind : dist::kAllKinds) {
+    std::fprintf(stderr, "[bench_stream] %s (%zu queries, length %zu)\n",
+                 dist::kind_name(kind).c_str(), queries, length);
+    // Totals sum the per-kind medians.
+    const KindRun run = run_kind(kind, queries, length);
+    fresh_total += run.fresh.median;
+    cached_total += run.cached.median;
+    hw_once_total += run.hw_config_s + run.hw_query_s;
+    hw_per_query_total +=
+        static_cast<double>(run.queries) * run.hw_config_s + run.hw_query_s;
+    all_identical = all_identical && run.bit_identical;
+    w.begin_object(dist::kind_name(kind), /*one_line=*/true);
+    w.field("fresh_seconds", run.fresh.median);
+    w.field("fresh_min_seconds", run.fresh.min);
+    w.field("fresh_max_seconds", run.fresh.max);
+    w.field("cached_seconds", run.cached.median);
+    w.field("cached_min_seconds", run.cached.min);
+    w.field("cached_max_seconds", run.cached.max);
+    w.field("speedup", run.speedup());
+    w.field("cache_hits", run.hits);
+    w.field("builds_avoided", run.builds_avoided);
+    w.field("hw_configuration_seconds", run.hw_config_s);
+    w.field("hw_stream_query_seconds", run.hw_query_s);
+    w.field("hw_stream_speedup", run.hw_stream_speedup());
+    w.field("bit_identical", run.bit_identical);
+    w.end();
   }
-  w.end();  // backends
+  w.end();  // kinds
+  const double agg = cached_total > 0.0 ? fresh_total / cached_total : 0.0;
+  const double hw_agg =
+      hw_once_total > 0.0 ? hw_per_query_total / hw_once_total : 0.0;
+  w.field("fresh_seconds", fresh_total);
+  w.field("cached_seconds", cached_total);
+  w.field("speedup", agg);
+  w.field("hw_stream_speedup", hw_agg);
   w.field("all_bit_identical", all_identical);
   w.end();
   out.close();
+  std::fprintf(stderr,
+               "[bench_stream] wall-clock speedup %.2fx, modeled hw stream "
+               "speedup %.1fx\n",
+               agg, hw_agg);
   std::fprintf(stderr, "[bench_stream] wrote %s (bit-identical %s)\n",
                path.c_str(), all_identical ? "yes" : "no");
   return all_identical ? 0 : 2;

@@ -264,22 +264,20 @@ void Accelerator::set_health(std::shared_ptr<fault::HealthSink> sink) {
 
 void Accelerator::set_fault_plan(
     std::shared_ptr<const fault::FaultPlan> plan) {
+  // Memristor/op-amp faults apply to the per-query FullSpice array, and
+  // no pooled wavefront instance depends on the plan: the pool stays.
   config_.faults = std::move(plan);
-  // Memristor/op-amp faults apply at array build time: no instance built
-  // under the old plan may serve another query.
-  if (config_.array_cache) config_.array_cache->invalidate_all();
 }
 
 void Accelerator::retune() {
   // Scrub = one more pass of the Sec. 3.3 program-and-verify loop: attempts
   // above the base re-tune every tunable (drifted) device and quarantine the
   // untunable ones, exactly the retry semantics of DESIGN.md §9 — so the
-  // scrub reuses the tuner's quarantine machinery by construction.  The
-  // cache invalidation is the no-half-tuned-array barrier: in-flight leases
-  // are dropped on give-back instead of re-pooled, and every later checkout
-  // rebuilds (and re-verifies) against the bumped attempt.
+  // scrub reuses the tuner's quarantine machinery by construction.  Every
+  // later FullSpice query builds (and re-verifies) its array against the
+  // bumped attempt, and no pooled wavefront instance depends on the
+  // attempt, so the instance cache needs no barrier.
   ++config_.fault_attempt;
-  if (config_.array_cache) config_.array_cache->invalidate_all();
 }
 
 ComputeOutcome Accelerator::try_compute(std::span<const double> p,

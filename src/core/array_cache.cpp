@@ -3,15 +3,14 @@
 #include <bit>
 #include <utility>
 
-#include "fault/plan.hpp"
 #include "obs/metrics.hpp"
 
 namespace mda::core {
 namespace {
 
-// Process-wide mda.cache.* metrics; several caches (one per Accelerator or
-// campaign) aggregate into the same counters, and the gauges track the sum
-// of all live caches via signed deltas.
+// Process-wide mda.cache.* metrics; several caches (one per Accelerator,
+// serve replica or campaign) aggregate into the same counters, and the
+// gauges track the sum of all live caches via signed deltas.
 const obs::Counter& hits_ctr() {
   static const obs::Counter c("mda.cache.hits");
   return c;
@@ -27,6 +26,34 @@ const obs::Counter& builds_avoided_ctr() {
 const obs::Counter& evictions_ctr() {
   static const obs::Counter c("mda.cache.evictions");
   return c;
+}
+
+/// Sum of every live cache's resident bytes and entries, behind the
+/// mda.cache.bytes / mda.cache.entries gauges.
+struct GaugeTotals {
+  std::mutex mu;
+  std::size_t bytes = 0;
+  std::size_t entries = 0;
+
+  /// Replace one cache's share (`bytes_share`, `entries_share`) with its
+  /// new values and publish the totals.
+  void move_share(std::size_t& bytes_share, std::size_t bytes_now,
+                  std::size_t& entries_share, std::size_t entries_now) {
+    static const obs::Gauge bytes_gauge("mda.cache.bytes");
+    static const obs::Gauge entries_gauge("mda.cache.entries");
+    const std::lock_guard<std::mutex> lock(mu);
+    bytes = bytes - bytes_share + bytes_now;
+    entries = entries - entries_share + entries_now;
+    bytes_share = bytes_now;
+    entries_share = entries_now;
+    bytes_gauge.set(static_cast<double>(bytes));
+    entries_gauge.set(static_cast<double>(entries));
+  }
+};
+
+GaugeTotals& gauge_totals() {
+  static GaugeTotals totals;
+  return totals;
 }
 
 /// splitmix64 avalanche.
@@ -77,12 +104,6 @@ InstanceKey make_instance_key(InstanceType type, const AcceleratorConfig& cfg,
   f.fold_double(enc.vstep_eff);
   f.fold(spec.pair_weights ? weights_digest(*spec.pair_weights) : 0);
   f.fold(spec.elem_weights ? weights_digest(*spec.elem_weights) : 0);
-  if (type == InstanceType::FullSpiceArray) {
-    // Device state depends on fault injection + re-tuning (the cache is
-    // bypassed under an active plan; folding keeps the key honest anyway).
-    f.fold(cfg.faults ? cfg.faults->config().seed : 0);
-    f.fold(static_cast<std::uint64_t>(cfg.fault_attempt));
-  }
   return InstanceKey{f.lo, f.hi};
 }
 
@@ -98,7 +119,7 @@ ArrayCache::Lease& ArrayCache::Lease::operator=(Lease&& other) noexcept {
 
 void ArrayCache::Lease::release() {
   if (cache_ && inst_) {
-    cache_->give_back(key_, std::move(inst_), gen_);
+    cache_->give_back(key_, std::move(inst_));
   }
   inst_.reset();
   cache_.reset();
@@ -112,7 +133,6 @@ ArrayCache::Lease ArrayCache::checkout(const std::shared_ptr<ArrayCache>& cache,
   if (cache && cache->capacity_ > 0) {
     lease.inst_ = cache->take(key);
     lease.cache_ = cache;
-    lease.gen_ = cache->generation();
   }
   if (!lease.inst_) lease.inst_ = build();  // outside the cache lock
   return lease;
@@ -142,9 +162,8 @@ std::unique_ptr<ArrayCache::Instance> ArrayCache::take(const InstanceKey& key) {
   it->second.idle.pop_back();
   ++stats_.hits;
   hits_ctr().add();
-  // One checkout hit avoids exactly one instance build, whatever the
-  // instance carries inside (a HauD instance holds a column pool *plus* the
-  // final max stage, but a miss would have built it with one BuildFn call).
+  // One checkout hit avoids exactly one instance build (one BuildFn call),
+  // however many harnesses the instance carries inside.
   ++stats_.builds_avoided;
   builds_avoided_ctr().add();
   stats_.resident_bytes -= std::min(stats_.resident_bytes,
@@ -154,29 +173,13 @@ std::unique_ptr<ArrayCache::Instance> ArrayCache::take(const InstanceKey& key) {
 }
 
 void ArrayCache::give_back(const InstanceKey& key,
-                           std::unique_ptr<Instance> inst, std::uint64_t gen) {
+                           std::unique_ptr<Instance> inst) {
   const std::lock_guard<std::mutex> lock(mu_);
-  if (gen != generation_) return;  // invalidated while checked out: drop
   const auto it = entries_.find(key);
   if (it == entries_.end()) return;  // evicted while checked out: drop
   stats_.resident_bytes += inst->approx_bytes();
   it->second.idle.push_back(std::move(inst));
   publish_gauges_locked();
-}
-
-void ArrayCache::invalidate_all() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  ++generation_;
-  stats_.evictions += entries_.size();
-  evictions_ctr().add(entries_.size());
-  entries_.clear();
-  stats_.resident_bytes = 0;
-  publish_gauges_locked();
-}
-
-std::uint64_t ArrayCache::generation() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return generation_;
 }
 
 void ArrayCache::evict_to_capacity_locked() {
@@ -199,13 +202,13 @@ void ArrayCache::evict_to_capacity_locked() {
   }
 }
 
-void ArrayCache::publish_gauges_locked() const {
-  static const obs::Gauge bytes_gauge("mda.cache.bytes");
-  static const obs::Gauge entries_gauge("mda.cache.entries");
-  // Last-writer-wins across caches; with one streaming cache (the common
-  // case) this is exact, and campaigns install one shared cache anyway.
-  bytes_gauge.set(static_cast<double>(stats_.resident_bytes));
-  entries_gauge.set(static_cast<double>(entries_.size()));
+ArrayCache::~ArrayCache() {
+  gauge_totals().move_share(published_bytes_, 0, published_entries_, 0);
+}
+
+void ArrayCache::publish_gauges_locked() {
+  gauge_totals().move_share(published_bytes_, stats_.resident_bytes,
+                            published_entries_, entries_.size());
 }
 
 ArrayCache::Stats ArrayCache::stats() const {

@@ -1,18 +1,22 @@
 #pragma once
-// Cross-query instance cache (DESIGN.md §11): the paper's deployment model
-// is configure once, stream queries (Fig. 1, §3.3) — the control module
-// writes the PE/interconnect configuration and memristances once, then the
-// DAC array streams query pairs through the fixed fabric.  ArrayCache is
-// that configuration store: it owns built FullSpice arrays and wavefront
-// DcHarness pools keyed by the configuration that shaped them, so circuit
-// construction, device tuning and solver structure are paid once per
-// configuration instead of once per query.
+// Cross-query instance cache (DESIGN.md §11).  The paper's configure-once,
+// stream-many deployment (Fig. 1, §3.3) is modelled by
+// Accelerator::configuration_time_s(); this pool is a simulator-side
+// optimisation that keeps only what measurably pays: wavefront DcHarness
+// pools (DTW/LCS/EdD) and whole row arrays (HamD/MD), keyed by the
+// configuration that shaped them, so their netlists, MNA pattern tapes and
+// cross-query LU carry survive between same-configuration queries.
+// FullSpice arrays and HauD harnesses are built per query: every FullSpice
+// query switches its MNA pattern from DC to transient, so pooling saved no
+// solver structure there.
 //
 // Contract: a result computed through a cached instance is bitwise equal to
 // a fresh-build result (enforced by tests/test_array_cache.cpp).  Instances
 // therefore reset all *numeric* state between queries (device states,
 // warm-start vectors, LU pivot memory) and keep only the *structural* work
 // (netlists, MNA pattern tapes, allocations), which is input-independent.
+// No pooled instance depends on the fault plan or the attempt (cell faults
+// apply to measured values), so a scrub keeps the pool.
 //
 // Concurrency: checkout/return leases hand each batch worker its own
 // instance — concurrent checkouts of one key grow a per-key pool, so no
@@ -51,20 +55,15 @@ struct InstanceKey {
 /// What kind of circuit an entry holds (folded into the key).
 enum class InstanceType : std::uint8_t {
   MatrixWavefront = 1,  ///< Per-weight matrix-PE harness pool.
-  HaudWavefront = 2,    ///< Column harnesses + final diode max.
-  RowWavefront = 3,     ///< Whole row array, DC operating point.
-  FullSpiceArray = 4,   ///< Whole array + persistent transient simulator.
+  RowWavefront = 2,     ///< Whole row array, DC operating point.
 };
 
 /// Fold the cache key for one (instance type, configuration, query shape).
 /// Covers: kind, m, n, threshold, band, array geometry, voltage encoding
 /// (voltage_resolution / vstep / v_max / effective vstep / range scale),
-/// converter bits, quantisation flags and the weights digest.  FullSpice
-/// entries additionally fold the fault-plan seed and attempt index — device
-/// state depends on injection/re-tuning there (and caching is bypassed
-/// under an active plan; see backend_fullspice.cpp).  `env` is not folded:
-/// a cache never outlives the AcceleratorConfig that created it with one
-/// fixed env.
+/// converter bits, quantisation flags and the weights digest.  `env` is not
+/// folded: a cache never outlives the AcceleratorConfig that created it
+/// with one fixed env.
 InstanceKey make_instance_key(InstanceType type, const AcceleratorConfig& cfg,
                               const DistanceSpec& spec,
                               const EncodedInputs& enc, std::size_t m,
@@ -101,11 +100,12 @@ class ArrayCache {
 
     std::shared_ptr<ArrayCache> cache_;  ///< null = locally owned instance.
     InstanceKey key_{};
-    std::uint64_t gen_ = 0;  ///< Cache generation at checkout time.
     std::unique_ptr<Instance> inst_;
   };
 
   explicit ArrayCache(std::size_t capacity) : capacity_(capacity) {}
+  /// Withdraws this cache's share from the process-wide gauges.
+  ~ArrayCache();
 
   /// Check an instance out of `cache` for `key`, building one with `build`
   /// on miss (outside the cache lock).  A null `cache` degrades to a
@@ -125,15 +125,6 @@ class ArrayCache {
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
-  /// Scrub barrier (DESIGN.md §14): drop every idle instance and bump the
-  /// cache generation, so instances still checked out are *discarded* on
-  /// give_back instead of re-pooled.  After a re-tune (fault_attempt bump,
-  /// plan swap) every later checkout therefore builds — and program-and-
-  /// verifies — against the new device state; a query can never lease a
-  /// half-tuned array left over from before the scrub.
-  void invalidate_all();
-  [[nodiscard]] std::uint64_t generation() const;
-
  private:
   struct Entry {
     std::vector<std::unique_ptr<Instance>> idle;
@@ -143,18 +134,21 @@ class ArrayCache {
   /// Pop an idle instance for `key` (hit), or register a miss.  Returns
   /// null when the caller must build.
   std::unique_ptr<Instance> take(const InstanceKey& key);
-  void give_back(const InstanceKey& key, std::unique_ptr<Instance> inst,
-                 std::uint64_t gen);
+  void give_back(const InstanceKey& key, std::unique_ptr<Instance> inst);
   /// Pre: mu_ held.  Evict least-recently-used entries down to capacity.
   void evict_to_capacity_locked();
-  void publish_gauges_locked() const;
+  /// Pre: mu_ held.  Move this cache's share of the process-wide
+  /// mda.cache.bytes / mda.cache.entries totals to its current stats.
+  void publish_gauges_locked();
 
   mutable std::mutex mu_;
   std::size_t capacity_;
   std::uint64_t tick_ = 0;
-  std::uint64_t generation_ = 0;  ///< Bumped by invalidate_all().
   std::map<InstanceKey, Entry> entries_;
   Stats stats_{};
+  /// This cache's share of the gauges' process-wide totals.
+  std::size_t published_bytes_ = 0;
+  std::size_t published_entries_ = 0;
 };
 
 // ------------------------------------------------------------ instances --
@@ -169,19 +163,9 @@ struct MatrixWavefrontInstance : ArrayCache::Instance {
   }
 };
 
-/// HauD wavefront: per-weights-column harness pool + the final diode max.
-struct HaudWavefrontInstance : ArrayCache::Instance {
-  std::unique_ptr<DcHarness> finmax;
-  HarnessCache columns;
-
-  [[nodiscard]] std::size_t approx_bytes() const override {
-    return columns.approx_bytes() + (finmax ? finmax->approx_bytes() : 0);
-  }
-};
-
-/// Whole-array instance (row wavefront and FullSpice): the built circuit
-/// plus a persistent simulator whose MNA structure cache survives queries.
-struct SimArrayInstance : ArrayCache::Instance {
+/// Row wavefront (HamD/MD): the built row array plus a persistent simulator
+/// whose MNA structure cache and LU carry survive queries.
+struct RowWavefrontInstance : ArrayCache::Instance {
   ArrayCircuit array;
   std::unique_ptr<spice::TransientSimulator> sim;
   bool built = false;

@@ -65,11 +65,10 @@ struct AnalogEval {
   bool fault_detected = false;
 };
 
-/// Whole-array transient evaluation.  `config.env` supplies device models;
-/// `probe_pes` additionally records every PE output trace when true.
+/// Whole-array transient evaluation over default_t_stop()'s horizon.
+/// `config.env` supplies device models.
 AnalogEval eval_full_spice(const AcceleratorConfig& config,
-                           const DistanceSpec& spec, const EncodedInputs& enc,
-                           double t_stop = 0.0 /* 0 = auto */);
+                           const DistanceSpec& spec, const EncodedInputs& enc);
 
 /// Wavefront evaluation (values only).
 AnalogEval eval_wavefront(const AcceleratorConfig& config,
@@ -83,19 +82,17 @@ AnalogEval eval_behavioral(const AcceleratorConfig& config,
 double default_t_stop(dist::DistanceKind kind, std::size_t m, std::size_t n);
 
 /// Single dispatch point over the three fidelity levels: evaluates `enc`
-/// through the selected backend (`t_stop` applies to FullSpice only; 0 =
-/// auto).  The per-backend functions above remain for direct use by
-/// calibration and tests; library code routes through here.
+/// through the selected backend.  The per-backend functions above remain
+/// for direct use by calibration and tests; library code routes through
+/// here.
 AnalogEval evaluate(Backend backend, const AcceleratorConfig& config,
-                    const DistanceSpec& spec, const EncodedInputs& enc,
-                    double t_stop = 0.0);
+                    const DistanceSpec& spec, const EncodedInputs& enc);
 
-/// evaluate(Backend::FullSpice, config, spec, encs[i], t_stop) for every
-/// i, in order.  Exists only for the benchmark runner's replay of
+/// evaluate(Backend::FullSpice, config, spec, encs[i]) for every i, in
+/// order.  Exists only for the benchmark runner's replay of
 /// Accelerator::try_compute_lockstep.
 std::vector<AnalogEval> eval_full_spice_batch(const AcceleratorConfig& config,
                                               const DistanceSpec& spec,
-                                              std::span<const EncodedInputs> encs,
-                                              double t_stop = 0.0);
+                                              std::span<const EncodedInputs> encs);
 
 }  // namespace mda::core

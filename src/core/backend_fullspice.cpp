@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/array_builder.hpp"
-#include "core/array_cache.hpp"
 #include "core/backend.hpp"
 #include "core/dac_adc.hpp"
 #include "core/tuning.hpp"
@@ -184,8 +183,7 @@ double default_t_stop(dist::DistanceKind kind, std::size_t m, std::size_t n) {
 }
 
 AnalogEval evaluate(Backend backend, const AcceleratorConfig& config,
-                    const DistanceSpec& spec, const EncodedInputs& enc,
-                    double t_stop) {
+                    const DistanceSpec& spec, const EncodedInputs& enc) {
   switch (backend) {
     case Backend::Behavioral: {
       static const obs::Counter evals("mda.backend.behavioral_evals");
@@ -206,15 +204,14 @@ AnalogEval evaluate(Backend backend, const AcceleratorConfig& config,
       static const obs::Histogram time("mda.backend.fullspice_time_s");
       const obs::ScopedTimer timer(time);
       evals.add();
-      return eval_full_spice(config, spec, enc, t_stop);
+      return eval_full_spice(config, spec, enc);
     }
   }
   throw std::logic_error("unreachable backend");
 }
 
 AnalogEval eval_full_spice(const AcceleratorConfig& config,
-                           const DistanceSpec& spec, const EncodedInputs& enc,
-                           double t_stop) {
+                           const DistanceSpec& spec, const EncodedInputs& enc) {
   AnalogEval result;
 
   // Injected solver fault: the transient refuses to converge for this
@@ -232,34 +229,16 @@ AnalogEval eval_full_spice(const AcceleratorConfig& config,
     return result;
   }
 
-  // Configure-once, stream-many (DESIGN.md §11): the built array and its
-  // simulator persist across same-configuration queries; between queries
-  // only the source waveforms are rewritten and the solver state reset
-  // (run() itself resets device states).  An active fault plan bypasses the
-  // cache: injection and re-tuning mutate persistent memristor/op-amp state
-  // (force_stuck survives reset_state()), so those arrays must stay
-  // per-query throwaways.
-  const std::shared_ptr<ArrayCache>& cache =
-      config.faults ? nullptr : config.array_cache;
-  ArrayCache::Lease lease = ArrayCache::checkout(
-      cache,
-      make_instance_key(InstanceType::FullSpiceArray, config, spec, enc,
-                        enc.p_volts.size(), enc.q_volts.size()),
-      [] { return std::make_unique<SimArrayInstance>(); });
-  auto* inst = static_cast<SimArrayInstance*>(lease.get());
-  if (!inst->built) {
-    // Bake the effective Vstep into the generated bias sources.
-    AcceleratorConfig cfg = config;
-    cfg.vstep = enc.vstep_eff;
-    inst->array =
-        build_array(cfg, spec, enc.p_volts.size(), enc.q_volts.size());
-    inst->sim = std::make_unique<spice::TransientSimulator>(*inst->array.net);
-    inst->sim->probe(inst->array.out, "out");
-    inst->built = true;
-  } else {
-    inst->begin_query();
-  }
-  ArrayCircuit& array = inst->array;
+  // Built per query (DESIGN.md §11): every query switches the MNA pattern
+  // from DC to transient, so a pooled array saved no solver structure, and
+  // fault injection and re-tuning mutate device state in place.  Bake the
+  // effective Vstep into the generated bias sources.
+  AcceleratorConfig cfg = config;
+  cfg.vstep = enc.vstep_eff;
+  ArrayCircuit array =
+      build_array(cfg, spec, enc.p_volts.size(), enc.q_volts.size());
+  spice::TransientSimulator sim(*array.net);
+  sim.probe(array.out, "out");
 
   if (config.faults) {
     const auto& mems = array.factory->memristors();
@@ -292,10 +271,8 @@ AnalogEval eval_full_spice(const AcceleratorConfig& config,
   array.set_step_inputs(enc.p_volts, enc.q_volts, /*t_edge=*/0.0);
 
   spice::TransientParams params;
-  params.t_stop = t_stop > 0.0
-                      ? t_stop
-                      : default_t_stop(spec.kind, array.m, array.n);
-  const spice::TransientResult tr = inst->sim->run(params);
+  params.t_stop = default_t_stop(spec.kind, array.m, array.n);
+  const spice::TransientResult tr = sim.run(params);
   result.newton_iterations = tr.total_newton_iterations;
   result.solver_fallbacks = tr.fallback_steps;
   if (!tr.ok) {
@@ -321,11 +298,11 @@ AnalogEval eval_full_spice(const AcceleratorConfig& config,
 
 std::vector<AnalogEval> eval_full_spice_batch(
     const AcceleratorConfig& config, const DistanceSpec& spec,
-    std::span<const EncodedInputs> encs, double t_stop) {
+    std::span<const EncodedInputs> encs) {
   std::vector<AnalogEval> out;
   out.reserve(encs.size());
   for (const EncodedInputs& enc : encs) {
-    out.push_back(evaluate(Backend::FullSpice, config, spec, enc, t_stop));
+    out.push_back(evaluate(Backend::FullSpice, config, spec, enc));
   }
   return out;
 }

@@ -190,24 +190,12 @@ AnalogEval eval_haud_wavefront(const AcceleratorConfig& config,
   const std::size_t m = enc.p_volts.size();
   const std::size_t n = enc.q_volts.size();
 
-  ArrayCache::Lease lease = ArrayCache::checkout(
-      config.array_cache,
-      make_instance_key(InstanceType::HaudWavefront, config, spec, enc, m, n),
-      [] { return std::make_unique<HaudWavefrontInstance>(); });
-  auto* inst = static_cast<HaudWavefrontInstance*>(lease.get());
-
-  // Final diode max over the n column minima.
-  if (!inst->finmax) {
-    inst->finmax = make_haud_finmax_harness(config, n);
-  } else {
-    inst->finmax->reset_for_query();
-  }
-  DcHarness& finmax = *inst->finmax;
-
-  // Column harness lifecycle mirrors the fresh path: the fresh path built a
-  // new (cold) harness at every weights-change boundary, so a pooled
-  // harness is reset — and its counters banked — at exactly those points.
-  DcHarness* column = nullptr;
+  // Built per query (DESIGN.md §11): the final diode max over the n column
+  // minima, and a cold column harness at every weights-change boundary,
+  // whose counters are banked before it is replaced.
+  const std::unique_ptr<DcHarness> finmax =
+      make_haud_finmax_harness(config, n);
+  std::unique_ptr<DcHarness> column;
   std::uint64_t prev_digest = 0;
   for (std::size_t j = 0; j < n; ++j) {
     std::vector<double> weights(m, 1.0);
@@ -222,10 +210,7 @@ AnalogEval eval_haud_wavefront(const AcceleratorConfig& config,
         result.newton_iterations += column->newton_total;
         result.solver_fallbacks += column->fallback_total;
       }
-      column = &inst->columns.get(digest, [&] {
-        return make_haud_column_harness(config, m, weights);
-      });
-      column->reset_for_query();
+      column = make_haud_column_harness(config, m, weights);
       prev_digest = digest;
     }
     for (std::size_t i = 0; i < m; ++i) {
@@ -234,15 +219,16 @@ AnalogEval eval_haud_wavefront(const AcceleratorConfig& config,
       column->sources_[2 * i + 1]->set_waveform(
           spice::Waveform::dc(enc.q_volts[j]));
     }
-    finmax.sources_[j]->set_waveform(spice::Waveform::dc(column->solve_out()));
+    finmax->sources_[j]->set_waveform(
+        spice::Waveform::dc(column->solve_out()));
   }
-  result.out_volts = finmax.solve_out();
+  result.out_volts = finmax->solve_out();
   if (column) {
     result.newton_iterations += column->newton_total;
     result.solver_fallbacks += column->fallback_total;
   }
-  result.newton_iterations += finmax.newton_total;
-  result.solver_fallbacks += finmax.fallback_total;
+  result.newton_iterations += finmax->newton_total;
+  result.solver_fallbacks += finmax->fallback_total;
   if (watchdog_trips(config, result)) return result;
   result.ok = true;
   return result;
@@ -257,8 +243,8 @@ AnalogEval eval_row_wavefront(const AcceleratorConfig& config,
       config.array_cache,
       make_instance_key(InstanceType::RowWavefront, config, spec, enc,
                         enc.p_volts.size(), enc.q_volts.size()),
-      [] { return std::make_unique<SimArrayInstance>(); });
-  auto* inst = static_cast<SimArrayInstance*>(lease.get());
+      [] { return std::make_unique<RowWavefrontInstance>(); });
+  auto* inst = static_cast<RowWavefrontInstance*>(lease.get());
   if (!inst->built) {
     AcceleratorConfig cfg = config;
     cfg.vstep = enc.vstep_eff;

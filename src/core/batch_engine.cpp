@@ -139,9 +139,7 @@ void BatchEngine::parallel_for(
 
   Job job;
   job.count = count;
-  job.chunk = opts_.chunk_size != 0
-                  ? opts_.chunk_size
-                  : std::max<std::size_t>(1, count / (4 * num_threads_));
+  job.chunk = std::max<std::size_t>(1, count / (4 * num_threads_));
   job.task = &task;
   if (obs::enabled()) job.submit_s = obs::detail::monotonic_seconds();
   {

@@ -45,13 +45,10 @@
 namespace mda::core {
 
 struct BatchOptions {
-  /// Worker count; 0 = std::thread::hardware_concurrency().
+  /// Worker count; 0 = std::thread::hardware_concurrency().  Each job is
+  /// claimed in chunks of count / (4 * num_threads) tasks (min 1); nothing
+  /// keys on chunks.
   std::size_t num_threads = 0;
-  /// Tasks claimed per grab; 0 = auto (count / (4 * num_threads), min 1).
-  /// The auto chunk adapts to the pool size, so stochastic consumers that
-  /// key draws on chunk structure should set it explicitly — the engine
-  /// itself keys nothing on chunks.
-  std::size_t chunk_size = 0;
   /// Always 1: every query runs its own scalar FullSpice solve.  Exists
   /// only for the benchmark runner, which reads it to size its groups.
   static constexpr std::size_t solver_batch_width = 1;

@@ -69,9 +69,10 @@ struct AcceleratorConfig {
   Backend backend = Backend::Wavefront;
 
   /// LRU capacity (distinct configurations) of the cross-query instance
-  /// cache (DESIGN.md §11): built arrays/harnesses are reset and reused
-  /// between same-configuration queries instead of rebuilt.  0 disables
-  /// cross-query reuse (fresh build per query).
+  /// cache (DESIGN.md §11): wavefront DTW/LCS/EdD harnesses and HamD/MD row
+  /// arrays are reset and reused between same-configuration queries
+  /// instead of rebuilt.  FullSpice and HauD build per query regardless.
+  /// 0 disables cross-query reuse (fresh build per query).
   std::size_t cache_capacity = 8;
   /// The instance cache itself.  Installed by the Accelerator constructor
   /// when cache_capacity > 0 (or pre-seeded by a campaign so per-query

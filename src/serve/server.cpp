@@ -185,11 +185,11 @@ struct Server::Impl {
   }
   ~Impl() { stop(); }
 
-  /// One shard replica: its own accelerator (own instance cache — a scrub
-  /// invalidation must never touch a sibling), its own health scoreboard,
-  /// queue and worker.  `solve_mutex` serialises solves against scrub /
-  /// fault-injection / restart, so no query ever observes a half-tuned
-  /// array; `admin_mu` serialises state transitions.
+  /// One shard replica: its own accelerator (own instance cache, which a
+  /// scrub keeps), its own health scoreboard, queue and worker.
+  /// `solve_mutex` serialises solves against scrub / fault-injection /
+  /// restart, so no query ever observes a half-tuned array; `admin_mu`
+  /// serialises state transitions.
   struct Replica {
     Replica(std::uint32_t idx, core::AcceleratorConfig cfg,
             const core::DistanceSpec& sp, const fault::HealthConfig& hc)
@@ -823,9 +823,10 @@ struct Server::Impl {
 
   /// Check the replica out, re-run program-and-verify, re-probe, return it.
   /// Queries can never observe a half-tuned array: admission stops routing
-  /// here the moment the state flips, requests already queued wait on
-  /// solve_mutex, and retune() bumps the instance-cache generation so any
-  /// lease handed out earlier is dropped on give-back instead of reused.
+  /// here the moment the state flips, and requests already queued wait on
+  /// solve_mutex.  A scrub is a retune plus a scoreboard reset; the
+  /// replica's instance cache stays, because no pooled instance depends on
+  /// the fault attempt (FullSpice arrays are built per query).
   bool do_scrub(Replica& r) {
     {
       std::lock_guard<std::mutex> lk(r.admin_mu);

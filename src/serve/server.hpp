@@ -114,8 +114,8 @@ struct ServeOptions {
   /// Base accelerator build for every shard replica: array geometry,
   /// default backend, cache capacity, fault handling.  Replicas differ only
   /// in their (per-replica) instance cache, scoreboard and injected fault
-  /// plan; a pre-installed array_cache is ignored — every replica must own
-  /// its pool so a scrub invalidation never touches a sibling.
+  /// plan; a pre-installed array_cache is ignored — every replica owns its
+  /// pool, so replicas never contend on one cache lock.
   core::AcceleratorConfig accelerator{};
   /// Spec for requests that do not pin a kind (QueryRequest::kind unset).
   core::DistanceSpec default_spec{};

@@ -1,13 +1,16 @@
 // Cross-query instance cache (DESIGN.md §11): bit-identity of cached vs
 // fresh-build results across all six kinds and thread counts {1, 2, 8},
-// including under an active FaultPlan; cache bookkeeping (hits, eviction,
-// checkout pooling); quantized weight keying; and the encode_inputs
-// degenerate-input hardening that rides along in this change.
+// including under an active FaultPlan; the pool's scope (FullSpice and HauD
+// Wavefront never touch it); cache bookkeeping (hits, eviction, checkout
+// pooling, process-wide gauges); quantized weight keying; and the
+// encode_inputs degenerate-input hardening.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/accelerator.hpp"
@@ -17,6 +20,7 @@
 #include "core/dc_harness.hpp"
 #include "fault/campaign.hpp"
 #include "fault/plan.hpp"
+#include "obs/snapshot.hpp"
 #include "util/rng.hpp"
 
 using namespace mda;
@@ -105,38 +109,65 @@ TEST_P(CacheBitIdentity, WavefrontCachedEqualsFreshAtAnyThreadCount) {
     }
   }
   const core::ArrayCache::Stats stats = cached.config().array_cache->stats();
-  EXPECT_GT(stats.hits, 0u);
-  EXPECT_GT(stats.builds_avoided, 0u);
+  if (kind == dist::DistanceKind::Hausdorff) {
+    EXPECT_EQ(stats.hits, 0u);  // Built per query: never pooled.
+  } else {
+    EXPECT_GT(stats.hits, 0u);
+    EXPECT_GT(stats.builds_avoided, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSix, CacheBitIdentity,
                          ::testing::ValuesIn(dist::kAllKinds));
 
-TEST(CacheBitIdentityFullSpice, CachedEqualsFreshDtwAndManhattan) {
-  for (const dist::DistanceKind kind :
-       {dist::DistanceKind::Dtw, dist::DistanceKind::Manhattan}) {
-    const Stream stream = make_stream(kind, 3, 4);
-    const auto& queries = stream.queries;
+TEST(CacheScope, FullSpiceAndHaudWavefrontBuildPerQuery) {
+  // FullSpice arrays (healthy and under a drift plan) and HauD Wavefront
+  // harnesses are built per query: results equal a cache-less
+  // accelerator's bit for bit, and the pool is never touched.
+  fault::FaultConfig fc;
+  fc.seed = 99;
+  fc.drift_rate = 0.05;
+  const auto drift = std::make_shared<const fault::FaultPlan>(fc);
+  struct Case {
+    dist::DistanceKind kind;
+    core::Backend backend;
+    std::shared_ptr<const fault::FaultPlan> plan;
+  };
+  const Case cases[] = {
+      {dist::DistanceKind::Dtw, core::Backend::FullSpice, nullptr},
+      {dist::DistanceKind::Manhattan, core::Backend::FullSpice, nullptr},
+      {dist::DistanceKind::Dtw, core::Backend::FullSpice, drift},
+      {dist::DistanceKind::Manhattan, core::Backend::FullSpice, drift},
+      {dist::DistanceKind::Hausdorff, core::Backend::Wavefront, nullptr},
+  };
+  for (const Case& c : cases) {
+    const std::string what = dist::kind_name(c.kind) +
+                             (c.plan ? " drifted" : " healthy");
+    const Stream stream = make_stream(c.kind, 3, 4);
     core::DistanceSpec spec;
-    spec.kind = kind;
+    spec.kind = c.kind;
 
     core::AcceleratorConfig fresh_cfg;
-    fresh_cfg.backend = core::Backend::FullSpice;
+    fresh_cfg.backend = c.backend;
     fresh_cfg.cache_capacity = 0;
+    fresh_cfg.faults = c.plan;
     core::Accelerator fresh(fresh_cfg);
     fresh.configure(spec);
 
-    core::AcceleratorConfig cached_cfg;
-    cached_cfg.backend = core::Backend::FullSpice;
+    core::AcceleratorConfig cached_cfg = fresh_cfg;
+    cached_cfg.cache_capacity = 8;
     core::Accelerator cached(cached_cfg);
     cached.configure(spec);
 
-    for (const auto& q : queries) {
+    for (const auto& q : stream.queries) {
       const core::ComputeResult want = fresh.try_compute(q.p, q.q).unwrap();
       const core::ComputeResult got = cached.try_compute(q.p, q.q).unwrap();
-      expect_bitwise_equal(want, got, dist::kind_name(kind).c_str());
+      expect_bitwise_equal(want, got, what.c_str());
     }
-    EXPECT_GT(cached.config().array_cache->stats().hits, 0u);
+    const core::ArrayCache::Stats stats = cached.config().array_cache->stats();
+    EXPECT_EQ(stats.hits, 0u) << what;
+    EXPECT_EQ(stats.misses, 0u) << what;
+    EXPECT_EQ(stats.entries, 0u) << what;
   }
 }
 
@@ -248,22 +279,63 @@ TEST(ArrayCacheMechanics, ConcurrentCheckoutsGrowThePool) {
 }
 
 TEST(ArrayCacheMechanics, BuildsAvoidedCountsOnePerHit) {
-  // Regression: HauD wavefront instances used to report their sub-circuit
-  // count (column pool + final max stage) per checkout hit, double-counting
-  // builds_avoided relative to every other kind (198 vs 99 on the 100-query
-  // stream).  A hit avoids exactly one BuildFn call, whatever the instance
-  // carries inside: builds_avoided must track hits one to one.
-  core::DistanceSpec spec;
-  spec.kind = dist::DistanceKind::Hausdorff;
+  // A hit avoids exactly one BuildFn call, whatever the instance carries
+  // inside (a DTW instance pools one harness per weight): builds_avoided
+  // must track hits one to one.
+  for (const dist::DistanceKind kind :
+       {dist::DistanceKind::Dtw, dist::DistanceKind::Manhattan}) {
+    core::DistanceSpec spec;
+    spec.kind = kind;
+    core::AcceleratorConfig cfg;
+    cfg.backend = core::Backend::Wavefront;
+    core::Accelerator acc(cfg);
+    acc.configure(spec);
+    const Stream stream = make_stream(spec.kind, 6, 5);
+    for (const auto& q : stream.queries) {
+      (void)acc.try_compute(q.p, q.q).unwrap();
+    }
+    const core::ArrayCache::Stats stats = acc.config().array_cache->stats();
+    EXPECT_GT(stats.hits, 0u) << dist::kind_name(kind);
+    EXPECT_EQ(stats.builds_avoided, stats.hits) << dist::kind_name(kind);
+  }
+}
+
+TEST(ArrayCacheMechanics, GaugesSumEveryLiveCache) {
+  // mda.cache.bytes / mda.cache.entries are process-wide: the sum of every
+  // live cache, each withdrawing its share when destroyed.
+  auto gauge = [](const char* name) {
+    const obs::MetricsSnapshot snap = obs::MetricsSnapshot::capture();
+    const obs::MetricValue* m = snap.find(name);
+    return m ? m->value : -1.0;
+  };
   core::AcceleratorConfig cfg;
   cfg.backend = core::Backend::Wavefront;
-  core::Accelerator acc(cfg);
-  acc.configure(spec);
-  const Stream stream = make_stream(spec.kind, 6, 5);
-  for (const auto& q : stream.queries) (void)acc.try_compute(q.p, q.q).unwrap();
-  const core::ArrayCache::Stats stats = acc.config().array_cache->stats();
-  EXPECT_GT(stats.hits, 0u);
-  EXPECT_EQ(stats.builds_avoided, stats.hits);
+  auto dtw = std::make_unique<core::Accelerator>(cfg);
+  core::DistanceSpec dtw_spec;
+  dtw_spec.kind = dist::DistanceKind::Dtw;
+  dtw->configure(dtw_spec);
+  core::Accelerator md(cfg);
+  core::DistanceSpec md_spec;
+  md_spec.kind = dist::DistanceKind::Manhattan;
+  md.configure(md_spec);
+
+  const Stream stream = make_stream(dist::DistanceKind::Dtw, 2, 4);
+  for (const auto& q : stream.queries) {
+    (void)dtw->try_compute(q.p, q.q).unwrap();
+    (void)md.try_compute(q.p, q.q).unwrap();
+  }
+  const core::ArrayCache::Stats a = dtw->config().array_cache->stats();
+  const core::ArrayCache::Stats b = md.config().array_cache->stats();
+  ASSERT_GT(a.resident_bytes, 0u);
+  ASSERT_GT(b.resident_bytes, 0u);
+  EXPECT_EQ(gauge("mda.cache.bytes"),
+            static_cast<double>(a.resident_bytes + b.resident_bytes));
+  EXPECT_EQ(gauge("mda.cache.entries"),
+            static_cast<double>(a.entries + b.entries));
+
+  dtw.reset();
+  EXPECT_EQ(gauge("mda.cache.bytes"), static_cast<double>(b.resident_bytes));
+  EXPECT_EQ(gauge("mda.cache.entries"), static_cast<double>(b.entries));
 }
 
 TEST(ArrayCacheMechanics, NullCacheDegradesToLocalBuild) {

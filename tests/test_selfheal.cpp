@@ -1,8 +1,8 @@
 // Self-healing serving tests (DESIGN.md §14): health-scoreboard units
-// (EWMAs, quadrature expected-error, hysteresis, reset/generation), the
-// ArrayCache generation barrier (a scrub can never re-pool a half-tuned
-// instance), accelerator retune healing drifted cell plans, scrub-quiescent
-// bit-identity across thread counts, and the serving layer's replica
+// (EWMAs, quadrature expected-error, hysteresis, reset/generation),
+// accelerator retune healing drifted cell plans, a scrub keeping the
+// wavefront instance pool, scrub-quiescent bit-identity across thread
+// counts, and the serving layer's replica
 // lifecycle — health frame loopback, kill/failover/restart, the scrub scan
 // (probe every pass, threshold trigger, busy skip, background thread),
 // scrub-then-serve identity, replicated pipelined load, the chaos soak's
@@ -107,45 +107,6 @@ TEST(HealthScoreboard, ResetWipesScoresKeepsCountersBumpsGeneration) {
   EXPECT_EQ(s.watchdog_trips, 1u);
 }
 
-// ------------------------------------------- cache generation barrier -----
-
-struct CountedInstance : core::ArrayCache::Instance {
-  static std::atomic<int> live;
-  CountedInstance() { ++live; }
-  ~CountedInstance() override { --live; }
-};
-std::atomic<int> CountedInstance::live{0};
-
-TEST(ArrayCacheGeneration, InvalidateDropsIdleAndInFlightLeases) {
-  auto cache = std::make_shared<core::ArrayCache>(/*capacity=*/4);
-  const core::InstanceKey key{1, 2};
-  const auto build = [] { return std::make_unique<CountedInstance>(); };
-
-  // An idle instance from before the scrub is dropped outright.
-  { auto lease = core::ArrayCache::checkout(cache, key, build); }
-  EXPECT_EQ(cache->stats().entries, 1u);
-  EXPECT_EQ(cache->generation(), 0u);
-  cache->invalidate_all();
-  EXPECT_EQ(cache->generation(), 1u);
-  EXPECT_EQ(cache->stats().entries, 0u);
-  EXPECT_EQ(CountedInstance::live.load(), 0);
-
-  // The half-tuned-lease barrier: an instance checked out BEFORE the scrub
-  // must not be re-pooled on give-back — the next checkout re-builds (and
-  // re-verifies) against the new device state.
-  {
-    auto lease = core::ArrayCache::checkout(cache, key, build);
-    cache->invalidate_all();
-  }  // give_back with a stale generation: discarded, not pooled.
-  EXPECT_EQ(cache->stats().entries, 0u);
-  EXPECT_EQ(CountedInstance::live.load(), 0);
-  {
-    auto lease = core::ArrayCache::checkout(cache, key, build);
-  }  // Current generation: re-pooled normally.
-  EXPECT_EQ(cache->stats().entries, 1u);
-  EXPECT_EQ(CountedInstance::live.load(), 1);
-}
-
 // ------------------------------------------------ retune + bit identity ---
 
 std::shared_ptr<const fault::FaultPlan> drift_plan(double rate, double volts) {
@@ -207,11 +168,50 @@ TEST(Retune, RequestAttemptStacksOnAcceleratorAttempt) {
   EXPECT_EQ(out.value().value, clean.try_compute(p, q).unwrap().value);
 }
 
+TEST(Retune, ScrubKeepsWavefrontPool) {
+  // A scrub is a retune plus a scoreboard reset (DESIGN.md §14).  No pooled
+  // wavefront instance depends on the plan or the attempt, so the pool
+  // survives retune() and set_fault_plan(): a repeated query is a cache hit
+  // whose bits equal a fresh accelerator's with the same plan and attempt.
+  const std::vector<double> p{0.4, -0.8, 1.2, 0.1}, q{-0.2, 0.9, 0.5, -1.0};
+  for (const dist::DistanceKind kind :
+       {dist::DistanceKind::Dtw, dist::DistanceKind::Manhattan}) {
+    core::AcceleratorConfig cfg;
+    cfg.backend = core::Backend::Wavefront;
+    cfg.faults = drift_plan(0.5, 0.04);
+    core::DistanceSpec spec;
+    spec.kind = kind;
+    core::Accelerator acc(cfg);
+    acc.configure(spec);
+    (void)acc.try_compute(p, q).unwrap();  // Fills the pool.
+
+    auto expect_hit_equal_to_fresh = [&](const char* what) {
+      const core::ArrayCache::Stats before = acc.config().array_cache->stats();
+      const core::ComputeResult got = acc.try_compute(p, q).unwrap();
+      const core::ArrayCache::Stats after = acc.config().array_cache->stats();
+      EXPECT_GT(after.hits, before.hits) << what;
+      EXPECT_EQ(after.misses, before.misses) << what;
+
+      core::AcceleratorConfig fresh_cfg = acc.config();
+      fresh_cfg.array_cache = nullptr;
+      fresh_cfg.cache_capacity = 0;
+      core::Accelerator fresh(fresh_cfg);
+      fresh.configure(spec);
+      EXPECT_TRUE(core::bitwise_equal(got, fresh.try_compute(p, q).unwrap()))
+          << what;
+    };
+    acc.retune();
+    expect_hit_equal_to_fresh("after retune");
+    acc.set_fault_plan(drift_plan(0.3, 0.03));
+    expect_hit_equal_to_fresh("after set_fault_plan");
+  }
+}
+
 TEST(Retune, ScrubQuiescentBitIdentityAcrossThreadCounts) {
   // A streaming campaign interrupted by a quiescent scrub must produce the
   // same bits at any worker count: phase A (drifted), retune barrier,
   // phase B (healed), with every thread hammering the shared instance
-  // cache.  Guards the generation barrier under real concurrency.
+  // cache, which the scrub keeps.
   const std::size_t kPairs = 6, kLen = 4;
   std::vector<std::vector<double>> ps, qs;
   for (std::size_t i = 0; i < kPairs; ++i) {

@@ -3,7 +3,7 @@
 //   mda compute --kind=dtw [--backend=wavefront] [--threshold=T] [--band=R]
 //               --p=1,2,0.5 --q=0.8,1.7,0.6     (or --pfile/--qfile CSV)
 //   mda batch   --kind=dtw --pfile=A.csv --qfile=B.csv [--threads=8]
-//               [--chunk=C] [--backend=...]     all-pairs batch evaluation
+//               [--backend=...]                 all-pairs batch evaluation
 //   mda info                                    configuration library + power
 //   mda export --kind=md --n=4                  netlist deck to stdout
 //   mda calibrate                               timing model via full SPICE
@@ -208,7 +208,6 @@ int cmd_batch(int argc, char** argv) {
   const auto backend = parse_backend(argc, argv);
   if (!backend) return 1;
   opts.num_threads = flag_count(argc, argv, "threads", 0);
-  opts.chunk_size = flag_count(argc, argv, "chunk", 0);
 
   core::AcceleratorConfig acfg;
   acfg.backend = *backend;
@@ -675,7 +674,7 @@ void usage() {
                "            [--threshold=T] [--band=R] [--pfile/--qfile=CSV]\n"
                "            [--cache=N  instance-cache LRU capacity, 0=off]\n"
                "  batch     --kind=dtw --pfile=A.csv --qfile=B.csv\n"
-               "            [--threads=N (0=auto)] [--chunk=C] [--backend=...]\n"
+               "            [--threads=N (0=auto)] [--backend=...]\n"
                "            [--cache=N]\n"
                "            all P-rows x Q-rows pairs on the parallel engine\n"
                "  profile   [--series=1,2,... | --file=CSV] or synthetic\n"
@@ -739,7 +738,7 @@ const std::vector<Command>& commands() {
         "cache"}},
       {"batch", cmd_batch,
        {"kind", "p", "q", "pfile", "qfile", "threshold", "band", "backend",
-        "threads", "chunk", "cache"}},
+        "threads", "cache"}},
       {"profile", cmd_profile,
        {"series", "file", "n", "seed", "window", "exclusion", "k", "kind",
         "threshold", "band", "znorm", "lb", "margin", "abandon", "threads",
