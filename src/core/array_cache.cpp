@@ -3,6 +3,7 @@
 #include <bit>
 #include <utility>
 
+#include "core/dc_harness.hpp"
 #include "obs/metrics.hpp"
 
 namespace mda::core {
@@ -17,10 +18,6 @@ const obs::Counter& hits_ctr() {
 }
 const obs::Counter& misses_ctr() {
   static const obs::Counter c("mda.cache.misses");
-  return c;
-}
-const obs::Counter& builds_avoided_ctr() {
-  static const obs::Counter c("mda.cache.builds_avoided");
   return c;
 }
 const obs::Counter& evictions_ctr() {
@@ -77,44 +74,16 @@ struct KeyFolder {
 
 }  // namespace
 
-InstanceKey make_instance_key(InstanceType type, const AcceleratorConfig& cfg,
+InstanceKey make_instance_key(const AcceleratorConfig& cfg,
                               const DistanceSpec& spec,
-                              const EncodedInputs& enc, std::size_t m,
-                              std::size_t n) {
+                              const EncodedInputs& enc) {
   KeyFolder f;
-  f.fold(static_cast<std::uint64_t>(type));
   f.fold(static_cast<std::uint64_t>(spec.kind));
-  f.fold(m);
-  f.fold(n);
-  f.fold_double(spec.threshold);
-  f.fold(static_cast<std::uint64_t>(static_cast<std::int64_t>(spec.band)));
-  f.fold(cfg.rows);
-  f.fold(cfg.cols);
-  f.fold_double(cfg.voltage_resolution);
-  f.fold_double(cfg.vstep);
-  f.fold_double(cfg.v_max);
-  f.fold(static_cast<std::uint64_t>(cfg.dac_bits));
-  f.fold(static_cast<std::uint64_t>(cfg.adc_bits));
-  f.fold(cfg.quantize_inputs ? 1 : 0);
-  // The built circuits bake the *effective* encoding of this query shape:
-  // vthre biases scale with enc.scale, Vstep biases with enc.vstep_eff.
-  // Both are pure functions of (kind, m, n, config) for fixed-length
-  // streams, but folding them keeps the key safe for mixed streams.
-  f.fold_double(enc.scale);
+  f.fold(enc.q_volts.size());  // Row arrays are square: m == n.
+  f.fold_double(spec.threshold * cfg.voltage_resolution);
   f.fold_double(enc.vstep_eff);
-  f.fold(spec.pair_weights ? weights_digest(*spec.pair_weights) : 0);
   f.fold(spec.elem_weights ? weights_digest(*spec.elem_weights) : 0);
   return InstanceKey{f.lo, f.hi};
-}
-
-ArrayCache::Lease& ArrayCache::Lease::operator=(Lease&& other) noexcept {
-  if (this != &other) {
-    release();
-    cache_ = std::move(other.cache_);
-    key_ = other.key_;
-    inst_ = std::move(other.inst_);
-  }
-  return *this;
 }
 
 void ArrayCache::Lease::release() {
@@ -126,19 +95,19 @@ void ArrayCache::Lease::release() {
 }
 
 ArrayCache::Lease ArrayCache::checkout(const std::shared_ptr<ArrayCache>& cache,
-                                       const InstanceKey& key,
-                                       const BuildFn& build) {
+                                       const InstanceKey& key) {
   Lease lease;
   lease.key_ = key;
   if (cache && cache->capacity_ > 0) {
     lease.inst_ = cache->take(key);
     lease.cache_ = cache;
   }
-  if (!lease.inst_) lease.inst_ = build();  // outside the cache lock
+  if (!lease.inst_) lease.inst_ = std::make_unique<RowWavefrontInstance>();
   return lease;
 }
 
-std::unique_ptr<ArrayCache::Instance> ArrayCache::take(const InstanceKey& key) {
+std::unique_ptr<RowWavefrontInstance> ArrayCache::take(
+    const InstanceKey& key) {
   const std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it == entries_.end()) {
@@ -158,14 +127,11 @@ std::unique_ptr<ArrayCache::Instance> ArrayCache::take(const InstanceKey& key) {
     misses_ctr().add();
     return nullptr;
   }
-  std::unique_ptr<Instance> inst = std::move(it->second.idle.back());
+  std::unique_ptr<RowWavefrontInstance> inst =
+      std::move(it->second.idle.back());
   it->second.idle.pop_back();
   ++stats_.hits;
   hits_ctr().add();
-  // One checkout hit avoids exactly one instance build (one BuildFn call),
-  // however many harnesses the instance carries inside.
-  ++stats_.builds_avoided;
-  builds_avoided_ctr().add();
   stats_.resident_bytes -= std::min(stats_.resident_bytes,
                                     inst->approx_bytes());
   publish_gauges_locked();
@@ -173,7 +139,7 @@ std::unique_ptr<ArrayCache::Instance> ArrayCache::take(const InstanceKey& key) {
 }
 
 void ArrayCache::give_back(const InstanceKey& key,
-                           std::unique_ptr<Instance> inst) {
+                           std::unique_ptr<RowWavefrontInstance> inst) {
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(key);
   if (it == entries_.end()) return;  // evicted while checked out: drop

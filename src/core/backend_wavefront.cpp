@@ -39,17 +39,9 @@ AnalogEval eval_matrix_wavefront(const AcceleratorConfig& config,
   const std::size_t n = enc.q_volts.size();
   const double vthre = spec.threshold * config.voltage_resolution * enc.scale;
 
-  // Configure-once, stream-many (DESIGN.md §11): the per-weight harness
-  // pool persists across same-configuration queries; begin_query() resets
-  // each pooled harness to fresh-built numeric state, so the wavefront
-  // replays a cold run's arithmetic bit for bit.
-  ArrayCache::Lease lease = ArrayCache::checkout(
-      config.array_cache,
-      make_instance_key(InstanceType::MatrixWavefront, config, spec, enc, m,
-                        n),
-      [] { return std::make_unique<MatrixWavefrontInstance>(); });
-  auto* inst = static_cast<MatrixWavefrontInstance*>(lease.get());
-  inst->begin_query();
+  // Built per query (DESIGN.md §11): one single-PE harness per distinct
+  // weight, shared by every cell of that weight within this query.
+  HarnessCache harnesses;
   auto make = [&](double w) {
     return make_matrix_pe_harness(spec.kind, config, vthre, enc.vstep_eff, w);
   };
@@ -127,8 +119,7 @@ AnalogEval eval_matrix_wavefront(const AcceleratorConfig& config,
           break;
       }
 
-      DcHarness& h =
-          inst->harnesses.get(weight_key(w), [&] { return make(w); });
+      DcHarness& h = harnesses.get(weight_key(w), [&] { return make(w); });
       set_sources(h, {enc.p_volts[i - 1], enc.q_volts[j - 1], left, up, diag});
       double solved = 0.0;
       bool solved_ok = true;
@@ -175,8 +166,8 @@ AnalogEval eval_matrix_wavefront(const AcceleratorConfig& config,
       if (at_tile_edge(i, j)) at(i, j) = edge_adc.quantize(at(i, j));
     }
   }
-  result.newton_iterations = inst->harnesses.total_newton();
-  result.solver_fallbacks = inst->harnesses.total_fallbacks();
+  result.newton_iterations = harnesses.total_newton();
+  result.solver_fallbacks = harnesses.total_fallbacks();
   if (watchdog_trips(config, result)) return result;
   result.ok = true;
   result.out_volts = at(m, n);
@@ -240,11 +231,8 @@ AnalogEval eval_row_wavefront(const AcceleratorConfig& config,
   // The row structure is cheap enough to DC-solve whole.
   AnalogEval result;
   ArrayCache::Lease lease = ArrayCache::checkout(
-      config.array_cache,
-      make_instance_key(InstanceType::RowWavefront, config, spec, enc,
-                        enc.p_volts.size(), enc.q_volts.size()),
-      [] { return std::make_unique<RowWavefrontInstance>(); });
-  auto* inst = static_cast<RowWavefrontInstance*>(lease.get());
+      config.array_cache, make_instance_key(config, spec, enc));
+  RowWavefrontInstance* inst = lease.get();
   if (!inst->built) {
     AcceleratorConfig cfg = config;
     cfg.vstep = enc.vstep_eff;

@@ -69,9 +69,9 @@ struct AcceleratorConfig {
   Backend backend = Backend::Wavefront;
 
   /// LRU capacity (distinct configurations) of the cross-query instance
-  /// cache (DESIGN.md §11): wavefront DTW/LCS/EdD harnesses and HamD/MD row
-  /// arrays are reset and reused between same-configuration queries
-  /// instead of rebuilt.  FullSpice and HauD build per query regardless.
+  /// cache (DESIGN.md §11): wavefront HamD/MD row arrays are reset and
+  /// reused between same-configuration queries instead of rebuilt.  Every
+  /// other kind and backend builds per query regardless.
   /// 0 disables cross-query reuse (fresh build per query).
   std::size_t cache_capacity = 8;
   /// The instance cache itself.  Installed by the Accelerator constructor

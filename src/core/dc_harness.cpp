@@ -22,15 +22,6 @@ void DcHarness::finalize() {
   warm_ = false;
 }
 
-void DcHarness::reset_for_query() {
-  for (auto& dev : net_.devices()) dev->reset_state();
-  std::fill(x_.begin(), x_.end(), 0.0);
-  warm_ = false;
-  newton_total = 0;
-  fallback_total = 0;
-  mna_->reset_solver_state();
-}
-
 double DcHarness::solve_out() {
   static const obs::Counter cell_solves("mda.backend.wavefront_cell_solves");
   static const obs::Counter restarts("mda.backend.wavefront_cold_restarts");
@@ -55,12 +46,6 @@ double DcHarness::solve_out() {
   }
   warm_ = true;
   return x_[static_cast<std::size_t>(out_)];
-}
-
-std::size_t DcHarness::approx_bytes() const {
-  // Netlist devices + the MNA structure cache dominate; a coarse per-device
-  // figure is plenty for a resident-size gauge.
-  return net_.num_devices() * 256 + x_.size() * 64 + sizeof(DcHarness);
 }
 
 NodeId add_source(DcHarness& h, const std::string& name) {

@@ -1,11 +1,8 @@
 #pragma once
 // DC harnesses for the wavefront backend (DESIGN.md §3, §11): a single PE
 // (or auxiliary stage) circuit with source-driven inputs, DC-solved once per
-// wavefront cell.  Extracted from backend_wavefront.cpp so the cross-query
-// instance cache (array_cache.hpp) can keep harnesses alive between
-// queries: the netlist, MNA structure cache and LU analysis survive, while
-// reset_for_query() restores the numeric state of a freshly built harness —
-// the invariant that makes cached results bit-identical to cold builds.
+// wavefront cell.  Every harness is built per query; within one query a
+// harness is reused cell after cell, warm-starting from the last solution.
 
 #include <cstdint>
 #include <map>
@@ -30,17 +27,7 @@ class DcHarness {
   /// Finish construction after the builder populated the netlist.
   void finalize();
 
-  /// Restore the numeric state of a freshly finalized harness: device
-  /// states, the warm-start vector, the Newton/fallback counters and the
-  /// solver's LU + pivot memory.  The structural work (netlist, MNA pattern
-  /// tape, allocations) is kept — it is input-independent, so a reset
-  /// harness replays a fresh harness's arithmetic bit for bit.
-  void reset_for_query();
-
   double solve_out();
-
-  /// Rough resident footprint for the cache's bytes gauge.
-  [[nodiscard]] std::size_t approx_bytes() const;
 
   spice::Netlist net_;
   std::unique_ptr<blocks::BlockFactory> factory_;
@@ -92,8 +79,8 @@ std::uint64_t weight_key(double w);
 /// Digest of a whole weights vector (HauD columns, ArrayCache keys).
 std::uint64_t weights_digest(const std::vector<double>& weights);
 
-/// Per-weight harness pool (weights are usually all 1.0), keyed by
-/// weight_key() so round-off-equal weights share one harness.
+/// Per-query, per-weight harness pool (weights are usually all 1.0), keyed
+/// by weight_key() so round-off-equal weights share one harness.
 class HarnessCache {
  public:
   template <typename MakeFn>
@@ -105,11 +92,6 @@ class HarnessCache {
     return *it->second;
   }
 
-  /// Reset every pooled harness to fresh-built numeric state (query start).
-  void reset_all() {
-    for (auto& [k, h] : cache_) h->reset_for_query();
-  }
-
   [[nodiscard]] long total_newton() const {
     long total = 0;
     for (const auto& [k, h] : cache_) total += h->newton_total;
@@ -119,14 +101,6 @@ class HarnessCache {
   [[nodiscard]] long total_fallbacks() const {
     long total = 0;
     for (const auto& [k, h] : cache_) total += h->fallback_total;
-    return total;
-  }
-
-  [[nodiscard]] std::size_t size() const { return cache_.size(); }
-
-  [[nodiscard]] std::size_t approx_bytes() const {
-    std::size_t total = 0;
-    for (const auto& [k, h] : cache_) total += h->approx_bytes();
     return total;
   }
 

@@ -46,9 +46,9 @@ CampaignReport run_campaign(const CampaignConfig& config) {
   base.backend = config.backend;
   base.fault_handling = config.handling;
   // One instance cache shared across the per-query accelerators (DESIGN.md
-  // §11): pooled wavefront instances are fault-plan-invariant (cell faults
-  // apply at the measured-value level), so the whole campaign amortises one
-  // build.  FullSpice arrays and HauD harnesses are built per query.
+  // §11): pooled row arrays are fault-plan-invariant (cell faults apply at
+  // the measured-value level), so the whole campaign amortises one build.
+  // Every other kind and backend builds per query.
   if (!base.array_cache && base.cache_capacity > 0) {
     base.array_cache = std::make_shared<core::ArrayCache>(base.cache_capacity);
   }

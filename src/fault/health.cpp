@@ -5,8 +5,10 @@
 
 namespace mda::fault {
 
-void HealthScoreboard::bump_cell_locked(std::size_t i, std::size_t j,
-                                        double residual_v) {
+void HealthScoreboard::record_quarantine(std::size_t i, std::size_t j,
+                                         double residual_v) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  ++counts_.quarantines;
   const std::uint64_t key =
       (static_cast<std::uint64_t>(i) << 32) | static_cast<std::uint64_t>(j);
   double& score = cells_[key];
@@ -14,19 +16,6 @@ void HealthScoreboard::bump_cell_locked(std::size_t i, std::size_t j,
       (1.0 - cfg_.cell_alpha) * score + cfg_.cell_alpha * std::fabs(residual_v);
   cell_sq_sum_ += next * next - score * score;
   score = next;
-}
-
-void HealthScoreboard::record_cell_residual(std::size_t i, std::size_t j,
-                                            double residual_v) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  bump_cell_locked(i, j, residual_v);
-}
-
-void HealthScoreboard::record_quarantine(std::size_t i, std::size_t j,
-                                         double residual_v) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  ++counts_.quarantines;
-  bump_cell_locked(i, j, residual_v);
 }
 
 void HealthScoreboard::record_query(double relative_error, bool fault_detected,

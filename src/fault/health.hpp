@@ -135,9 +135,6 @@ class HealthScoreboard final : public HealthSink {
   [[nodiscard]] const HealthConfig& config() const { return cfg_; }
 
   // ---- solve-time feeds -------------------------------------------------
-  /// Per-cell residual-predictor deviation (wavefront): cell (i, j) solved
-  /// `residual_v` volts away from its ideal-recurrence prediction.
-  void record_cell_residual(std::size_t i, std::size_t j, double residual_v);
   void record_quarantine(std::size_t i, std::size_t j,
                          double residual_v) override;
   void record_query(double relative_error, bool fault_detected,
@@ -167,7 +164,6 @@ class HealthScoreboard final : public HealthSink {
 
  private:
   [[nodiscard]] double expected_error_locked() const;
-  void bump_cell_locked(std::size_t i, std::size_t j, double residual_v);
 
   HealthConfig cfg_;
   mutable std::mutex mu_;

@@ -90,8 +90,8 @@ struct Parser {
     }
   }
 
-  /// Skip any value of the grammar to_json() emits (used for derived
-  /// sections like "cache" that from_json does not reconstruct).
+  /// Skip any value of the grammar to_json() emits (used for top-level
+  /// sections that from_json does not reconstruct).
   void skip_value() {
     skip_ws();
     if (pos >= s.size()) {
@@ -182,43 +182,6 @@ bool parse_metric(Parser& p, MetricValue& mv) {
   return p.ok;
 }
 
-/// Derived cache amortization summary (DESIGN.md §11); nullopt when no
-/// mda.cache.* metric was ever registered.
-struct CacheSummary {
-  std::uint64_t hits = 0, misses = 0, builds_avoided = 0, evictions = 0;
-  double entries = 0.0, bytes = 0.0;
-  [[nodiscard]] double hit_rate() const {
-    const std::uint64_t total = hits + misses;
-    return total > 0 ? static_cast<double>(hits) / static_cast<double>(total)
-                     : 0.0;
-  }
-};
-
-std::optional<CacheSummary> cache_summary(const MetricsSnapshot& snap) {
-  CacheSummary cs;
-  bool any = false;
-  auto counter = [&](const char* name, std::uint64_t& out) {
-    if (const MetricValue* m = snap.find(name)) {
-      out = m->count;
-      any = true;
-    }
-  };
-  counter("mda.cache.hits", cs.hits);
-  counter("mda.cache.misses", cs.misses);
-  counter("mda.cache.builds_avoided", cs.builds_avoided);
-  counter("mda.cache.evictions", cs.evictions);
-  if (const MetricValue* m = snap.find("mda.cache.entries")) {
-    cs.entries = m->value;
-    any = true;
-  }
-  if (const MetricValue* m = snap.find("mda.cache.bytes")) {
-    cs.bytes = m->value;
-    any = true;
-  }
-  if (!any) return std::nullopt;
-  return cs;
-}
-
 }  // namespace
 
 MetricsSnapshot MetricsSnapshot::capture() { return MetricsSnapshot{collect()}; }
@@ -272,18 +235,7 @@ std::string MetricsSnapshot::to_json() const {
     os << "}";
     first = false;
   }
-  os << "\n  ]";
-  // Derived amortization section (DESIGN.md §11) for dashboards; from_json
-  // skips it — the underlying mda.cache.* metrics round-trip on their own.
-  if (const auto cs = cache_summary(*this)) {
-    os << ",\n  \"cache\": {\"hits\": " << cs->hits << ", \"misses\": "
-       << cs->misses << ", \"hit_rate\": " << fmt_double(cs->hit_rate())
-       << ", \"builds_avoided\": " << cs->builds_avoided
-       << ", \"evictions\": " << cs->evictions << ", \"resident_entries\": "
-       << fmt_double(cs->entries) << ", \"resident_bytes\": "
-       << fmt_double(cs->bytes) << "}";
-  }
-  os << "\n}\n";
+  os << "\n  ]\n}\n";
   return os.str();
 }
 
@@ -309,22 +261,7 @@ std::string MetricsSnapshot::to_table() const {
         break;
     }
   }
-  std::string out = table.str();
-  if (const auto cs = cache_summary(*this)) {
-    char line[256];
-    std::snprintf(line, sizeof line,
-                  "\ninstance cache: %llu hits / %llu misses (%.1f%% hit "
-                  "rate), %llu builds avoided, %llu evictions, %.0f resident "
-                  "entries (~%.0f KiB)\n",
-                  static_cast<unsigned long long>(cs->hits),
-                  static_cast<unsigned long long>(cs->misses),
-                  100.0 * cs->hit_rate(),
-                  static_cast<unsigned long long>(cs->builds_avoided),
-                  static_cast<unsigned long long>(cs->evictions), cs->entries,
-                  cs->bytes / 1024.0);
-    out += line;
-  }
-  return out;
+  return table.str();
 }
 
 std::optional<MetricsSnapshot> MetricsSnapshot::from_json(
@@ -341,8 +278,8 @@ std::optional<MetricsSnapshot> MetricsSnapshot::from_json(
     if (p.peek(',')) p.consume(',');
   }
   if (!p.consume(']')) return std::nullopt;
-  // Tolerate derived top-level sections appended after "metrics" (e.g. the
-  // "cache" summary) — they are recomputed from the metrics on emission.
+  // Tolerate top-level sections after "metrics": to_json() writes none, but
+  // a reader should skip what it does not reconstruct.
   while (p.peek(',')) {
     p.consume(',');
     (void)p.parse_string();

@@ -24,7 +24,7 @@ struct TransientParams {
   /// Stop early once every unknown moves less than this per accepted step at
   /// dt_max, for `steady_count` consecutive steps (0 disables).  The tail
   /// projection (DESIGN.md §12) starts trying once every unknown moves
-  /// less than 1e4 * steady_tol per step, and is off with it.
+  /// less than 1e3 * steady_tol per step, and is off with it.
   double steady_tol = 1e-9;
   int steady_count = 8;
   bool run_dc_first = true;  ///< Compute the t<0 operating point first.

@@ -1,12 +1,14 @@
 // Cross-query instance cache (DESIGN.md §11): bit-identity of cached vs
 // fresh-build results across all six kinds and thread counts {1, 2, 8},
-// including under an active FaultPlan; the pool's scope (FullSpice and HauD
-// Wavefront never touch it); cache bookkeeping (hits, eviction, checkout
-// pooling, process-wide gauges); quantized weight keying; and the
-// encode_inputs degenerate-input hardening.
+// including under an active FaultPlan; the pool's scope (only HamD/MD
+// Wavefront row arrays touch it, range-compressed streams included); cache
+// bookkeeping (hits, eviction, checkout pooling, process-wide gauges);
+// quantized weight keying; and the encode_inputs degenerate-input
+// hardening.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -109,11 +111,10 @@ TEST_P(CacheBitIdentity, WavefrontCachedEqualsFreshAtAnyThreadCount) {
     }
   }
   const core::ArrayCache::Stats stats = cached.config().array_cache->stats();
-  if (kind == dist::DistanceKind::Hausdorff) {
+  if (dist::is_matrix_structure(kind)) {
     EXPECT_EQ(stats.hits, 0u);  // Built per query: never pooled.
   } else {
     EXPECT_GT(stats.hits, 0u);
-    EXPECT_GT(stats.builds_avoided, 0u);
   }
 }
 
@@ -121,9 +122,9 @@ INSTANTIATE_TEST_SUITE_P(AllSix, CacheBitIdentity,
                          ::testing::ValuesIn(dist::kAllKinds));
 
 TEST(CacheScope, FullSpiceAndHaudWavefrontBuildPerQuery) {
-  // FullSpice arrays (healthy and under a drift plan) and HauD Wavefront
-  // harnesses are built per query: results equal a cache-less
-  // accelerator's bit for bit, and the pool is never touched.
+  // FullSpice arrays (healthy and under a drift plan) and the DTW, LCS,
+  // EdD and HauD Wavefront harnesses are built per query: results equal a
+  // cache-less accelerator's bit for bit, and the pool is never touched.
   fault::FaultConfig fc;
   fc.seed = 99;
   fc.drift_rate = 0.05;
@@ -138,6 +139,9 @@ TEST(CacheScope, FullSpiceAndHaudWavefrontBuildPerQuery) {
       {dist::DistanceKind::Manhattan, core::Backend::FullSpice, nullptr},
       {dist::DistanceKind::Dtw, core::Backend::FullSpice, drift},
       {dist::DistanceKind::Manhattan, core::Backend::FullSpice, drift},
+      {dist::DistanceKind::Dtw, core::Backend::Wavefront, nullptr},
+      {dist::DistanceKind::Lcs, core::Backend::Wavefront, nullptr},
+      {dist::DistanceKind::Edit, core::Backend::Wavefront, nullptr},
       {dist::DistanceKind::Hausdorff, core::Backend::Wavefront, nullptr},
   };
   for (const Case& c : cases) {
@@ -146,6 +150,7 @@ TEST(CacheScope, FullSpiceAndHaudWavefrontBuildPerQuery) {
     const Stream stream = make_stream(c.kind, 3, 4);
     core::DistanceSpec spec;
     spec.kind = c.kind;
+    spec.threshold = 0.3;
 
     core::AcceleratorConfig fresh_cfg;
     fresh_cfg.backend = c.backend;
@@ -173,8 +178,8 @@ TEST(CacheScope, FullSpiceAndHaudWavefrontBuildPerQuery) {
 
 TEST(CacheBitIdentityFaults, CachedEqualsFreshUnderActivePlan) {
   // Cell faults + DAC offsets + drift with the retry/re-tune path on: the
-  // wavefront instances are fault-plan-invariant, so caching must not
-  // change a single bit of the recovery provenance either.
+  // pooled row arrays are fault-plan-invariant, so caching must not change
+  // a single bit of the recovery provenance either.
   fault::FaultConfig fc;
   fc.seed = 99;
   fc.cell_rate = 0.05;
@@ -182,33 +187,84 @@ TEST(CacheBitIdentityFaults, CachedEqualsFreshUnderActivePlan) {
   fc.drift_rate = 0.02;
   const auto plan = std::make_shared<const fault::FaultPlan>(fc);
 
-  core::DistanceSpec spec;
-  spec.kind = dist::DistanceKind::Dtw;
-  const Stream stream = make_stream(spec.kind, 5, 5);
-  const auto& queries = stream.queries;
+  for (const dist::DistanceKind kind :
+       {dist::DistanceKind::Hamming, dist::DistanceKind::Manhattan}) {
+    core::DistanceSpec spec;
+    spec.kind = kind;
+    spec.threshold = 0.3;
+    const Stream stream = make_stream(spec.kind, 5, 5);
+    const auto& queries = stream.queries;
 
+    core::AcceleratorConfig fresh_cfg;
+    fresh_cfg.backend = core::Backend::Wavefront;
+    fresh_cfg.cache_capacity = 0;
+    fresh_cfg.faults = plan;
+    core::Accelerator fresh(fresh_cfg);
+    fresh.configure(spec);
+    std::vector<core::ComputeResult> want;
+    for (const auto& q : queries) {
+      want.push_back(fresh.try_compute(q.p, q.q).unwrap());
+    }
+
+    core::AcceleratorConfig cached_cfg = fresh_cfg;
+    cached_cfg.cache_capacity = 8;
+    core::Accelerator cached(cached_cfg);
+    cached.configure(spec);
+    for (std::size_t threads : {1u, 2u, 8u}) {
+      core::BatchOptions opts;
+      opts.num_threads = threads;
+      core::BatchEngine engine(opts);
+      const auto got = engine.compute_batch(cached, queries);
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        expect_bitwise_equal(want[i], got[i], dist::kind_name(kind).c_str());
+      }
+    }
+    EXPECT_GT(cached.config().array_cache->stats().hits, 0u)
+        << dist::kind_name(kind);
+  }
+}
+
+TEST(CacheScope, RangeCompressedRowStreamHitsAfterFirstQuery) {
+  // The row array is built from Vthre (threshold · voltage_resolution) and
+  // the effective Vstep, never from the input range scale: an MD stream
+  // whose queries are range-compressed by differing factors still reuses
+  // one array, bit for bit equal to a fresh build per query.
+  util::Rng rng(31);
+  auto wide = [&] {
+    std::vector<double> s(8);
+    for (double& v : s) v = rng.uniform(-5.0, 5.0);
+    return s;
+  };
+  const std::vector<double> p = wide();
+  std::vector<std::vector<double>> qs;
+  for (int i = 0; i < 12; ++i) qs.push_back(wide());
+
+  core::DistanceSpec spec;
+  spec.kind = dist::DistanceKind::Manhattan;
   core::AcceleratorConfig fresh_cfg;
   fresh_cfg.backend = core::Backend::Wavefront;
   fresh_cfg.cache_capacity = 0;
-  fresh_cfg.faults = plan;
   core::Accelerator fresh(fresh_cfg);
   fresh.configure(spec);
-  std::vector<core::ComputeResult> want;
-  for (const auto& q : queries) want.push_back(fresh.try_compute(q.p, q.q).unwrap());
-
   core::AcceleratorConfig cached_cfg = fresh_cfg;
   cached_cfg.cache_capacity = 8;
   core::Accelerator cached(cached_cfg);
   cached.configure(spec);
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    core::BatchOptions opts;
-    opts.num_threads = threads;
-    core::BatchEngine engine(opts);
-    const auto got = engine.compute_batch(cached, queries);
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      expect_bitwise_equal(want[i], got[i], "faulty dtw");
-    }
+
+  std::vector<double> scales;
+  for (const auto& q : qs) {
+    const core::ComputeResult want = fresh.try_compute(p, q).unwrap();
+    const core::ComputeResult got = cached.try_compute(p, q).unwrap();
+    expect_bitwise_equal(want, got, "range-compressed md");
+    scales.push_back(got.input_scale);
   }
+  // Range compression was active, and not by the same factor everywhere.
+  const auto [lo, hi] = std::minmax_element(scales.begin(), scales.end());
+  EXPECT_LT(*lo, 1.0);
+  EXPECT_NE(*lo, *hi);
+  const core::ArrayCache::Stats stats = cached.config().array_cache->stats();
+  EXPECT_EQ(stats.hits, qs.size() - 1);
+  EXPECT_EQ(stats.misses, 1u);
 }
 
 TEST(CacheBitIdentityFaults, CampaignDeterministicAcrossThreads) {
@@ -244,60 +300,36 @@ TEST(CacheBitIdentityFaults, CampaignDeterministicAcrossThreads) {
 TEST(ArrayCacheMechanics, EvictionAndStats) {
   auto cache = std::make_shared<core::ArrayCache>(1);
   core::InstanceKey k1{1, 1}, k2{2, 2};
-  auto build = [] { return std::make_unique<core::ArrayCache::Instance>(); };
-  { const auto l = core::ArrayCache::checkout(cache, k1, build); }
+  { const auto l = core::ArrayCache::checkout(cache, k1); }
   EXPECT_EQ(cache->stats().misses, 1u);
   EXPECT_EQ(cache->stats().entries, 1u);
-  { const auto l = core::ArrayCache::checkout(cache, k1, build); }
+  { const auto l = core::ArrayCache::checkout(cache, k1); }
   EXPECT_EQ(cache->stats().hits, 1u);
   // Second key evicts the first (capacity 1)...
-  { const auto l = core::ArrayCache::checkout(cache, k2, build); }
+  { const auto l = core::ArrayCache::checkout(cache, k2); }
   EXPECT_EQ(cache->stats().evictions, 1u);
   EXPECT_EQ(cache->stats().entries, 1u);
   // ...so the first misses again.
-  { const auto l = core::ArrayCache::checkout(cache, k1, build); }
+  { const auto l = core::ArrayCache::checkout(cache, k1); }
   EXPECT_EQ(cache->stats().misses, 3u);
 }
 
 TEST(ArrayCacheMechanics, ConcurrentCheckoutsGrowThePool) {
   auto cache = std::make_shared<core::ArrayCache>(4);
   core::InstanceKey k{5, 5};
-  auto build = [] { return std::make_unique<core::ArrayCache::Instance>(); };
   {
-    const auto a = core::ArrayCache::checkout(cache, k, build);
-    const auto b = core::ArrayCache::checkout(cache, k, build);  // pool empty
+    const auto a = core::ArrayCache::checkout(cache, k);
+    const auto b = core::ArrayCache::checkout(cache, k);  // pool empty
     EXPECT_NE(a.get(), b.get());
   }
   EXPECT_EQ(cache->stats().misses, 2u);
   // Both returned: the next two checkouts are hits.
   {
-    const auto a = core::ArrayCache::checkout(cache, k, build);
-    const auto b = core::ArrayCache::checkout(cache, k, build);
+    const auto a = core::ArrayCache::checkout(cache, k);
+    const auto b = core::ArrayCache::checkout(cache, k);
     EXPECT_NE(a.get(), b.get());
   }
   EXPECT_EQ(cache->stats().hits, 2u);
-}
-
-TEST(ArrayCacheMechanics, BuildsAvoidedCountsOnePerHit) {
-  // A hit avoids exactly one BuildFn call, whatever the instance carries
-  // inside (a DTW instance pools one harness per weight): builds_avoided
-  // must track hits one to one.
-  for (const dist::DistanceKind kind :
-       {dist::DistanceKind::Dtw, dist::DistanceKind::Manhattan}) {
-    core::DistanceSpec spec;
-    spec.kind = kind;
-    core::AcceleratorConfig cfg;
-    cfg.backend = core::Backend::Wavefront;
-    core::Accelerator acc(cfg);
-    acc.configure(spec);
-    const Stream stream = make_stream(spec.kind, 6, 5);
-    for (const auto& q : stream.queries) {
-      (void)acc.try_compute(q.p, q.q).unwrap();
-    }
-    const core::ArrayCache::Stats stats = acc.config().array_cache->stats();
-    EXPECT_GT(stats.hits, 0u) << dist::kind_name(kind);
-    EXPECT_EQ(stats.builds_avoided, stats.hits) << dist::kind_name(kind);
-  }
 }
 
 TEST(ArrayCacheMechanics, GaugesSumEveryLiveCache) {
@@ -310,21 +342,22 @@ TEST(ArrayCacheMechanics, GaugesSumEveryLiveCache) {
   };
   core::AcceleratorConfig cfg;
   cfg.backend = core::Backend::Wavefront;
-  auto dtw = std::make_unique<core::Accelerator>(cfg);
-  core::DistanceSpec dtw_spec;
-  dtw_spec.kind = dist::DistanceKind::Dtw;
-  dtw->configure(dtw_spec);
+  auto hamd = std::make_unique<core::Accelerator>(cfg);
+  core::DistanceSpec hamd_spec;
+  hamd_spec.kind = dist::DistanceKind::Hamming;
+  hamd_spec.threshold = 0.3;
+  hamd->configure(hamd_spec);
   core::Accelerator md(cfg);
   core::DistanceSpec md_spec;
   md_spec.kind = dist::DistanceKind::Manhattan;
   md.configure(md_spec);
 
-  const Stream stream = make_stream(dist::DistanceKind::Dtw, 2, 4);
+  const Stream stream = make_stream(dist::DistanceKind::Hamming, 2, 4);
   for (const auto& q : stream.queries) {
-    (void)dtw->try_compute(q.p, q.q).unwrap();
+    (void)hamd->try_compute(q.p, q.q).unwrap();
     (void)md.try_compute(q.p, q.q).unwrap();
   }
-  const core::ArrayCache::Stats a = dtw->config().array_cache->stats();
+  const core::ArrayCache::Stats a = hamd->config().array_cache->stats();
   const core::ArrayCache::Stats b = md.config().array_cache->stats();
   ASSERT_GT(a.resident_bytes, 0u);
   ASSERT_GT(b.resident_bytes, 0u);
@@ -333,16 +366,15 @@ TEST(ArrayCacheMechanics, GaugesSumEveryLiveCache) {
   EXPECT_EQ(gauge("mda.cache.entries"),
             static_cast<double>(a.entries + b.entries));
 
-  dtw.reset();
+  hamd.reset();
   EXPECT_EQ(gauge("mda.cache.bytes"), static_cast<double>(b.resident_bytes));
   EXPECT_EQ(gauge("mda.cache.entries"), static_cast<double>(b.entries));
 }
 
 TEST(ArrayCacheMechanics, NullCacheDegradesToLocalBuild) {
-  auto build = [] { return std::make_unique<core::ArrayCache::Instance>(); };
-  const auto lease =
-      core::ArrayCache::checkout(nullptr, core::InstanceKey{}, build);
-  EXPECT_NE(lease.get(), nullptr);
+  const auto lease = core::ArrayCache::checkout(nullptr, core::InstanceKey{});
+  ASSERT_NE(lease.get(), nullptr);
+  EXPECT_FALSE(lease.get()->built);
 }
 
 TEST(WeightKeys, QuantizationCollapsesRoundoffNoise) {

@@ -170,17 +170,18 @@ TEST(Retune, RequestAttemptStacksOnAcceleratorAttempt) {
 
 TEST(Retune, ScrubKeepsWavefrontPool) {
   // A scrub is a retune plus a scoreboard reset (DESIGN.md §14).  No pooled
-  // wavefront instance depends on the plan or the attempt, so the pool
+  // row array depends on the plan or the attempt, so the pool
   // survives retune() and set_fault_plan(): a repeated query is a cache hit
   // whose bits equal a fresh accelerator's with the same plan and attempt.
   const std::vector<double> p{0.4, -0.8, 1.2, 0.1}, q{-0.2, 0.9, 0.5, -1.0};
   for (const dist::DistanceKind kind :
-       {dist::DistanceKind::Dtw, dist::DistanceKind::Manhattan}) {
+       {dist::DistanceKind::Hamming, dist::DistanceKind::Manhattan}) {
     core::AcceleratorConfig cfg;
     cfg.backend = core::Backend::Wavefront;
     cfg.faults = drift_plan(0.5, 0.04);
     core::DistanceSpec spec;
     spec.kind = kind;
+    spec.threshold = 0.3;
     core::Accelerator acc(cfg);
     acc.configure(spec);
     (void)acc.try_compute(p, q).unwrap();  // Fills the pool.

@@ -71,7 +71,6 @@ set(_required
     "mda.spice.transient_projections_rejected"
     "mda.cache.hits"
     "mda.cache.misses"
-    "mda.cache.builds_avoided"
     "mda.cache.evictions"
     "mda.cache.bytes"
     "mda.cache.entries"

@@ -268,9 +268,7 @@ int cmd_compute(int argc, char** argv) {
 
   const auto backend = parse_backend(argc, argv);
   if (!backend) return 1;
-  core::AcceleratorConfig acfg;
-  acfg.cache_capacity = flag_count(argc, argv, "cache", 8);
-  core::Accelerator acc(acfg);
+  core::Accelerator acc;
   acc.configure(spec, *backend);
   const core::ComputeResult r = acc.try_compute(*p, *q).unwrap();
   std::printf("function:        %s\n", dist::kind_name(spec.kind).c_str());
@@ -672,10 +670,9 @@ void usage() {
                "  compute   --kind=dtw --p=1,2,0.5 --q=0.8,1.7,0.6\n"
                "            [--backend=behavioral|wavefront|fullspice]\n"
                "            [--threshold=T] [--band=R] [--pfile/--qfile=CSV]\n"
-               "            [--cache=N  instance-cache LRU capacity, 0=off]\n"
                "  batch     --kind=dtw --pfile=A.csv --qfile=B.csv\n"
                "            [--threads=N (0=auto)] [--backend=...]\n"
-               "            [--cache=N]\n"
+               "            [--cache=N  instance-cache LRU capacity, 0=off]\n"
                "            all P-rows x Q-rows pairs on the parallel engine\n"
                "  profile   [--series=1,2,... | --file=CSV] or synthetic\n"
                "            ECG demo: [--n=512] [--seed=42]\n"
@@ -734,8 +731,7 @@ struct Command {
 const std::vector<Command>& commands() {
   static const std::vector<Command> table = {
       {"compute", cmd_compute,
-       {"kind", "p", "q", "pfile", "qfile", "threshold", "band", "backend",
-        "cache"}},
+       {"kind", "p", "q", "pfile", "qfile", "threshold", "band", "backend"}},
       {"batch", cmd_batch,
        {"kind", "p", "q", "pfile", "qfile", "threshold", "band", "backend",
         "threads", "cache"}},
